@@ -14,17 +14,40 @@ from catbound.cli import main as cli
 
 REPO = Path(__file__).resolve().parents[1]
 
+# (section, argv), in order; a .catb argument names a file in the
+# fixture directory.  Every invocation is expected to exit 0.
+INVOCATIONS = (
+    ("validation", ("validate", "examples.catb")),
+    ("validation", ("validate", "square_coxeter.catb")),
+    ("validation", ("validate", "z4_polygon.catb")),
+    ("validation", ("validate", "double_max.catb")),
+    ("validation", ("validate", "double_sum.catb")),
+    ("validation", ("validate", "branched_five.catb")),
+    ("category bounds", ("bound", "--target", "ZZ", "--family", "Tr", "examples.catb")),
+    ("category bounds", ("bound", "--target", "Am46", "--family", "Fin", "examples.catb")),
+    ("category bounds", ("bound", "--target", "FC", "--family", "Am", "examples.catb")),
+    ("category bounds", ("bound", "--target", "FC", "--invariant", "gd", "examples.catb")),
+    ("topological complexity", ("tc", "--target", "ZZ", "examples.catb")),
+    ("developments", ("develop", "--target", "Am46", "--radius", "3", "examples.catb")),
+    ("developments", ("develop", "--target", "SQ", "--radius", "1", "square_coxeter.catb")),
+    ("link condition", ("check-curvature", "--target", "SQ", "square_coxeter.catb")),
+    ("link condition", ("check-curvature", "--target", "BAD", "z4_polygon.catb")),
+    ("certificates", ("certify", "--target", "DblMax", "double_max.catb")),
+    ("certificates", ("certify", "--target", "DblSum", "double_sum.catb")),
+    ("certificates", ("certify", "--target", "BrFive", "branched_five.catb")),
+)
+
 
 def section(title):
     print()
     print(f"== {title} " + "=" * max(0, 60 - len(title)))
 
 
-def run(tag, argv, expect=0):
+def run(argv):
     print(f"$ catbound {' '.join(argv)}")
     code = cli(list(argv))
-    ok = code == expect
-    print(f"  -> exit {code}" + ("" if ok else f"  (expected {expect})"))
+    ok = code == 0
+    print(f"  -> exit {code}" + ("" if ok else "  (expected 0)"))
     print()
     return ok
 
@@ -35,42 +58,14 @@ def main():
                     default=REPO / "tests" / "fixtures")
     args = ap.parse_args()
 
-    ex = str(args.fixtures / "examples.catb")
-    sq = str(args.fixtures / "square_coxeter.catb")
-    bad = str(args.fixtures / "z4_polygon.catb")
-    dmax = str(args.fixtures / "double_max.catb")
-    dsum = str(args.fixtures / "double_sum.catb")
-    br = str(args.fixtures / "branched_five.catb")
-
     all_ok = True
-
-    section("validation")
-    for f in (ex, sq, bad, dmax, dsum, br):
-        all_ok &= run("validate", ["validate", f])
-
-    section("category bounds")
-    all_ok &= run("bound", ["bound", "--target", "ZZ", "--family", "Tr", ex])
-    all_ok &= run("bound", ["bound", "--target", "Am46", "--family", "Fin", ex])
-    all_ok &= run("bound", ["bound", "--target", "FC", "--family", "Am", ex])
-    all_ok &= run("bound", ["bound", "--target", "FC", "--invariant", "gd", ex])
-
-    section("topological complexity")
-    all_ok &= run("tc", ["tc", "--target", "ZZ", ex])
-
-    section("developments")
-    all_ok &= run("develop", ["develop", "--target", "Am46",
-                              "--radius", "3", ex])
-    all_ok &= run("develop", ["develop", "--target", "SQ",
-                              "--radius", "1", sq])
-
-    section("link condition")
-    all_ok &= run("curvature", ["check-curvature", "--target", "SQ", sq])
-    all_ok &= run("curvature", ["check-curvature", "--target", "BAD", bad])
-
-    section("certificates")
-    all_ok &= run("certify", ["certify", "--target", "DblMax", dmax])
-    all_ok &= run("certify", ["certify", "--target", "DblSum", dsum])
-    all_ok &= run("certify", ["certify", "--target", "BrFive", br])
+    current = None
+    for title, argv in INVOCATIONS:
+        if title != current:
+            section(title)
+            current = title
+        all_ok &= run([str(args.fixtures / a) if a.endswith(".catb") else a
+                       for a in argv])
 
     if not all_ok:
         print("some invocations failed", file=sys.stderr)

@@ -84,8 +84,8 @@ def main():
         if scan_best != best:
             mismatches += 1
 
-        vmax = ev.max_combination(x, AM)
-        vsum = ev.sum_combination(x, AM)
+        vmax = ev.eval_recursion(x, AM, range(1, x.n + 1))
+        vsum = ev.eval_recursion(x, AM, ())
         lo = min(vmax, vsum)
         if vmax == vsum == best:
             ties += 1

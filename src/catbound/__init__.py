@@ -17,9 +17,8 @@ from .facts import (AM, FIN, TR, Family, FamilyKind, FactSheet, MemoTable,
                     Tri, builtin_families, membership, membership_with_reason)
 from .engine import BoundResult, DerivationNode, Evaluator, replay
 from .develop import (AmalgamContext, DevelopLimits, DevelopmentBall,
-                      bass_serre_ball, brute_force_curvature, check_curvature,
-                      develop_target, enumerate_cosets, polygon_ball,
-                      verify_stabilizers)
+                      bass_serre_ball, check_curvature, develop_target,
+                      polygon_ball, verify_stabilizers)
 from .dsl import (ParseFailure, SourceModel, build_universe, load_prelude,
                   load_text, parse, serialize, try_parse)
 from .apps import (BranchedSetup, Certificate, DoubleSetup, GluingSetup,
@@ -39,8 +38,7 @@ __all__ = [
     "Tri", "builtin_families", "membership", "membership_with_reason",
     "BoundResult", "DerivationNode", "Evaluator", "replay",
     "AmalgamContext", "DevelopLimits", "DevelopmentBall",
-    "bass_serre_ball", "brute_force_curvature", "check_curvature",
-    "develop_target", "enumerate_cosets", "polygon_ball",
+    "bass_serre_ball", "check_curvature", "develop_target", "polygon_ball",
     "verify_stabilizers",
     "ParseFailure", "SourceModel", "build_universe", "load_prelude",
     "load_text", "parse", "serialize", "try_parse",

@@ -25,8 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from .engine import BoundResult, DerivationNode, Evaluator, _leaf, _sup, _sumnode
-from .extnat import ExtNat, INF
+from .engine import BoundResult, DerivationNode, Evaluator, _leaf, _sumnode, _supnode
+from .extnat import ExtNat
 from .facts import AM
 from .model import (Diagnostic, Edge, GraphOfGroups, GroupExpr,
                     PolygonOfGroups, Ref, Universe)
@@ -237,26 +237,6 @@ def double_to_gluing(s: DoubleSetup) -> GluingSetup:
     return GluingSetup(f"{s.name}@double", s.n, (left, right), pairings, True)
 
 
-def _extend(u: Universe, *, graph: Optional[GraphOfGroups] = None,
-            polygon: Optional[PolygonOfGroups] = None) -> Universe:
-    'Shallow-copied universe with one synthetic object registered.'
-    u2 = Universe()
-    u2.sheets.update(u.sheets)
-    u2.defs.update(u.defs)
-    u2.concretes.update(u.concretes)
-    u2.graphs.update(u.graphs)
-    u2.polygons.update(u.polygons)
-    u2.gcws.update(u.gcws)
-    u2.homs.update(u.homs)
-    u2.families.update(u.families)
-    u2.setups.update(u.setups)
-    if graph is not None:
-        u2.graphs[graph.name] = graph
-    if polygon is not None:
-        u2.polygons[polygon.name] = polygon
-    return u2
-
-
 # -- certificates ---------------------------------------------------------
 
 def certify_gluing(u: Universe, s: GluingSetup) -> Certificate:
@@ -265,7 +245,9 @@ def certify_gluing(u: Universe, s: GluingSetup) -> Certificate:
     are ledgered separately."""
     n = s.n
     gog = gluing_to_gog(s)
-    ev = Evaluator(_extend(u, graph=gog))
+    with_gog = u.overlay()
+    with_gog.graphs[gog.name] = gog
+    ev = Evaluator(with_gog)
     ledger: List[LedgerItem] = []
     by_id = {p.id: p for p in s.pieces}
 
@@ -351,7 +333,7 @@ def gluing_sum_bound(u: Universe, s: GluingSetup) -> BoundResult:
 
     With no pairings the interface term is an empty supremum, 0.
     """
-    ev = Evaluator(_extend(u))
+    ev = Evaluator(u)
     by_id = {p.id: p for p in s.pieces}
     piece_nodes = [_space_cat(ev, p.group, p.cat_space)[1] for p in s.pieces]
     interface_nodes = []
@@ -363,8 +345,8 @@ def gluing_sum_bound(u: Universe, s: GluingSetup) -> BoundResult:
             [node, _leaf("const", "interface shift", ExtNat(1))]))
     root = _sumnode("gluing-sum",
                     "pieces plus shifted interfaces, tree of spaces",
-                    [_sup("over pieces", piece_nodes),
-                     _sup("over paired interfaces", interface_nodes)])
+                    [_supnode("sup", "over pieces", piece_nodes),
+                     _supnode("sup", "over paired interfaces", interface_nodes)])
     return BoundResult("cat", AM.name, root.value, root)
 
 
@@ -423,7 +405,9 @@ def certify_branched(u: Universe, s: BranchedSetup) -> Certificate:
                               tuple(s.piece for _ in range(s.d)),
                               tuple(s.wall for _ in range(s.d)),
                               s.core, edge_maps, face_maps)
-    ev = Evaluator(_extend(u, polygon=polygon))
+    with_polygon = u.overlay()
+    with_polygon.polygons[polygon.name] = polygon
+    ev = Evaluator(with_polygon)
     ledger: List[LedgerItem] = []
 
     ledger.append(LedgerItem(

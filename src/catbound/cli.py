@@ -25,13 +25,13 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from . import apps, develop, dsl
 from .engine import BoundResult, DerivationNode, Evaluator
 from .extnat import ExtNat
 from .facts import Family
-from .model import Ref, Universe
+from .model import Diagnostic, Ref, Universe
 
 
 class CliError(Exception):
@@ -105,19 +105,24 @@ def _build_parser() -> argparse.ArgumentParser:
 
 # -- loading --------------------------------------------------------------
 
-def _load(args) -> Universe:
+def _read_model(args) -> Tuple[Optional[Universe], List[Diagnostic]]:
+    'The prelude, with the model file (if any) loaded over it.'
     prelude = args.prelude or os.environ.get("CATBOUND_PRELUDE")
     try:
         base = dsl.load_prelude(Path(prelude) if prelude else None)
     except (OSError, ValueError) as exc:
         raise CliError(f"prelude: {exc}")
     if args.file is None:
-        return base
+        return base, []
     try:
         text = Path(args.file).read_text(encoding="utf-8")
     except OSError as exc:
         raise CliError(str(exc))
-    u, diags = dsl.load_text(text, base)
+    return dsl.load_text(text, base)
+
+
+def _load(args) -> Universe:
+    u, diags = _read_model(args)
     if diags:
         raise CliError("\n".join(f"{args.file}:{d}" for d in diags))
     if u is None:
@@ -315,19 +320,7 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    prelude = args.prelude or os.environ.get("CATBOUND_PRELUDE")
-    try:
-        base = dsl.load_prelude(Path(prelude) if prelude else None)
-    except (OSError, ValueError) as exc:
-        raise CliError(f"prelude: {exc}")
-    if args.file is None:
-        u, diags = base, []
-    else:
-        try:
-            text = Path(args.file).read_text(encoding="utf-8")
-        except OSError as exc:
-            raise CliError(str(exc))
-        u, diags = dsl.load_text(text, base)
+    u, diags = _read_model(args)
     if args.format == "json":
         _emit_json({
             "ok": not diags,

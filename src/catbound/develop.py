@@ -30,41 +30,6 @@ class DevelopLimits:
     cell_limit: int = 10_000
 
 
-# -- coset enumeration ----------------------------------------------------
-
-@dataclass(frozen=True)
-class CosetTable:
-    group: ConcreteFiniteGroup
-    subgroup: FrozenSet[int]
-    cosets: Tuple[FrozenSet[int], ...]
-
-    @property
-    def index(self) -> int:
-        return len(self.cosets)
-
-    def coset_of(self, x: int) -> int:
-        for i, c in enumerate(self.cosets):
-            if x in c:
-                return i
-        raise ValueError(f"element {x} not covered by the coset table")
-
-
-def enumerate_cosets(g: ConcreteFiniteGroup, h: Sequence[int]) -> CosetTable:
-    """Left cosets x·h, listed with minimal representatives first."""
-    hs = frozenset(h)
-    if not g.is_subgroup(hs):
-        raise ValueError("not a subgroup of the given group")
-    seen: Set[int] = set()
-    cosets: List[FrozenSet[int]] = []
-    for x in range(g.order):
-        if x in seen:
-            continue
-        coset = frozenset(g.mul(x, s) for s in hs)
-        seen.update(coset)
-        cosets.append(coset)
-    return CosetTable(g, hs, tuple(cosets))
-
-
 # -- amalgam normal forms -------------------------------------------------
 
 @dataclass(frozen=True)
@@ -218,28 +183,6 @@ class DevelopmentBall:
 
     def of_dim(self, d: int) -> List[BallCell]:
         return [c for c in self.cells if c.dim == d]
-
-    def tree_defect(self) -> int:
-        'Independent cycles of the 1-skeleton: E - V + number of components.'
-        vertices = [c.id for c in self.of_dim(0)]
-        parent = {v: v for v in vertices}
-
-        def find(v: int) -> int:
-            while parent[v] != v:
-                parent[v] = parent[parent[v]]
-                v = parent[v]
-            return v
-
-        edges = 0
-        for c in self.of_dim(1):
-            ends = [i for i in c.incident if i in parent]
-            if len(ends) == 2:
-                edges += 1
-                ra, rb = find(ends[0]), find(ends[1])
-                if ra != rb:
-                    parent[ra] = rb
-        components = len({find(v) for v in vertices})
-        return edges - len(vertices) + components
 
 
 def _concrete_of(u: Universe, e: GroupExpr, what: str) -> ConcreteFiniteGroup:
@@ -519,46 +462,6 @@ def check_curvature(u: Universe, p: PolygonOfGroups) -> CurvatureReport:
                 f"{sorted(inter)} but the face image is "
                 f"{sorted(charts.face_image[i])}")
     return CurvatureReport(True, detail="edge images meet exactly in the face image")
-
-
-def brute_force_curvature(u: Universe, p: PolygonOfGroups) -> CurvatureReport:
-    """Independent oracle for check_curvature: elementwise scans with
-    list membership, no set algebra."""
-    if not p.concrete_maps:
-        raise ValueError(f"polygon {p.name!r} has no concrete maps")
-    d = p.d
-    face_group = _concrete_of(u, p.face_group, "face")
-    for i in range(d):
-        g = _concrete_of(u, p.vertex_groups[i], f"vertex {i}")
-        prev_edge = _concrete_of(u, p.edge_groups[(i - 1) % d], f"edge {(i - 1) % d}")
-        next_edge = _concrete_of(u, p.edge_groups[i], f"edge {i}")
-        h_in = _hom_of(u, p.edge_maps[(i - 1) % d][1])
-        h_out = _hom_of(u, p.edge_maps[i][0])
-        h_face = _hom_of(u, p.face_maps[i])
-        im_in: List[int] = []
-        for x in range(prev_edge.order):
-            v = h_in.images[x]
-            if v not in im_in:
-                im_in.append(v)
-        im_out: List[int] = []
-        for x in range(next_edge.order):
-            v = h_out.images[x]
-            if v not in im_out:
-                im_out.append(v)
-        inter: List[int] = []
-        for y in range(g.order):
-            if y in im_in and y in im_out and y not in inter:
-                inter.append(y)
-        fimg: List[int] = []
-        for z in range(face_group.order):
-            v = h_out.images[h_face.images[z]]
-            if v not in fimg:
-                fimg.append(v)
-        if sorted(inter) != sorted(fimg):
-            return CurvatureReport(False, i, tuple(sorted(inter)),
-                                   f"vertex {i}: intersection {sorted(inter)} "
-                                   f"differs from face image {sorted(fimg)}")
-    return CurvatureReport(True, detail="verified elementwise")
 
 
 # -- stabilizer bookkeeping -----------------------------------------------

@@ -42,9 +42,9 @@ from .facts import (FactSheet, Family, FamilyKind, Tri, builtin_families,
                     close_sheet)
 from .model import (Diagnostic, DirectProduct, Edge, FreeProduct,
                     GcwDescription, GraphOfGroups, GroupExpr, PolygonOfGroups,
-                    Ref, TrivialGroup, Universe, cyclic_group, free_group_expr,
-                    hom_from_generator_images, product_group, table_group,
-                    validate)
+                    Ref, TrivialGroup, Universe, cyclic_group, expr_refs,
+                    free_group_expr, hom_from_generator_images, product_group,
+                    table_group, validate)
 
 # -- tokens ---------------------------------------------------------------
 
@@ -1119,17 +1119,7 @@ def build_universe(model: SourceModel,
     together with all build and validation diagnostics; a universe with
     diagnostics should not be evaluated.
     """
-    u = Universe()
-    if base is not None:
-        u.sheets.update(base.sheets)
-        u.defs.update(base.defs)
-        u.concretes.update(base.concretes)
-        u.graphs.update(base.graphs)
-        u.polygons.update(base.polygons)
-        u.gcws.update(base.gcws)
-        u.homs.update(base.homs)
-        u.families.update(base.families)
-        u.setups.update(base.setups)
+    u = base.overlay() if base is not None else Universe()
     if not u.families:
         u.families.update(builtin_families())
     diags: List[Diagnostic] = []
@@ -1166,13 +1156,36 @@ def build_universe(model: SourceModel,
                 u.setups[d.name] = setup
         else:
             raise TypeError(f"unknown declaration {d!r}")
+    # checked once everything is registered: a fact may name a family,
+    # and a setup a group, declared further down
+    known = u.group_names()
     for d in model.decls:
         if isinstance(d, GroupDecl):
             for f in d.facts:
                 if f.kind in ("cat", "member") and f.slot not in u.families:
                     diags.append(Diagnostic(d.loc, f"unknown family {f.slot!r}"))
+        elif isinstance(d, _SETUP_DECLS):
+            for what, e in _setup_groups(d):
+                for name in expr_refs(e):
+                    if name not in known:
+                        diags.append(Diagnostic(
+                            d.loc, f"{what}: unresolved group name {name!r}"))
     diags.extend(validate(u))
     return u, diags
+
+
+def _setup_groups(d: Decl) -> List[Tuple[str, GroupExpr]]:
+    'The group expressions a setup declaration names, each with its role.'
+    if isinstance(d, GluingDecl):
+        out: List[Tuple[str, GroupExpr]] = []
+        for p in d.pieces:
+            out.append((f"piece {p.id}", p.group))
+            out += [(f"boundary {p.id}.{b.id}", b.group) for b in p.boundaries]
+        return out
+    if isinstance(d, DoubleDecl):
+        return [("group", d.group)] + [(f"boundary {b.id}", b.group)
+                                       for b in d.boundaries]
+    return [("piece", d.piece), ("wall", d.wall), ("core", d.core)]
 
 
 _TRI = {"yes": Tri.YES, "no": Tri.NO, "unknown": Tri.UNKNOWN}

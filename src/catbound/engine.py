@@ -39,9 +39,10 @@ d_{i-1}, which is why the greedy arm choice is globally optimal.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence,
+                    Set, Tuple)
 
-from .extnat import INF, ZERO, ExtNat, ext_max, supremum
+from .extnat import INF, ZERO, ExtNat, supremum
 from .facts import Family, MemoTable, Tri, membership_with_reason
 from .model import (DirectProduct, GcwDescription, GraphOfGroups, GroupExpr,
                     PolygonOfGroups, TrivialGroup, Universe, expr_key)
@@ -133,13 +134,7 @@ def _leaf(rule: str, cite: str, value: ExtNat,
     return DerivationNode(rule, cite, value, assumptions, ())
 
 
-def _sup(cite: str, premises: Sequence[DerivationNode], rule: str = "sup",
-         assumptions: Tuple[str, ...] = ()) -> DerivationNode:
-    value = supremum(p.value for p in premises)
-    return DerivationNode(rule, cite, value, assumptions, tuple(premises))
-
-
-def _maxnode(rule: str, cite: str, premises: Sequence[DerivationNode],
+def _supnode(rule: str, cite: str, premises: Sequence[DerivationNode],
              assumptions: Tuple[str, ...] = ()) -> DerivationNode:
     value = supremum(p.value for p in premises)
     return DerivationNode(rule, cite, value, assumptions, tuple(premises))
@@ -158,13 +153,50 @@ def _shift(inner: DerivationNode, k: int, what: str) -> DerivationNode:
                     [inner, _leaf("const", what, ExtNat(k))])
 
 
+def _memoized_bound(invariant: str,
+                    candidates: Callable[..., List[DerivationNode]]):
+    """The entry point bound_<invariant>(e, *fam) of the Evaluator.
+
+    Memo lookup, the circular-evaluation guard, then the first of the
+    rule instances listed by candidates(evaluator, e, *fam) that attains
+    the least value (no-rule at infinity when none applies).  Built once
+    per invariant, instead of four methods calling one shared method,
+    so that a nested evaluation costs no extra stack frame per level.
+    """
+
+    def bound(self: Evaluator, e: GroupExpr, *fam: Family) -> BoundResult:
+        fam_name = fam[0].name if fam else None
+        hit = self.memo.get(invariant, e, fam_name)
+        if hit is not None:
+            return hit
+        key = (invariant, expr_key(e), fam_name)
+        if key in self._active:
+            raise ValueError(f"circular evaluation at {key[1]}")
+        self._active.add(key)
+        try:
+            nodes = (candidates(self, e, *fam)
+                     or [_leaf("no-rule", "no applicable rule", INF)])
+        finally:
+            self._active.discard(key)
+        winner = min(nodes, key=lambda node: node.value)
+        result = BoundResult(invariant, fam_name, winner.value, winner)
+        self.memo.put(invariant, e, fam_name, result)
+        return result
+
+    bound.__name__ = f"bound_{invariant}"
+    bound.__qualname__ = f"Evaluator.bound_{invariant}"
+    return bound
+
+
 class Evaluator:
     """Bound computation against one universe, with a shared memo table.
 
-    Results are memoized by (invariant, expression, family); the memo
-    is written only by this evaluator.  Evaluation is deterministic:
-    rules are tried in a fixed order and the first rule attaining the
-    minimum supplies the reported derivation.
+    The entry points are bound_cat(e, fam), bound_gd(e), bound_cd(e)
+    and bound_tc(e), each returning a BoundResult.  Results are
+    memoized by (invariant, expression, family); the memo is written
+    only by this evaluator.  Evaluation is deterministic: rules are
+    tried in a fixed order and the first rule attaining the minimum
+    supplies the reported derivation.
     """
 
     def __init__(self, universe: Universe, memo: Optional[MemoTable] = None) -> None:
@@ -172,39 +204,7 @@ class Evaluator:
         self.memo = memo if memo is not None else MemoTable()
         self._active: Set[Tuple[str, str, Optional[str]]] = set()
 
-    # -- shared plumbing --------------------------------------------------
-
-    def _finish(self, invariant: str, fam: Optional[Family], e: GroupExpr,
-                candidates: List[DerivationNode]) -> BoundResult:
-        if not candidates:
-            candidates = [_leaf("no-rule", "no applicable rule", INF)]
-        winner = candidates[0]
-        for c in candidates[1:]:
-            if c.value < winner.value:
-                winner = c
-        result = BoundResult(invariant, fam.name if fam else None, winner.value, winner)
-        self.memo.put(invariant, e, fam.name if fam else None, result)
-        return result
-
-    def _guard(self, invariant: str, e: GroupExpr, fam: Optional[Family]):
-        key = (invariant, expr_key(e), fam.name if fam else None)
-        if key in self._active:
-            raise ValueError(f"circular evaluation at {key[1]}")
-        return key
-
     # -- cat --------------------------------------------------------------
-
-    def bound_cat(self, e: GroupExpr, fam: Family) -> BoundResult:
-        hit = self.memo.get("cat", e, fam.name)
-        if hit is not None:
-            return hit
-        key = self._guard("cat", e, fam)
-        self._active.add(key)
-        try:
-            result = self._finish("cat", fam, e, self.cat_candidates(e, fam))
-        finally:
-            self._active.discard(key)
-        return result
 
     def cat_candidates(self, e: GroupExpr, fam: Family) -> List[DerivationNode]:
         'All applicable rule instances, in evaluation order.'
@@ -247,12 +247,14 @@ class Evaluator:
         elif kind == "gcw":
             if payload.contractible:
                 _, _, ladder = self._cw_ladder(payload, fam, None)
-                out.append(_maxnode(
+                out.append(_supnode(
                     "cw-greedy",
                     "recursion over cell stabilizers with optimized arm choice",
                     [ladder],
                     (f"contractibility asserted for {payload.name}",)))
         return out
+
+    bound_cat = _memoized_bound("cat", cat_candidates)
 
     def _gog_sum(self, vertices, edges, fam: Family) -> DerivationNode:
         vnodes = [self.bound_cat(g, fam).trace for _, g in vertices]
@@ -260,17 +262,17 @@ class Evaluator:
                   for label, g in edges]
         return _sumnode("gog-sum",
                         "vertex category plus shifted edge category",
-                        [_sup("over vertex groups", vnodes),
-                         _sup("over edge groups", enodes)])
+                        [_supnode("sup", "over vertex groups", vnodes),
+                         _supnode("sup", "over edge groups", enodes)])
 
     def _gog_max(self, vertices, edges, fam: Family) -> DerivationNode:
         vnodes = [self.bound_cat(g, fam).trace for _, g in vertices]
         enodes = [_shift(self.bound_gd(g).trace, 1, f"edge {label}")
                   for label, g in edges]
-        return _maxnode("gog-max",
+        return _supnode("gog-max",
                         "vertex category against shifted edge dimension",
-                        [_sup("over vertex groups", vnodes),
-                         _sup("over edge groups", enodes)])
+                        [_supnode("sup", "over vertex groups", vnodes),
+                         _supnode("sup", "over edge groups", enodes)])
 
     def _polygon_rule(self, p: PolygonOfGroups, fam: Family) -> Optional[DerivationNode]:
         if p.d < 4:
@@ -286,11 +288,11 @@ class Evaluator:
         enodes = [_shift(self.bound_gd(g).trace, 1, f"edge {i}")
                   for i, g in enumerate(p.edge_groups)]
         fnode = _shift(self.bound_gd(p.face_group).trace, 2, "face")
-        return _maxnode(
+        return _supnode(
             "polygon-max",
             f"{p.d}-gon of groups under the link condition",
-            [_sup("over vertex groups", vnodes),
-             _sup("over edge groups", enodes),
+            [_supnode("sup", "over vertex groups", vnodes),
+             _supnode("sup", "over edge groups", enodes),
              fnode],
             assumptions)
 
@@ -305,17 +307,17 @@ class Evaluator:
         largest one attaining the optimum.
         """
         chosen: Set[int] = set()
-        d = _sup("category of 0-cell stabilizers",
-                 [self.bound_cat(g, fam).trace for g in x.dims[0]],
-                 rule="rec-base")
+        d = _supnode("rec-base", "category of 0-cell stabilizers",
+                     [self.bound_cat(g, fam).trace for g in x.dims[0]])
         for i in range(1, x.n + 1):
             row = x.dims[i]
-            gd_sup = _sup(f"shifted dimension of {i}-cell stabilizers",
-                          [_shift(self.bound_gd(g).trace, i, f"{i}-cell") for g in row])
-            cat_sup = _sup(f"shifted category of {i}-cell stabilizers",
-                           [_shift(self.bound_cat(g, fam).trace, 1, f"{i}-cell")
-                            for g in row])
-            max_arm = _maxnode("rec-max", f"dimension {i}, max arm", [d, gd_sup])
+            gd_sup = _supnode("sup", f"shifted dimension of {i}-cell stabilizers",
+                              [_shift(self.bound_gd(g).trace, i, f"{i}-cell")
+                               for g in row])
+            cat_sup = _supnode("sup", f"shifted category of {i}-cell stabilizers",
+                               [_shift(self.bound_cat(g, fam).trace, 1, f"{i}-cell")
+                                for g in row])
+            max_arm = _supnode("rec-max", f"dimension {i}, max arm", [d, gd_sup])
             sum_arm = _sumnode("rec-sum", f"dimension {i}, sum arm", [d, cat_sup])
             if selection is not None:
                 take_max = i in selection
@@ -342,34 +344,7 @@ class Evaluator:
         chosen, value, _ = self._cw_ladder(x, fam, None)
         return chosen, value
 
-    def max_combination(self, x: GcwDescription, fam: Family) -> ExtNat:
-        'Closed form for the all-max ladder: no recursion, one sup.'
-        base = supremum(self.bound_cat(g, fam).value for g in x.dims[0])
-        shifted = supremum(self.bound_gd(g).value + i
-                           for i in range(1, x.n + 1) for g in x.dims[i])
-        return ext_max(base, shifted)
-
-    def sum_combination(self, x: GcwDescription, fam: Family) -> ExtNat:
-        'Closed form for the all-sum ladder.'
-        total = supremum(self.bound_cat(g, fam).value for g in x.dims[0])
-        for i in range(1, x.n + 1):
-            total = total + supremum(self.bound_cat(g, fam).value + 1
-                                     for g in x.dims[i])
-        return total
-
     # -- gd ---------------------------------------------------------------
-
-    def bound_gd(self, e: GroupExpr) -> BoundResult:
-        hit = self.memo.get("gd", e, None)
-        if hit is not None:
-            return hit
-        key = self._guard("gd", e, None)
-        self._active.add(key)
-        try:
-            result = self._finish("gd", None, e, self._gd_candidates(e))
-        finally:
-            self._active.discard(key)
-        return result
 
     def _gd_candidates(self, e: GroupExpr) -> List[DerivationNode]:
         u = self.universe
@@ -393,33 +368,20 @@ class Evaluator:
             vnodes = [self.bound_gd(g).trace for _, g in vertices]
             enodes = [_shift(self.bound_gd(g).trace, 1, f"edge {label}")
                       for label, g in edges]
-            out.append(_maxnode("gd-tree",
+            out.append(_supnode("gd-tree",
                                 "action on the associated tree",
-                                [_sup("over vertex groups", vnodes),
-                                 _sup("over edge groups", enodes)]))
+                                [_supnode("sup", "over vertex groups", vnodes),
+                                 _supnode("sup", "over edge groups", enodes)]))
         elif kind == "gcw" and payload.contractible:
             cells = [_shift(self.bound_gd(g).trace, d, f"{d}-cell")
                      for d, g in payload.cells()]
-            out.append(DerivationNode(
-                "gd-cells", "dimension from cell stabilizers",
-                supremum(c.value for c in cells),
-                (f"contractibility asserted for {payload.name}",),
-                tuple(cells)))
+            out.append(_supnode("gd-cells", "dimension from cell stabilizers", cells,
+                                (f"contractibility asserted for {payload.name}",)))
         return out
 
-    # -- cd ---------------------------------------------------------------
+    bound_gd = _memoized_bound("gd", _gd_candidates)
 
-    def bound_cd(self, e: GroupExpr) -> BoundResult:
-        hit = self.memo.get("cd", e, None)
-        if hit is not None:
-            return hit
-        key = self._guard("cd", e, None)
-        self._active.add(key)
-        try:
-            result = self._finish("cd", None, e, self._cd_candidates(e))
-        finally:
-            self._active.discard(key)
-        return result
+    # -- cd ---------------------------------------------------------------
 
     def _cd_candidates(self, e: GroupExpr) -> List[DerivationNode]:
         u = self.universe
@@ -446,24 +408,14 @@ class Evaluator:
                                 "subadditive under direct products", factors))
         from .facts import TR
         cat = self.bound_cat(e, TR)
-        out.append(_maxnode("cat-tr-as-cd",
+        out.append(_supnode("cat-tr-as-cd",
                             "category over the trivial family is cohomological dimension",
                             [cat.trace]))
         return out
 
-    # -- tc ---------------------------------------------------------------
+    bound_cd = _memoized_bound("cd", _cd_candidates)
 
-    def bound_tc(self, e: GroupExpr) -> BoundResult:
-        hit = self.memo.get("tc", e, None)
-        if hit is not None:
-            return hit
-        key = self._guard("tc", e, None)
-        self._active.add(key)
-        try:
-            result = self._finish("tc", None, e, self._tc_candidates(e))
-        finally:
-            self._active.discard(key)
-        return result
+    # -- tc ---------------------------------------------------------------
 
     def _tc_candidates(self, e: GroupExpr) -> List[DerivationNode]:
         u = self.universe
@@ -485,6 +437,8 @@ class Evaluator:
             out.append(self._tc_gcw(payload))
         return out
 
+    bound_tc = _memoized_bound("tc", _tc_candidates)
+
     def _pair(self, a: GroupExpr, b: GroupExpr) -> GroupExpr:
         return DirectProduct((a, b))
 
@@ -501,12 +455,12 @@ class Evaluator:
                            f"edges {edges[i][0]} and {edges[j][0]}")
                     for i in range(len(edges)) for j in range(i, len(edges))]
         terms = [
-            _sup("complexity over vertex groups", tc_nodes),
-            _sup("dimension of distinct vertex group pairs", pair_nodes),
-            _sup("vertex-edge pairs, shifted", ve_nodes),
-            _sup("edge pairs, shifted", ee_nodes),
+            _supnode("sup", "complexity over vertex groups", tc_nodes),
+            _supnode("sup", "dimension of distinct vertex group pairs", pair_nodes),
+            _supnode("sup", "vertex-edge pairs, shifted", ve_nodes),
+            _supnode("sup", "edge pairs, shifted", ee_nodes),
         ]
-        return _maxnode("tc-gog",
+        return _supnode("tc-gog",
                         "complexity bound from the square of the tree", terms)
 
     def _tc_gcw(self, x: GcwDescription) -> DerivationNode:
@@ -525,11 +479,12 @@ class Evaluator:
                 mixed.append(_shift(self.bound_gd(self._pair(ga, gb)).trace,
                                     da + db, f"cells of dimension {da} and {db}"))
         terms = [
-            _sup("complexity over 0-cell stabilizers", tc_nodes),
-            _sup("dimension of distinct 0-cell stabilizer pairs", pair_nodes),
-            _sup("stabilizer pairs meeting positive dimension, shifted", mixed),
+            _supnode("sup", "complexity over 0-cell stabilizers", tc_nodes),
+            _supnode("sup", "dimension of distinct 0-cell stabilizer pairs", pair_nodes),
+            _supnode("sup", "stabilizer pairs meeting positive dimension, shifted",
+                     mixed),
         ]
-        return _maxnode("tc-gcw",
+        return _supnode("tc-gcw",
                         "complexity bound from the square of the complex", terms,
                         (f"contractibility asserted for {x.name}",))
 

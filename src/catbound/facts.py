@@ -31,8 +31,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from .extnat import INF, ZERO, ExtNat
-from .model import (DirectProduct, Diagnostic, FreeProduct, GroupExpr, Ref,
-                    TrivialGroup, Universe, expr_key)
+from .model import Diagnostic, FreeProduct, GroupExpr, Universe, expr_key
 
 
 class Tri(enum.Enum):
@@ -60,7 +59,6 @@ class Family:
     name: str
     kind: FamilyKind
     requires: Tuple[Tuple[str, Tri], ...] = ()
-    closure_note: str = "closed under conjugation and subgroups"
 
 
 TR = Family("Tr", FamilyKind.TRIVIAL)
@@ -391,7 +389,7 @@ def _custom_membership(u: Universe, kind: str, payload, fam: Family,
 
 
 # ---------------------------------------------------------------------------
-# declared category lookups and the memo table
+# the memo table
 
 class MemoTable:
     """Cache of engine results keyed by (invariant, expression, family).
@@ -412,28 +410,3 @@ class MemoTable:
 
     def __len__(self) -> int:
         return len(self._store)
-
-
-def lookup_cat(u: Universe, e: GroupExpr, fam: Family,
-               memo: Optional[MemoTable] = None) -> ExtNat:
-    """Best category value known without running the engine.
-
-    Members of the family short-circuit to 0; otherwise declared
-    cat_ub entries and memoized engine results are consulted.  Infinity
-    means "nothing on file".
-    """
-    if membership(u, e, fam) is Tri.YES:
-        return ZERO
-    best = INF
-    kind, payload = u.resolve(e)
-    if kind == "atom":
-        s = _sheet(u, payload)
-        if s is not None:
-            declared = s.cat_ub.get(fam.name)
-            if declared is not None and declared < best:
-                best = declared
-    if memo is not None:
-        hit = memo.get("cat", e, fam.name)
-        if hit is not None and hit.value < best:
-            best = hit.value
-    return best

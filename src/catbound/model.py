@@ -12,7 +12,7 @@ instead of raising.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 
@@ -105,12 +105,6 @@ class ConcreteFiniteGroup:
             frontier = nxt
         return frozenset(seen)
 
-    def is_subgroup(self, subset: Iterable[int]) -> bool:
-        s = frozenset(subset)
-        if self.identity not in s:
-            return False
-        return all(self.table[a][b] in s for a in s for b in s)
-
 
 def cyclic_group(n: int) -> ConcreteFiniteGroup:
     if n < 1:
@@ -184,9 +178,6 @@ class Homomorphism:
 
     def image_set(self) -> frozenset:
         return frozenset(self.images)
-
-    def preimage(self, y: int) -> int:
-        return self.images.index(y)
 
     def verify(self, src: ConcreteFiniteGroup, tgt: ConcreteFiniteGroup,
                loc: str = "hom") -> List[Diagnostic]:
@@ -326,12 +317,6 @@ class GraphOfGroups:
     vertices: Tuple[Tuple[str, GroupExpr], ...]
     edges: Tuple[Edge, ...]
 
-    def vertex_group(self, vid: str) -> GroupExpr:
-        for k, g in self.vertices:
-            if k == vid:
-                return g
-        raise KeyError(vid)
-
     def vertex_ids(self) -> List[str]:
         return [k for k, _ in self.vertices]
 
@@ -424,6 +409,15 @@ class Universe:
             return "atom"
         return None
 
+    def overlay(self) -> "Universe":
+        """A new universe over copies of every table, so declarations
+        added to it leave this one unchanged.  Declared objects are
+        shared, not copied."""
+        u = Universe()
+        for attr, table in vars(self).items():
+            getattr(u, attr).update(table)
+        return u
+
     def drop_group(self, name: str) -> None:
         'Used when a later declaration shadows a prelude name.'
         for d in (self.sheets, self.defs, self.concretes, self.graphs,
@@ -433,44 +427,19 @@ class Universe:
     # -- resolution -------------------------------------------------------
 
     def resolve(self, e: GroupExpr) -> Tuple[str, object]:
-        """Classify an expression: ('trivial'|'product'|'free'|kind, payload).
-
-        Chases named definitions; a circular chain raises ValueError
-        (validate() reports such chains as diagnostics beforehand).
-        """
-        seen: Set[str] = set()
-        while True:
-            if isinstance(e, TrivialGroup):
-                return "trivial", e
-            if isinstance(e, DirectProduct):
-                return "product", e
-            if isinstance(e, FreeProduct):
-                return "free", e
-            if not isinstance(e, Ref):
-                raise TypeError(f"not a group expression: {e!r}")
-            name = e.name
-            if name in seen:
-                raise ValueError(f"circular definition through {name!r}")
-            seen.add(name)
-            if name in self.defs:
-                e = self.defs[name]
-                continue
-            if name in self.graphs:
-                return "graph", self.graphs[name]
-            if name in self.polygons:
-                return "polygon", self.polygons[name]
-            if name in self.gcws:
-                return "gcw", self.gcws[name]
-            if name in self.sheets or name in self.concretes:
-                return "atom", name
-            raise KeyError(f"unresolved group name {name!r}")
+        'resolve_chain without the chain.'
+        kind, payload, _ = self.resolve_chain(e)
+        return kind, payload
 
     def resolve_chain(self, e: GroupExpr) -> Tuple[str, object, Tuple[str, ...]]:
-        """Like resolve, but also reports the named definitions chased.
+        """Classify an expression: ('trivial'|'product'|'free'|kind, payload),
+        plus the named definitions chased on the way.
 
         The chain lists every Ref name passed through, outermost first,
         including a terminal atom.  Fact sheets declared on any chain
-        name apply to the expression.
+        name apply to the expression.  A circular chain raises
+        ValueError (validate() reports such chains as diagnostics
+        beforehand).
         """
         chain: List[str] = []
         seen: Set[str] = set()

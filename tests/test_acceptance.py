@@ -16,8 +16,8 @@ from catbound import dsl
 from catbound.apps import (PreconditionError, certify_branched,
                            certify_double)
 from catbound.cli import main as cli_main
-from catbound.develop import (bass_serre_ball, brute_force_curvature,
-                              check_curvature, verify_stabilizers)
+from catbound.develop import (bass_serre_ball, check_curvature,
+                              verify_stabilizers)
 from catbound.engine import Evaluator, replay
 from catbound.extnat import INF, ExtNat
 from catbound.facts import AM, FIN, TR
@@ -25,6 +25,8 @@ from catbound.model import FreeProduct, Ref
 
 from gencw import oracle_exhaustive, oracle_recursion, random_instance
 from genmodels import random_model
+from oracles import (brute_force_curvature, max_combination, sum_combination,
+                     tree_defect)
 from test_develop import (biregular_level_counts, cyclic_chain_polygon,
                           expected_link_holds)
 
@@ -67,8 +69,8 @@ def test_criterion_2_recursion_endpoints():
         empty = frozenset()
         got_full = ev.eval_recursion(x, AM, full)
         got_empty = ev.eval_recursion(x, AM, empty)
-        assert got_full == ev.max_combination(x, AM), f"instance {i}"
-        assert got_empty == ev.sum_combination(x, AM), f"instance {i}"
+        assert got_full == max_combination(ev, x, AM), f"instance {i}"
+        assert got_empty == sum_combination(ev, x, AM), f"instance {i}"
         assert got_full.v == oracle_recursion(x, values, full), f"instance {i}"
         assert got_empty.v == oracle_recursion(x, values, empty), f"instance {i}"
     print("criterion 2: PASS  (1000 random complexes: recursion endpoints "
@@ -101,7 +103,7 @@ def test_criterion_4_tree_ball_closed_form(fixture_texts):
             per_level[c.level] = per_level.get(c.level, 0) + 1
         assert per_level == dict(enumerate(counts)), f"radius {radius}"
         assert len(ball.of_dim(1)) == sum(counts) - 1
-        assert ball.tree_defect() == 0
+        assert tree_defect(ball) == 0
         assert verify_stabilizers(ball).ok
     print("criterion 4: PASS  (tree balls match the biregular closed form "
           "out to radius 4: 19 vertices, 18 edges, no cycles)")

@@ -221,6 +221,7 @@ double D1 { n = 4; group = Z; }
 double D2 { n = 4; group = Z; boundary s : Z; boundary s : Z; }
 branched B0 { n = 2; d = 5; piece = Z; wall = Z; core = One; }
 branched B1 { n = 4; d = 5; piece = Z; wall = Z; core = One; embed core = nohom; }
+double D3 { n = 4; group = Nope; boundary s : Missing { pi1_injective = assert; } }
 """
     _, diags = dsl.load_text(bad, dsl.load_prelude())
     messages = " | ".join(d.message for d in diags)
@@ -229,6 +230,13 @@ branched B1 { n = 4; d = 5; piece = Z; wall = Z; core = One; embed core = nohom;
     assert "duplicate boundary id 's'" in messages
     assert "branched setups need n >= 3" in messages
     assert "unknown homomorphism 'nohom'" in messages
+    assert "group: unresolved group name 'Nope'" in messages
+    assert "boundary s: unresolved group name 'Missing'" in messages
+    # a setup may name a group declared below it
+    _, diags = dsl.load_text("double D { n = 4; group = Later; boundary s : Z "
+                             "{ pi1_injective = assert; } }\ngroup Later;",
+                             dsl.load_prelude())
+    assert not diags, diags
 
 
 def test_build_setup_rejects_foreign_declarations():

@@ -10,6 +10,7 @@ from catbound.model import (DirectProduct, FreeProduct, Ref, TrivialGroup,
                             Universe)
 
 from gencw import oracle_exhaustive, oracle_recursion, random_instance
+from oracles import max_combination, sum_combination
 
 
 @pytest.fixture(scope="module")
@@ -205,8 +206,8 @@ def test_endpoint_identities_random():
         full = frozenset(range(1, n + 1))
         got_full = ev2.eval_recursion(x, AM, full)
         got_empty = ev2.eval_recursion(x, AM, frozenset())
-        assert got_full == ev2.max_combination(x, AM)
-        assert got_empty == ev2.sum_combination(x, AM)
+        assert got_full == max_combination(ev2, x, AM)
+        assert got_empty == sum_combination(ev2, x, AM)
         assert got_full.v == oracle_recursion(x, values, full)
         assert got_empty.v == oracle_recursion(x, values, frozenset())
 
@@ -352,3 +353,20 @@ def test_cycle_in_defs_raises():
     u.defs["Y"] = Ref("X")
     with pytest.raises(ValueError):
         Evaluator(u).bound_cat(Ref("X"), AM)
+
+
+def test_nested_evaluation_depth():
+    # each link nests one evaluation per invariant; until evaluation is
+    # iterative, the Python stack bounds the chain length, so the entry
+    # points must not add frames per level
+    n = 200
+    text = "".join(f"amalgam G{i} = {f'G{i - 1}' if i > 1 else 'Z'} *[One] Z;\n"
+                   for i in range(1, n + 1))
+    u, diags = dsl.load_text(text, dsl.load_prelude())
+    assert not diags
+    ev = Evaluator(u)
+    target = Ref(f"G{n}")
+    assert ev.bound_cat(target, AM).value == ExtNat(1)
+    assert ev.bound_gd(target).value == ExtNat(1)
+    assert ev.bound_cd(target).value == ExtNat(1)
+    assert ev.bound_tc(target).value == ExtNat(2)

@@ -1,9 +1,9 @@
 import pytest
 
-from catbound.extnat import INF, ZERO, ExtNat
+from catbound.extnat import ZERO, ExtNat
 from catbound.facts import (AM, FIN, TR, Family, FamilyKind, FactSheet,
                             MemoTable, Tri, builtin_families, close_sheet,
-                            lookup_cat, membership, membership_with_reason)
+                            membership, membership_with_reason)
 from catbound.model import (DirectProduct, FreeProduct, Ref, TrivialGroup,
                             Universe, cyclic_group)
 
@@ -180,12 +180,3 @@ def test_memo_table_round_trip():
     assert memo.get("cat", e, "Am") is r
     assert memo.get("cat", e, "Tr") is None
     assert memo.get("gd", e, "Am") is None
-
-
-def test_lookup_cat_prefers_membership():
-    u = universe_with_z()
-    assert lookup_cat(u, Ref("Z"), AM) == ZERO
-    sheet = u.sheets["Z"]
-    sheet.cat_ub["Tr"] = ExtNat(1)
-    assert lookup_cat(u, Ref("Z"), TR) == ExtNat(1)
-    assert lookup_cat(u, Ref("F2"), TR) == INF
