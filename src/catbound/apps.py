@@ -4,8 +4,7 @@ Three kinds of setup are translated into group-level instances:
 
   * gluing: pieces with boundary components, some paired off;
   * double: two copies of one piece glued along every boundary
-    component (a twist in the identification never changes any bound,
-    so the flag is carried but unread);
+    component;
   * branched: d copies of one piece arranged cyclically around a
     common core, modeled as a d-gon of groups.
 
@@ -23,7 +22,7 @@ component) are checked and reported separately in the ledger.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 from .engine import BoundResult, DerivationNode, Evaluator, _leaf, _sumnode, _supnode
 from .extnat import ExtNat
@@ -58,6 +57,7 @@ class GluingSetup:
     pieces: Tuple[Piece, ...]
     pairings: Tuple[Pairing, ...]
     connected: bool
+    loc: str = field(compare=False, default="")
 
 
 @dataclass(frozen=True)
@@ -65,7 +65,7 @@ class DoubleSetup:
     name: str
     n: int
     piece: Piece
-    twisted: bool = False       # any self-identification; bounds never read it
+    loc: str = field(compare=False, default="")
 
 
 @dataclass(frozen=True)
@@ -80,6 +80,7 @@ class BranchedSetup:
     assume_intersection: bool
     wall_embeds: Optional[Tuple[str, str]] = None
     core_embeds: Optional[str] = None
+    loc: str = field(compare=False, default="")
 
 
 @dataclass
@@ -125,77 +126,64 @@ class PreconditionError(ValueError):
     'A setup violates a hard precondition of the theorem it invokes.'
 
 
-# -- construction from parsed declarations --------------------------------
+# -- checking parsed setups -----------------------------------------------
 
-def build_setup(u: Universe, decl) -> Tuple[Optional[object], List[Diagnostic]]:
-    """Convert a parsed setup declaration; dispatches on declaration kind.
+Setup = Union[GluingSetup, DoubleSetup, BranchedSetup]
 
-    Accepts the dsl declaration dataclasses without importing them (the
-    dsl module imports this one).
+
+def build_setup(u: Universe, setup: Setup) -> Tuple[Optional[Setup], List[Diagnostic]]:
+    """Check a parsed setup against the preconditions of its kind.
+
+    Returns the setup, or None when it has problems, with the
+    diagnostics.  Group names are checked by the caller, once every
+    declaration is registered.
     """
-    kind = type(decl).__name__
-    if kind == "GluingDecl":
-        return _build_gluing(u, decl)
-    if kind == "DoubleDecl":
-        pieces = tuple(
-            BoundaryComponent(b.id, b.group, b.pi1_injective, b.cat_space)
-            for b in decl.boundaries)
-        diags = _check_ids([b.id for b in pieces], decl.loc, "boundary")
-        if decl.n < 1:
-            diags.append(Diagnostic(decl.loc, "dimension n must be at least 1"))
-        if not pieces:
-            diags.append(Diagnostic(decl.loc, "a double needs at least one boundary component"))
-        setup = DoubleSetup(decl.name, decl.n,
-                            Piece("M", decl.group, decl.cat_space, pieces))
-        return (None if diags else setup), diags
-    if kind == "BranchedDecl":
-        diags: List[Diagnostic] = []
-        if decl.n < 3:
-            diags.append(Diagnostic(decl.loc, "branched setups need n >= 3"))
-        if decl.d < 1:
-            diags.append(Diagnostic(decl.loc, "the number of copies d must be at least 1"))
-        for hname in (decl.wall_embeds or ()) + ((decl.core_embeds,) if decl.core_embeds else ()):
+    if isinstance(setup, GluingSetup):
+        diags = _gluing_diagnostics(setup)
+    elif isinstance(setup, DoubleSetup):
+        diags = _check_ids([b.id for b in setup.piece.boundaries], setup.loc, "boundary")
+        if setup.n < 1:
+            diags.append(Diagnostic(setup.loc, "dimension n must be at least 1"))
+        if not setup.piece.boundaries:
+            diags.append(Diagnostic(setup.loc, "a double needs at least one boundary component"))
+    elif isinstance(setup, BranchedSetup):
+        diags = []
+        if setup.n < 3:
+            diags.append(Diagnostic(setup.loc, "branched setups need n >= 3"))
+        if setup.d < 1:
+            diags.append(Diagnostic(setup.loc, "the number of copies d must be at least 1"))
+        for hname in (setup.wall_embeds or ()) + ((setup.core_embeds,) if setup.core_embeds else ()):
             if hname not in u.homs:
-                diags.append(Diagnostic(decl.loc, f"unknown homomorphism {hname!r}"))
-        setup = BranchedSetup(decl.name, decl.n, decl.d, decl.piece, decl.wall,
-                              decl.core, decl.assume_pi1,
-                              decl.assume_intersection, decl.wall_embeds,
-                              decl.core_embeds)
-        return (None if diags else setup), diags
-    raise TypeError(f"not a setup declaration: {decl!r}")
+                diags.append(Diagnostic(setup.loc, f"unknown homomorphism {hname!r}"))
+    else:
+        raise TypeError(f"not a setup: {setup!r}")
+    return (None if diags else setup), diags
 
 
-def _build_gluing(u: Universe, decl) -> Tuple[Optional[GluingSetup], List[Diagnostic]]:
-    diags = _check_ids([p.id for p in decl.pieces], decl.loc, "piece")
-    pieces = []
-    for p in decl.pieces:
-        diags.extend(_check_ids([b.id for b in p.boundaries], decl.loc,
+def _gluing_diagnostics(s: GluingSetup) -> List[Diagnostic]:
+    diags = _check_ids([p.id for p in s.pieces], s.loc, "piece")
+    for p in s.pieces:
+        diags.extend(_check_ids([b.id for b in p.boundaries], s.loc,
                                 f"boundary of {p.id}"))
-        pieces.append(Piece(
-            p.id, p.group, p.cat_space,
-            tuple(BoundaryComponent(b.id, b.group, b.pi1_injective, b.cat_space)
-                  for b in p.boundaries)))
-    if decl.n < 1:
-        diags.append(Diagnostic(decl.loc, "dimension n must be at least 1"))
-    by_id = {p.id: p for p in pieces}
+    if s.n < 1:
+        diags.append(Diagnostic(s.loc, "dimension n must be at least 1"))
+    by_id = {p.id: p for p in s.pieces}
     used: set = set()
-    for (pa, ba), (pb, bb) in decl.pairs:
+    for (pa, ba), (pb, bb) in s.pairings:
         for pid, bid in ((pa, ba), (pb, bb)):
             piece = by_id.get(pid)
             if piece is None:
-                diags.append(Diagnostic(decl.loc, f"pairing names unknown piece {pid!r}"))
+                diags.append(Diagnostic(s.loc, f"pairing names unknown piece {pid!r}"))
                 continue
             if all(b.id != bid for b in piece.boundaries):
                 diags.append(Diagnostic(
-                    decl.loc, f"pairing names unknown boundary {pid}.{bid}"))
+                    s.loc, f"pairing names unknown boundary {pid}.{bid}"))
                 continue
             if (pid, bid) in used:
                 diags.append(Diagnostic(
-                    decl.loc, f"boundary {pid}.{bid} used in more than one pairing"))
+                    s.loc, f"boundary {pid}.{bid} used in more than one pairing"))
             used.add((pid, bid))
-    setup = GluingSetup(decl.name, decl.n, tuple(pieces), decl.pairs,
-                        decl.connected)
-    return (None if diags else setup), diags
+    return diags
 
 
 def _check_ids(ids: List[str], loc: str, what: str) -> List[Diagnostic]:
@@ -353,9 +341,8 @@ def gluing_sum_bound(u: Universe, s: GluingSetup) -> BoundResult:
 def certify_double(u: Universe, s: DoubleSetup) -> Certificate:
     """Both routes on the induced two-copy gluing; the better one wins.
 
-    The identification twist is never consulted.  When neither route
-    concludes, both ledgers are merged with route tags so the failing
-    hypothesis is named.
+    When neither route concludes, both ledgers are merged with route
+    tags so the failing hypothesis is named.
     """
     glue = double_to_gluing(s)
     max_route = certify_gluing(u, glue)

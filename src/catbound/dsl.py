@@ -26,20 +26,30 @@ Expressions combine named groups with `x` (direct product) and `*`
 `x` binds tighter than `*`.  Constructors cyclic/product/table build
 multiplication tables and are only allowed as a whole right-hand side.
 
-parse() raises ParseFailure carrying positioned diagnostics; no other
-exception escapes it.  serialize() emits the canonical form and
-parse(serialize(m)) equals m for canonical m.
+parse() returns a SourceModel whose decls are, in file order, the
+objects the rest of the program uses (facts.Family, model.GraphOfGroups,
+PolygonOfGroups, GcwDescription, apps.GluingSetup, DoubleSetup,
+BranchedSetup), except for three kinds the build turns into something
+else: GroupDecl (fact sheet, table or definition), AmalgamDecl (a
+two-vertex graph) and HomDecl (generator images, closed to a full map).
+It raises ParseFailure carrying positioned diagnostics, also for every
+malformed literal (a non-ASCII digit, an integer too long to convert, a
+bound past the largest finite value); no other exception escapes it.
+serialize() emits the canonical form and parse(serialize(m)) equals m
+for canonical m.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, TypeVar, Union
 
-from .extnat import INF, ExtNat
-from .facts import (FactSheet, Family, FamilyKind, Tri, builtin_families,
-                    close_sheet)
+from . import apps
+from .apps import (BoundaryComponent, BranchedSetup, DoubleSetup, GluingSetup,
+                   Pairing, Piece)
+from .extnat import FINITE_MAX, INF, ExtNat
+from .facts import FactSheet, Family, FamilyKind, Tri, builtin_families
 from .model import (Diagnostic, DirectProduct, Edge, FreeProduct,
                     GcwDescription, GraphOfGroups, GroupExpr, PolygonOfGroups,
                     Ref, TrivialGroup, Universe, cyclic_group, expr_refs,
@@ -50,6 +60,7 @@ from .model import (Diagnostic, DirectProduct, Edge, FreeProduct,
 
 _PUNCT2 = ("<=", "->")
 _PUNCT1 = "{}()[];:,=-.*<>"
+_DIGITS = "0123456789"      # str.isdigit() also admits '²' and other scripts
 
 
 @dataclass(frozen=True)
@@ -93,9 +104,9 @@ def tokenize(text: str) -> List[Token]:
             col += j - i
             i = j
             continue
-        if c.isdigit():
+        if c in _DIGITS:
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGITS:
                 j += 1
             out.append(Token("int", text[i:j], start_line, start_col))
             col += j - i
@@ -143,7 +154,7 @@ def tokenize(text: str) -> List[Token]:
     return out
 
 
-# -- declaration model ----------------------------------------------------
+# -- declarations ---------------------------------------------------------
 
 @dataclass(frozen=True)
 class FactEntry:
@@ -191,14 +202,6 @@ class AmalgamDecl:
 
 
 @dataclass(frozen=True)
-class FamilyDecl:
-    name: str
-    base: str                       # trivial | finite | amenable | custom
-    requires: Tuple[Tuple[str, str], ...]
-    loc: str = field(compare=False, default="")
-
-
-@dataclass(frozen=True)
 class HomDecl:
     name: str
     source: str
@@ -207,109 +210,19 @@ class HomDecl:
     loc: str = field(compare=False, default="")
 
 
-@dataclass(frozen=True)
-class EdgeDecl:
-    v: str
-    w: str
-    group: GroupExpr
-    maps: Optional[Tuple[str, str]]
+Decl = Union[GroupDecl, AmalgamDecl, HomDecl, Family, GraphOfGroups,
+             PolygonOfGroups, GcwDescription, GluingSetup, DoubleSetup,
+             BranchedSetup]
 
-
-@dataclass(frozen=True)
-class GraphDecl:
-    name: str
-    vertices: Tuple[Tuple[str, GroupExpr], ...]
-    edges: Tuple[EdgeDecl, ...]
-    loc: str = field(compare=False, default="")
-
-
-@dataclass(frozen=True)
-class PolygonDecl:
-    name: str
-    d: int
-    vertices: Tuple[GroupExpr, ...]
-    edges: Tuple[GroupExpr, ...]
-    face: GroupExpr
-    edge_maps: Optional[Tuple[Tuple[str, str], ...]]
-    face_maps: Optional[Tuple[str, ...]]
-    loc: str = field(compare=False, default="")
-
-
-@dataclass(frozen=True)
-class GcwDecl:
-    name: str
-    contractible: bool
-    dims: Tuple[Tuple[GroupExpr, ...], ...]
-    loc: str = field(compare=False, default="")
-
-
-@dataclass(frozen=True)
-class BoundaryDecl:
-    id: str
-    group: GroupExpr
-    pi1_injective: bool
-    cat_space: Optional[ExtNat]
-
-
-@dataclass(frozen=True)
-class PieceDecl:
-    id: str
-    group: GroupExpr
-    cat_space: Optional[ExtNat]
-    boundaries: Tuple[BoundaryDecl, ...]
-
-
-@dataclass(frozen=True)
-class GluingDecl:
-    name: str
-    n: int
-    pieces: Tuple[PieceDecl, ...]
-    pairs: Tuple[Tuple[Tuple[str, str], Tuple[str, str]], ...]
-    connected: bool
-    loc: str = field(compare=False, default="")
-
-
-@dataclass(frozen=True)
-class DoubleDecl:
-    name: str
-    n: int
-    group: GroupExpr
-    cat_space: Optional[ExtNat]
-    boundaries: Tuple[BoundaryDecl, ...]
-    loc: str = field(compare=False, default="")
-
-
-@dataclass(frozen=True)
-class BranchedDecl:
-    name: str
-    n: int
-    d: int
-    piece: GroupExpr
-    wall: GroupExpr
-    core: GroupExpr
-    assume_pi1: bool
-    assume_intersection: bool
-    wall_embeds: Optional[Tuple[str, str]]
-    core_embeds: Optional[str]
-    loc: str = field(compare=False, default="")
-
-
-Decl = Union[GroupDecl, AmalgamDecl, FamilyDecl, HomDecl, GraphDecl,
-             PolygonDecl, GcwDecl, GluingDecl, DoubleDecl, BranchedDecl]
-
-_GROUP_DECLS = (GroupDecl, AmalgamDecl, GraphDecl, PolygonDecl, GcwDecl)
-_SETUP_DECLS = (GluingDecl, DoubleDecl, BranchedDecl)
+_GROUP_DECLS = (GroupDecl, AmalgamDecl, GraphOfGroups, PolygonOfGroups,
+                GcwDescription)
+_SETUPS = (GluingSetup, DoubleSetup, BranchedSetup)
 
 
 @dataclass(frozen=True)
 class SourceModel:
+    'The declarations of one file, in file order; see the module docstring.'
     decls: Tuple[Decl, ...]
-
-    def find(self, name: str) -> Optional[Decl]:
-        for d in self.decls:
-            if d.name == name:
-                return d
-        return None
 
 
 class ParseFailure(Exception):
@@ -333,6 +246,8 @@ RESERVED = {
 
 _DECL_KEYWORDS = ("group", "amalgam", "family", "hom", "graph", "polygon",
                   "gcw", "gluing", "double", "branched")
+
+T = TypeVar("T")
 
 
 class _Parser:
@@ -374,6 +289,9 @@ class _Parser:
     def name(self, what: str = "name") -> str:
         return self.expect("name", what=what).value
 
+    def hom_name(self) -> str:
+        return self.name("homomorphism name")
+
     def fresh_name(self, what: str = "name") -> str:
         t = self.expect("name", what=what)
         if t.value in RESERVED:
@@ -381,16 +299,46 @@ class _Parser:
         return t.value
 
     def integer(self, what: str = "integer") -> int:
-        return int(self.expect("int", what=what).value)
+        t = self.expect("int", what=what)
+        try:
+            return int(t.value)
+        except ValueError:      # past the interpreter's digit limit
+            raise _Syntax(t.loc, f"integer literal of {len(t.value)} digits "
+                                 "is too long") from None
 
     def extnat(self) -> ExtNat:
-        if self.at("name", "inf"):
-            self.advance()
+        if self.eat("name", "inf"):
             return INF
-        return ExtNat(self.integer("integer or 'inf'"))
+        loc = self.peek().loc
+        v = self.integer("integer or 'inf'")
+        if v > FINITE_MAX:
+            raise _Syntax(loc, f"bound exceeds the largest finite value {FINITE_MAX}")
+        return ExtNat(v)
 
     def semicolon(self) -> None:
         self.expect("op", ";")
+
+    def listed(self, item: Callable[[], T], empty: bool = False,
+               brackets: str = "[]") -> Tuple[T, ...]:
+        '`[a, b, ...]`; `[]` only when empty is allowed.'
+        self.expect("op", brackets[0])
+        items: List[T] = []
+        if not (empty and self.at("op", brackets[1])):
+            items.append(item())
+            while self.eat("op", ","):
+                items.append(item())
+        self.expect("op", brackets[1])
+        return tuple(items)
+
+    def block(self, item: Callable[[], T]) -> Tuple[T, ...]:
+        '`{ a; b; ... }`; the `;` after the last item may be left out.'
+        self.expect("op", "{")
+        items: List[T] = []
+        while not self.eat("op", "}"):
+            items.append(item())
+            if not self.at("op", "}"):
+                self.semicolon()
+        return tuple(items)
 
     # -- expressions ------------------------------------------------------
 
@@ -451,56 +399,24 @@ class _Parser:
         if self.eat("op", "="):
             rhs = self.group_rhs()
         facts: Tuple[FactEntry, ...] = ()
-        if self.eat("op", "{"):
-            facts = tuple(self.fact_list())
+        if self.at("op", "{"):
+            facts = self.block(self.fact)
         else:
             self.semicolon()
         return GroupDecl(name, rhs, facts, loc)
 
     def group_rhs(self) -> GroupRhs:
-        if self.at("name", "cyclic"):
-            self.advance()
+        if self.eat("name", "cyclic"):
             self.expect("op", "(")
             k = self.integer("cyclic order")
             self.expect("op", ")")
             return CyclicCtor(k)
-        if self.at("name", "product"):
-            self.advance()
-            self.expect("op", "(")
-            names = [self.name("concrete group name")]
-            while self.eat("op", ","):
-                names.append(self.name("concrete group name"))
-            self.expect("op", ")")
-            return ProductCtor(tuple(names))
-        if self.at("name", "table"):
-            self.advance()
-            return TableCtor(self.table_literal())
+        if self.eat("name", "product"):
+            return ProductCtor(self.listed(
+                lambda: self.name("concrete group name"), brackets="()"))
+        if self.eat("name", "table"):
+            return TableCtor(self.listed(lambda: self.listed(self.integer)))
         return self.gexpr()
-
-    def table_literal(self) -> Tuple[Tuple[int, ...], ...]:
-        self.expect("op", "[")
-        rows: List[Tuple[int, ...]] = []
-        while True:
-            self.expect("op", "[")
-            row = [self.integer()]
-            while self.eat("op", ","):
-                row.append(self.integer())
-            self.expect("op", "]")
-            rows.append(tuple(row))
-            if not self.eat("op", ","):
-                break
-        self.expect("op", "]")
-        return tuple(rows)
-
-    def fact_list(self) -> List[FactEntry]:
-        facts: List[FactEntry] = []
-        while not self.eat("op", "}"):
-            facts.append(self.fact())
-            if not self.at("op", "}"):
-                self.semicolon()
-            else:
-                self.eat("op", ";")
-        return facts
 
     def fact(self) -> FactEntry:
         t = self.expect("name", what="fact")
@@ -561,44 +477,39 @@ class _Parser:
         edge = self.gexpr()
         self.expect("op", "]")
         right = self.fexpr()
-        maps: Optional[Tuple[str, str]] = None
-        if self.at("name", "with"):
-            self.advance()
-            maps = self.hom_pair()
+        maps = self.with_clause()
         self.semicolon()
         return AmalgamDecl(name, left, edge, right, maps, loc)
 
+    def with_clause(self) -> Optional[Tuple[str, str]]:
+        return self.hom_pair() if self.eat("name", "with") else None
+
     def hom_pair(self) -> Tuple[str, str]:
         self.expect("op", "(")
-        a = self.name("homomorphism name")
+        a = self.hom_name()
         self.expect("op", ",")
-        b = self.name("homomorphism name")
+        b = self.hom_name()
         self.expect("op", ")")
         return (a, b)
 
-    def decl_family(self) -> FamilyDecl:
+    def decl_family(self) -> Family:
         loc = self.advance().loc
         name = self.fresh_name("family name")
         self.expect("op", "=")
         t = self.expect("name", what="'trivial', 'finite', 'amenable', or 'custom'")
         if t.value in ("trivial", "finite", "amenable"):
             self.semicolon()
-            return FamilyDecl(name, t.value, (), loc)
+            return Family(name, FamilyKind(t.value), (), loc)
         if t.value != "custom":
             raise _Syntax(t.loc, f"unknown family base {t.value!r}")
-        requires: List[Tuple[str, str]] = []
-        self.expect("op", "{")
-        while not self.eat("op", "}"):
-            flag = self.expect("name", what="'amenable', 'finite', or 'trivial'")
-            if flag.value not in ("amenable", "finite", "trivial"):
-                raise _Syntax(flag.loc, f"unknown flag {flag.value!r}")
-            self.expect("op", "=")
-            requires.append((flag.value, self.tri_value()))
-            if not self.at("op", "}"):
-                self.semicolon()
-            else:
-                self.eat("op", ";")
-        return FamilyDecl(name, "custom", tuple(requires), loc)
+        return Family(name, FamilyKind.CUSTOM, self.block(self.requirement), loc)
+
+    def requirement(self) -> Tuple[str, Tri]:
+        flag = self.expect("name", what="'amenable', 'finite', or 'trivial'")
+        if flag.value not in ("amenable", "finite", "trivial"):
+            raise _Syntax(flag.loc, f"unknown flag {flag.value!r}")
+        self.expect("op", "=")
+        return flag.value, Tri(self.tri_value())
 
     def decl_hom(self) -> HomDecl:
         loc = self.advance().loc
@@ -607,107 +518,73 @@ class _Parser:
         source = self.name("source group")
         self.expect("op", "->")
         target = self.name("target group")
-        self.expect("op", "{")
-        pairs: List[Tuple[int, int]] = []
-        while not self.eat("op", "}"):
-            a = self.integer("generator element")
-            self.expect("op", "->")
-            b = self.integer("image element")
-            pairs.append((a, b))
-            if not self.at("op", "}"):
-                self.semicolon()
-            else:
-                self.eat("op", ";")
-        return HomDecl(name, source, target, tuple(pairs), loc)
+        return HomDecl(name, source, target, self.block(self.generator_image), loc)
 
-    def decl_graph(self) -> GraphDecl:
+    def generator_image(self) -> Tuple[int, int]:
+        a = self.integer("generator element")
+        self.expect("op", "->")
+        return a, self.integer("image element")
+
+    def decl_graph(self) -> GraphOfGroups:
         loc = self.advance().loc
         name = self.fresh_name("graph name")
         self.expect("op", "{")
         vertices: List[Tuple[str, GroupExpr]] = []
-        edges: List[EdgeDecl] = []
+        edges: List[Edge] = []
         while not self.eat("op", "}"):
             t = self.expect("name", what="'vertex' or 'edge'")
             if t.value == "vertex":
                 vid = self.name("vertex id")
                 self.expect("op", "=")
                 vertices.append((vid, self.gexpr()))
-                self.semicolon()
             elif t.value == "edge":
                 v = self.name("vertex id")
                 self.expect("op", "-")
                 w = self.name("vertex id")
                 self.expect("op", ":")
                 g = self.gexpr()
-                maps = None
-                if self.at("name", "with"):
-                    self.advance()
-                    maps = self.hom_pair()
-                self.semicolon()
-                edges.append(EdgeDecl(v, w, g, maps))
+                edges.append(Edge(v, w, g, self.with_clause()))
             else:
                 raise _Syntax(t.loc, f"expected 'vertex' or 'edge', found {t.value!r}")
-        return GraphDecl(name, tuple(vertices), tuple(edges), loc)
+            self.semicolon()
+        return GraphOfGroups(name, tuple(vertices), tuple(edges), loc)
 
-    def decl_polygon(self) -> PolygonDecl:
+    def decl_polygon(self) -> PolygonOfGroups:
         loc = self.advance().loc
         name = self.fresh_name("polygon name")
         self.expect("op", "{")
-        self.expect("name", "d")
-        self.expect("op", "=")
-        d = self.integer("number of sides")
-        self.semicolon()
+        d = self.int_field("d", "number of sides")
         count = max(d, 1)
         vertices = self.ring_field("vertex", "vertices", count)
         edges = self.ring_field("edge", "edges", count)
-        self.expect("name", "face")
-        self.expect("op", "=")
-        face = self.gexpr()
-        self.semicolon()
-        edge_maps: Optional[Tuple[Tuple[str, str], ...]] = None
-        face_maps: Optional[Tuple[str, ...]] = None
-        if self.at("name", "edge_maps"):
-            self.advance()
-            self.expect("op", "=")
-            self.expect("op", "[")
-            pairs = [self.hom_pair()]
-            while self.eat("op", ","):
-                pairs.append(self.hom_pair())
-            self.expect("op", "]")
-            self.semicolon()
-            edge_maps = tuple(pairs)
-        if self.at("name", "face_maps"):
-            self.advance()
-            self.expect("op", "=")
-            self.expect("op", "[")
-            names = [self.name("homomorphism name")]
-            while self.eat("op", ","):
-                names.append(self.name("homomorphism name"))
-            self.expect("op", "]")
-            self.semicolon()
-            face_maps = tuple(names)
+        face = self.named_field("face")
+        edge_maps = self.opt_list_field("edge_maps", self.hom_pair)
+        face_maps = self.opt_list_field("face_maps", self.hom_name)
         self.expect("op", "}")
-        return PolygonDecl(name, d, vertices, edges, face, edge_maps, face_maps, loc)
+        return PolygonOfGroups(name, d, vertices, edges, face, edge_maps,
+                               face_maps, loc)
 
     def ring_field(self, singular: str, plural: str, count: int) -> Tuple[GroupExpr, ...]:
         t = self.expect("name", what=f"'{singular}' or '{plural}'")
+        if t.value not in (singular, plural):
+            raise _Syntax(t.loc, f"expected '{singular}' or '{plural}', found {t.value!r}")
+        self.expect("op", "=")
         if t.value == singular:
-            self.expect("op", "=")
-            e = self.gexpr()
-            self.semicolon()
-            return tuple([e] * count)
-        if t.value == plural:
-            self.expect("op", "=")
-            self.expect("op", "[")
-            items = [self.gexpr()]
-            while self.eat("op", ","):
-                items.append(self.gexpr())
-            self.expect("op", "]")
-            self.semicolon()
-            return tuple(items)
-        raise _Syntax(t.loc, f"expected '{singular}' or '{plural}', found {t.value!r}")
+            items = (self.gexpr(),) * count
+        else:
+            items = self.listed(self.gexpr)
+        self.semicolon()
+        return items
 
-    def decl_gcw(self) -> GcwDecl:
+    def opt_list_field(self, key: str, item: Callable[[], T]) -> Optional[Tuple[T, ...]]:
+        if not self.eat("name", key):
+            return None
+        self.expect("op", "=")
+        items = self.listed(item)
+        self.semicolon()
+        return items
+
+    def decl_gcw(self) -> GcwDescription:
         loc = self.advance().loc
         name = self.fresh_name("complex name")
         self.expect("op", "{")
@@ -723,39 +600,35 @@ class _Parser:
             t = self.expect("name", "dim")
             i = self.integer("dimension")
             self.expect("op", ":")
-            self.expect("op", "[")
-            items: List[GroupExpr] = []
-            if not self.at("op", "]"):
-                items.append(self.gexpr())
-                while self.eat("op", ","):
-                    items.append(self.gexpr())
-            self.expect("op", "]")
+            items = self.listed(self.gexpr, empty=True)
             self.semicolon()
             if i in rows:
                 raise _Syntax(t.loc, f"dimension {i} listed twice")
-            rows[i] = tuple(items)
+            rows[i] = items
         top = max(rows) if rows else 0
         dims = tuple(rows.get(i, ()) for i in range(top + 1))
-        return GcwDecl(name, contractible, dims, loc)
+        return GcwDescription(name, dims, contractible, loc)
 
-    def decl_gluing(self) -> GluingDecl:
+    def decl_gluing(self) -> GluingSetup:
         loc = self.advance().loc
         name = self.fresh_name("gluing name")
         self.expect("op", "{")
-        n = self.n_field()
-        pieces: List[PieceDecl] = []
-        pairs: List[Tuple[Tuple[str, str], Tuple[str, str]]] = []
+        n = self.int_field("n", "dimension")
+        pieces: List[Piece] = []
+        pairings: List[Pairing] = []
         connected = False
         while not self.eat("op", "}"):
             t = self.expect("name", what="'piece', 'pair', or 'connected'")
             if t.value == "piece":
-                pieces.append(self.piece_block())
+                pid = self.name("piece id")
+                self.expect("op", "{")
+                pieces.append(self.piece_body(pid))
             elif t.value == "pair":
                 a = self.dotted_ref()
                 self.expect("op", "-")
                 b = self.dotted_ref()
                 self.semicolon()
-                pairs.append((a, b))
+                pairings.append((a, b))
             elif t.value == "connected":
                 self.expect("op", "=")
                 self.expect("name", "assert")
@@ -763,14 +636,14 @@ class _Parser:
                 connected = True
             else:
                 raise _Syntax(t.loc, f"unexpected {t.value!r} in gluing block")
-        return GluingDecl(name, n, tuple(pieces), tuple(pairs), connected, loc)
+        return GluingSetup(name, n, tuple(pieces), tuple(pairings), connected, loc)
 
-    def n_field(self) -> int:
-        self.expect("name", "n")
+    def int_field(self, key: str, what: str) -> int:
+        self.expect("name", key)
         self.expect("op", "=")
-        n = self.integer("dimension")
+        v = self.integer(what)
         self.semicolon()
-        return n
+        return v
 
     def dotted_ref(self) -> Tuple[str, str]:
         a = self.name("piece id")
@@ -778,19 +651,15 @@ class _Parser:
         b = self.name("boundary id")
         return (a, b)
 
-    def piece_block(self) -> PieceDecl:
-        pid = self.name("piece id")
-        self.expect("op", "{")
-        self.expect("name", "group")
-        self.expect("op", "=")
-        group = self.gexpr()
-        self.semicolon()
+    def piece_body(self, pid: str) -> Piece:
+        '`group = G; [cat_am <= k;] boundary ... }`, after the opening brace.'
+        group = self.named_field("group")
         cat_space = self.opt_cat_space()
-        boundaries: List[BoundaryDecl] = []
+        boundaries: List[BoundaryComponent] = []
         while not self.eat("op", "}"):
             self.expect("name", "boundary")
             boundaries.append(self.boundary_block())
-        return PieceDecl(pid, group, cat_space, tuple(boundaries))
+        return Piece(pid, group, cat_space, tuple(boundaries))
 
     def opt_cat_space(self) -> Optional[ExtNat]:
         if self.at("name", "cat_am"):
@@ -801,7 +670,7 @@ class _Parser:
             return v
         return None
 
-    def boundary_block(self) -> BoundaryDecl:
+    def boundary_block(self) -> BoundaryComponent:
         bid = self.name("boundary id")
         self.expect("op", ":")
         group = self.gexpr()
@@ -813,43 +682,30 @@ class _Parser:
                 if t.value == "pi1_injective":
                     self.expect("op", "=")
                     self.expect("name", "assert")
-                    self.semicolon()
                     pi1 = True
                 elif t.value == "cat_am":
                     self.expect("op", "<=")
                     cat_space = self.extnat()
-                    self.semicolon()
                 else:
                     raise _Syntax(t.loc, f"unexpected {t.value!r} in boundary block")
+                self.semicolon()
         else:
             self.semicolon()
-        return BoundaryDecl(bid, group, pi1, cat_space)
+        return BoundaryComponent(bid, group, pi1, cat_space)
 
-    def decl_double(self) -> DoubleDecl:
+    def decl_double(self) -> DoubleSetup:
         loc = self.advance().loc
         name = self.fresh_name("double name")
         self.expect("op", "{")
-        n = self.n_field()
-        self.expect("name", "group")
-        self.expect("op", "=")
-        group = self.gexpr()
-        self.semicolon()
-        cat_space = self.opt_cat_space()
-        boundaries: List[BoundaryDecl] = []
-        while not self.eat("op", "}"):
-            self.expect("name", "boundary")
-            boundaries.append(self.boundary_block())
-        return DoubleDecl(name, n, group, cat_space, tuple(boundaries), loc)
+        n = self.int_field("n", "dimension")
+        return DoubleSetup(name, n, self.piece_body("M"), loc)
 
-    def decl_branched(self) -> BranchedDecl:
+    def decl_branched(self) -> BranchedSetup:
         loc = self.advance().loc
         name = self.fresh_name("branched name")
         self.expect("op", "{")
-        n = self.n_field()
-        self.expect("name", "d")
-        self.expect("op", "=")
-        d = self.integer("number of copies")
-        self.semicolon()
+        n = self.int_field("n", "dimension")
+        d = self.int_field("d", "number of copies")
         piece = self.named_field("piece")
         wall = self.named_field("wall")
         core = self.named_field("core")
@@ -868,21 +724,20 @@ class _Parser:
                     assume_intersection = True
                 else:
                     raise _Syntax(which.loc, f"cannot assume {which.value!r}")
-                self.semicolon()
             elif t.value == "embed":
                 which = self.expect("name", what="'wall' or 'core'")
                 self.expect("op", "=")
                 if which.value == "wall":
                     wall_embeds = self.hom_pair()
                 elif which.value == "core":
-                    core_embeds = self.name("homomorphism name")
+                    core_embeds = self.hom_name()
                 else:
                     raise _Syntax(which.loc, f"cannot embed {which.value!r}")
-                self.semicolon()
             else:
                 raise _Syntax(t.loc, f"unexpected {t.value!r} in branched block")
-        return BranchedDecl(name, n, d, piece, wall, core, assume_pi1,
-                            assume_intersection, wall_embeds, core_embeds, loc)
+            self.semicolon()
+        return BranchedSetup(name, n, d, piece, wall, core, assume_pi1,
+                             assume_intersection, wall_embeds, core_embeds, loc)
 
     def named_field(self, key: str) -> GroupExpr:
         self.expect("name", key)
@@ -918,7 +773,7 @@ def _duplicate_names(decls: List[Decl]) -> List[Diagnostic]:
     for d in decls:
         if isinstance(d, _GROUP_DECLS):
             space = "group"
-        elif isinstance(d, FamilyDecl):
+        elif isinstance(d, Family):
             space = "family"
         elif isinstance(d, HomDecl):
             space = "hom"
@@ -1000,17 +855,17 @@ def _serialize_decl(d: Decl) -> str:
         if d.maps is not None:
             s += f" with ({d.maps[0]}, {d.maps[1]})"
         return s + ";"
-    if isinstance(d, FamilyDecl):
-        if d.base != "custom":
-            return f"family {d.name} = {d.base};"
-        body = " ".join(f"{flag} = {tri};" for flag, tri in d.requires)
+    if isinstance(d, Family):
+        if d.kind is not FamilyKind.CUSTOM:
+            return f"family {d.name} = {d.kind.value};"
+        body = " ".join(f"{flag} = {tri.value};" for flag, tri in d.requires)
         inner = f" {body} " if body else " "
         return f"family {d.name} = custom {{{inner}}}"
     if isinstance(d, HomDecl):
         body = " ".join(f"{a} -> {b};" for a, b in d.pairs)
         inner = f" {body} " if body else " "
         return f"hom {d.name} : {d.source} -> {d.target} {{{inner}}}"
-    if isinstance(d, GraphDecl):
+    if isinstance(d, GraphOfGroups):
         lines = [f"graph {d.name} {{"]
         for vid, g in d.vertices:
             lines.append(f"  vertex {vid} = {expr_text(g)};")
@@ -1021,11 +876,11 @@ def _serialize_decl(d: Decl) -> str:
             lines.append(s + ";")
         lines.append("}")
         return "\n".join(lines)
-    if isinstance(d, PolygonDecl):
+    if isinstance(d, PolygonOfGroups):
         lines = [f"polygon {d.name} {{", f"  d = {d.d};"]
-        lines.append("  " + _ring_text("vertex", "vertices", d.vertices) + ";")
-        lines.append("  " + _ring_text("edge", "edges", d.edges) + ";")
-        lines.append(f"  face = {expr_text(d.face)};")
+        lines.append("  " + _ring_text("vertex", "vertices", d.vertex_groups) + ";")
+        lines.append("  " + _ring_text("edge", "edges", d.edge_groups) + ";")
+        lines.append(f"  face = {expr_text(d.face_group)};")
         if d.edge_maps is not None:
             pairs = ", ".join(f"({a}, {b})" for a, b in d.edge_maps)
             lines.append(f"  edge_maps = [{pairs}];")
@@ -1033,7 +888,7 @@ def _serialize_decl(d: Decl) -> str:
             lines.append("  face_maps = [" + ", ".join(d.face_maps) + "];")
         lines.append("}")
         return "\n".join(lines)
-    if isinstance(d, GcwDecl):
+    if isinstance(d, GcwDescription):
         lines = [f"gcw {d.name} {{"]
         if d.contractible:
             lines.append("  contractible = assert;")
@@ -1042,26 +897,23 @@ def _serialize_decl(d: Decl) -> str:
             lines.append(f"  dim {i} : [{cells}];")
         lines.append("}")
         return "\n".join(lines)
-    if isinstance(d, GluingDecl):
+    if isinstance(d, GluingSetup):
         lines = [f"gluing {d.name} {{", f"  n = {d.n};"]
         for p in d.pieces:
-            lines += _piece_lines(p)
-        for (pa, ba), (pb, bb) in d.pairs:
+            lines += ([f"  piece {p.id} {{"] + _piece_body_lines(p, "    ")
+                      + ["  }"])
+        for (pa, ba), (pb, bb) in d.pairings:
             lines.append(f"  pair {pa}.{ba} - {pb}.{bb};")
         if d.connected:
             lines.append("  connected = assert;")
         lines.append("}")
         return "\n".join(lines)
-    if isinstance(d, DoubleDecl):
-        lines = [f"double {d.name} {{", f"  n = {d.n};",
-                 f"  group = {expr_text(d.group)};"]
-        if d.cat_space is not None:
-            lines.append(f"  cat_am <= {d.cat_space};")
-        for b in d.boundaries:
-            lines += _boundary_lines(b, "  ")
+    if isinstance(d, DoubleSetup):
+        lines = [f"double {d.name} {{", f"  n = {d.n};"]
+        lines += _piece_body_lines(d.piece, "  ")
         lines.append("}")
         return "\n".join(lines)
-    if isinstance(d, BranchedDecl):
+    if isinstance(d, BranchedSetup):
         lines = [f"branched {d.name} {{", f"  n = {d.n};", f"  d = {d.d};",
                  f"  piece = {expr_text(d.piece)};",
                  f"  wall = {expr_text(d.wall)};",
@@ -1085,26 +937,22 @@ def _ring_text(singular: str, plural: str, items: Tuple[GroupExpr, ...]) -> str:
     return f"{plural} = [" + ", ".join(expr_text(g) for g in items) + "]"
 
 
-def _piece_lines(p: PieceDecl) -> List[str]:
-    lines = [f"  piece {p.id} {{", f"    group = {expr_text(p.group)};"]
+def _piece_body_lines(p: Piece, pad: str) -> List[str]:
+    'The body of a gluing piece or of a double, without the braces.'
+    lines = [f"{pad}group = {expr_text(p.group)};"]
     if p.cat_space is not None:
-        lines.append(f"    cat_am <= {p.cat_space};")
+        lines.append(f"{pad}cat_am <= {p.cat_space};")
     for b in p.boundaries:
-        lines += _boundary_lines(b, "    ")
-    lines.append("  }")
-    return lines
-
-
-def _boundary_lines(b: BoundaryDecl, pad: str) -> List[str]:
-    head = f"{pad}boundary {b.id} : {expr_text(b.group)}"
-    if not b.pi1_injective and b.cat_space is None:
-        return [head + ";"]
-    lines = [head + " {"]
-    if b.pi1_injective:
-        lines.append(f"{pad}  pi1_injective = assert;")
-    if b.cat_space is not None:
-        lines.append(f"{pad}  cat_am <= {b.cat_space};")
-    lines.append(f"{pad}}}")
+        head = f"{pad}boundary {b.id} : {expr_text(b.group)}"
+        if not b.pi1_injective and b.cat_space is None:
+            lines.append(head + ";")
+            continue
+        lines.append(head + " {")
+        if b.pi1_injective:
+            lines.append(f"{pad}  pi1_injective = assert;")
+        if b.cat_space is not None:
+            lines.append(f"{pad}  cat_am <= {b.cat_space};")
+        lines.append(f"{pad}}}")
     return lines
 
 
@@ -1132,30 +980,26 @@ def build_universe(model: SourceModel,
             u.graphs[d.name] = GraphOfGroups(
                 d.name,
                 (("left", d.left), ("right", d.right)),
-                (Edge("left", "right", d.edge, d.maps),))
-        elif isinstance(d, FamilyDecl):
-            kind = {"trivial": FamilyKind.TRIVIAL, "finite": FamilyKind.FINITE,
-                    "amenable": FamilyKind.AMENABLE,
-                    "custom": FamilyKind.CUSTOM}[d.base]
-            reqs = tuple((flag, _TRI[tri]) for flag, tri in d.requires)
-            u.families[d.name] = Family(d.name, kind, reqs)
+                (Edge("left", "right", d.edge, d.maps),), d.loc)
+        elif isinstance(d, Family):
+            u.families[d.name] = d
         elif isinstance(d, HomDecl):
             _build_hom(u, d, diags)
-        elif isinstance(d, GraphDecl):
-            edges = tuple(Edge(e.v, e.w, e.group, e.maps) for e in d.edges)
-            u.graphs[d.name] = GraphOfGroups(d.name, d.vertices, edges)
-        elif isinstance(d, PolygonDecl):
-            _build_polygon(u, d, diags)
-        elif isinstance(d, GcwDecl):
-            u.gcws[d.name] = GcwDescription(d.name, d.dims, d.contractible)
-        elif isinstance(d, _SETUP_DECLS):
-            from . import apps
+        elif isinstance(d, GraphOfGroups):
+            u.graphs[d.name] = d
+        elif isinstance(d, PolygonOfGroups):
+            problem = _polygon_arity(d)
+            if problem:
+                diags.append(Diagnostic(d.loc, problem))
+            else:
+                u.polygons[d.name] = d
+        elif isinstance(d, GcwDescription):
+            u.gcws[d.name] = d
+        else:
             setup, setup_diags = apps.build_setup(u, d)
             diags.extend(setup_diags)
             if setup is not None:
                 u.setups[d.name] = setup
-        else:
-            raise TypeError(f"unknown declaration {d!r}")
     # checked once everything is registered: a fact may name a family,
     # and a setup a group, declared further down
     known = u.group_names()
@@ -1164,7 +1008,7 @@ def build_universe(model: SourceModel,
             for f in d.facts:
                 if f.kind in ("cat", "member") and f.slot not in u.families:
                     diags.append(Diagnostic(d.loc, f"unknown family {f.slot!r}"))
-        elif isinstance(d, _SETUP_DECLS):
+        elif isinstance(d, _SETUPS):
             for what, e in _setup_groups(d):
                 for name in expr_refs(e):
                     if name not in known:
@@ -1174,25 +1018,23 @@ def build_universe(model: SourceModel,
     return u, diags
 
 
-def _setup_groups(d: Decl) -> List[Tuple[str, GroupExpr]]:
-    'The group expressions a setup declaration names, each with its role.'
-    if isinstance(d, GluingDecl):
+def _setup_groups(d: apps.Setup) -> List[Tuple[str, GroupExpr]]:
+    'The group expressions a setup names, each with its role.'
+    if isinstance(d, GluingSetup):
         out: List[Tuple[str, GroupExpr]] = []
         for p in d.pieces:
             out.append((f"piece {p.id}", p.group))
             out += [(f"boundary {p.id}.{b.id}", b.group) for b in p.boundaries]
         return out
-    if isinstance(d, DoubleDecl):
-        return [("group", d.group)] + [(f"boundary {b.id}", b.group)
-                                       for b in d.boundaries]
+    if isinstance(d, DoubleSetup):
+        return [("group", d.piece.group)] + [(f"boundary {b.id}", b.group)
+                                             for b in d.piece.boundaries]
     return [("piece", d.piece), ("wall", d.wall), ("core", d.core)]
 
 
-_TRI = {"yes": Tri.YES, "no": Tri.NO, "unknown": Tri.UNKNOWN}
-
-
 def _build_group(u: Universe, d: GroupDecl, diags: List[Diagnostic]) -> None:
-    sheet = FactSheet(name=d.name)
+    'Register the sheet and any table; validate() closes every sheet.'
+    sheet = FactSheet(name=d.name, loc=d.loc)
     for f in d.facts:
         if f.kind == "bound":
             setattr(sheet, f.slot + "_ub", f.value)
@@ -1204,17 +1046,15 @@ def _build_group(u: Universe, d: GroupDecl, diags: List[Diagnostic]) -> None:
             if f.slot == "trivial":
                 sheet.trivial = True
             else:
-                setattr(sheet, f.slot, _TRI[f.tri])
+                setattr(sheet, f.slot, Tri(f.tri))
         elif f.kind == "member":
-            sheet.member[f.slot] = _TRI[f.tri]
+            sheet.member[f.slot] = Tri(f.tri)
     u.sheets[d.name] = sheet
-    order: Optional[int] = None
     if isinstance(d.rhs, CyclicCtor):
         if d.rhs.order < 1:
             diags.append(Diagnostic(d.loc, "cyclic order must be at least 1"))
             return
         u.concretes[d.name] = cyclic_group(d.rhs.order)
-        order = d.rhs.order
     elif isinstance(d.rhs, ProductCtor):
         factors = []
         for fname in d.rhs.factors:
@@ -1225,18 +1065,13 @@ def _build_group(u: Universe, d: GroupDecl, diags: List[Diagnostic]) -> None:
                 return
             factors.append(g)
         u.concretes[d.name] = product_group(factors)
-        order = u.concretes[d.name].order
     elif isinstance(d.rhs, TableCtor):
         try:
             u.concretes[d.name] = table_group(d.rhs.rows)
-            order = u.concretes[d.name].order
         except ValueError as exc:
             diags.append(Diagnostic(d.loc, f"bad multiplication table: {exc}"))
-            return
     elif d.rhs is not None:
         u.defs[d.name] = d.rhs
-    for problem in close_sheet(sheet, order):
-        diags.append(Diagnostic(d.loc, problem))
 
 
 def _build_hom(u: Universe, d: HomDecl, diags: List[Diagnostic]) -> None:
@@ -1255,19 +1090,15 @@ def _build_hom(u: Universe, d: HomDecl, diags: List[Diagnostic]) -> None:
         u.homs[d.name] = built
 
 
-def _build_polygon(u: Universe, d: PolygonDecl, diags: List[Diagnostic]) -> None:
-    if len(d.vertices) != d.d or len(d.edges) != d.d:
-        diags.append(Diagnostic(
-            d.loc, f"polygon {d.name!r} needs exactly {d.d} vertex and edge entries"))
-        return
-    if d.edge_maps is not None and len(d.edge_maps) != d.d:
-        diags.append(Diagnostic(d.loc, f"polygon {d.name!r} needs {d.d} edge map pairs"))
-        return
-    if d.face_maps is not None and len(d.face_maps) != d.d:
-        diags.append(Diagnostic(d.loc, f"polygon {d.name!r} needs {d.d} face maps"))
-        return
-    u.polygons[d.name] = PolygonOfGroups(
-        d.name, d.d, d.vertices, d.edges, d.face, d.edge_maps, d.face_maps)
+def _polygon_arity(p: PolygonOfGroups) -> Optional[str]:
+    'A polygon with a list of the wrong length is reported and not registered.'
+    if len(p.vertex_groups) != p.d or len(p.edge_groups) != p.d:
+        return f"polygon {p.name!r} needs exactly {p.d} vertex and edge entries"
+    if p.edge_maps is not None and len(p.edge_maps) != p.d:
+        return f"polygon {p.name!r} needs {p.d} edge map pairs"
+    if p.face_maps is not None and len(p.face_maps) != p.d:
+        return f"polygon {p.name!r} needs {p.d} face maps"
+    return None
 
 
 # -- prelude and file loading ---------------------------------------------

@@ -59,6 +59,7 @@ class Family:
     name: str
     kind: FamilyKind
     requires: Tuple[Tuple[str, Tri], ...] = ()
+    loc: str = field(compare=False, default="")
 
 
 TR = Family("Tr", FamilyKind.TRIVIAL)
@@ -84,6 +85,7 @@ class FactSheet:
     trivial: bool = False
     member: Dict[str, Tri] = field(default_factory=dict)
     provenance: Dict[str, str] = field(default_factory=dict)
+    loc: str = field(compare=False, default="")    # of the declaration
 
     def cite(self, key: str) -> str:
         return self.provenance.get(key, "declared")
@@ -142,9 +144,11 @@ def close_sheet(sheet: FactSheet, order: Optional[int]) -> List[str]:
 
 
 def sheet_diagnostics(u: Universe, name: str) -> List[Diagnostic]:
+    'Close one sheet; each problem is reported at its declaration.'
     sheet = u.sheets[name]
     order = u.concretes[name].order if name in u.concretes else None
-    return [Diagnostic(f"group {name}", msg) for msg in close_sheet(sheet, order)]
+    loc = sheet.loc or f"group {name}"
+    return [Diagnostic(loc, msg) for msg in close_sheet(sheet, order)]
 
 
 # ---------------------------------------------------------------------------

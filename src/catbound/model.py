@@ -12,7 +12,7 @@ instead of raising.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 
@@ -316,6 +316,7 @@ class GraphOfGroups:
     name: str
     vertices: Tuple[Tuple[str, GroupExpr], ...]
     edges: Tuple[Edge, ...]
+    loc: str = field(compare=False, default="")
 
     def vertex_ids(self) -> List[str]:
         return [k for k, _ in self.vertices]
@@ -338,6 +339,7 @@ class PolygonOfGroups:
     face_group: GroupExpr
     edge_maps: Optional[Tuple[Tuple[str, str], ...]] = None
     face_maps: Optional[Tuple[str, ...]] = None
+    loc: str = field(compare=False, default="")
 
     @property
     def concrete_maps(self) -> bool:
@@ -351,6 +353,7 @@ class GcwDescription:
     name: str
     dims: Tuple[Tuple[GroupExpr, ...], ...]
     contractible: bool = False
+    loc: str = field(compare=False, default="")
 
     @property
     def n(self) -> int:

@@ -8,13 +8,14 @@ resolve: round-tripping is purely syntactic.
 import random
 from typing import List, Optional, Tuple
 
-from catbound.dsl import (AmalgamDecl, BoundaryDecl, BranchedDecl, CyclicCtor,
-                          DoubleDecl, EdgeDecl, FactEntry, FamilyDecl,
-                          GcwDecl, GluingDecl, GraphDecl, GroupDecl, HomDecl,
-                          PieceDecl, PolygonDecl, ProductCtor, SourceModel,
-                          TableCtor)
+from catbound.apps import (BoundaryComponent, BranchedSetup, DoubleSetup,
+                           GluingSetup, Piece)
+from catbound.dsl import (AmalgamDecl, CyclicCtor, FactEntry, GroupDecl,
+                          HomDecl, ProductCtor, SourceModel, TableCtor)
 from catbound.extnat import INF, ExtNat
-from catbound.model import DirectProduct, FreeProduct, Ref, TrivialGroup
+from catbound.facts import Family, FamilyKind, Tri
+from catbound.model import (DirectProduct, Edge, FreeProduct, GcwDescription,
+                            GraphOfGroups, PolygonOfGroups, Ref, TrivialGroup)
 
 _TRIS = ("yes", "no", "unknown")
 
@@ -94,14 +95,15 @@ def random_amalgam(rng: random.Random, names: _Names) -> AmalgamDecl:
     return AmalgamDecl(names.fresh(), side(), random_expr(rng, 1), side(), maps)
 
 
-def random_family(rng: random.Random, names: _Names) -> FamilyDecl:
+def random_family(rng: random.Random, names: _Names) -> Family:
     name = names.fresh("Fam")
     if rng.random() < 0.6:
-        return FamilyDecl(name, rng.choice(("trivial", "finite", "amenable")), ())
-    req = tuple((flag, rng.choice(_TRIS))
+        return Family(name, rng.choice((FamilyKind.TRIVIAL, FamilyKind.FINITE,
+                                        FamilyKind.AMENABLE)))
+    req = tuple((flag, Tri(rng.choice(_TRIS)))
                 for flag in rng.sample(("amenable", "finite", "trivial"),
                                        rng.randint(1, 2)))
-    return FamilyDecl(name, "custom", req)
+    return Family(name, FamilyKind.CUSTOM, req)
 
 
 def random_hom(rng: random.Random, names: _Names) -> HomDecl:
@@ -110,18 +112,18 @@ def random_hom(rng: random.Random, names: _Names) -> HomDecl:
     return HomDecl(names.fresh("h"), names.fresh(), names.fresh(), pairs)
 
 
-def random_graph(rng: random.Random, names: _Names) -> GraphDecl:
+def random_graph(rng: random.Random, names: _Names) -> GraphOfGroups:
     ids = [f"v{i}" for i in range(rng.randint(1, 3))]
     vertices = tuple((vid, random_expr(rng, 1)) for vid in ids)
     edges = tuple(
-        EdgeDecl(rng.choice(ids), rng.choice(ids), random_expr(rng, 1),
-                 (names.fresh("h"), names.fresh("h"))
-                 if rng.random() < 0.4 else None)
+        Edge(rng.choice(ids), rng.choice(ids), random_expr(rng, 1),
+             (names.fresh("h"), names.fresh("h"))
+             if rng.random() < 0.4 else None)
         for _ in range(rng.randint(0, 2)))
-    return GraphDecl(names.fresh(), vertices, edges)
+    return GraphOfGroups(names.fresh(), vertices, edges)
 
 
-def random_polygon(rng: random.Random, names: _Names) -> PolygonDecl:
+def random_polygon(rng: random.Random, names: _Names) -> PolygonOfGroups:
     d = rng.randint(3, 6)
     uniform = rng.random() < 0.5
     if uniform:
@@ -137,11 +139,11 @@ def random_polygon(rng: random.Random, names: _Names) -> PolygonDecl:
     if rng.random() < 0.5:
         edge_maps = tuple((names.fresh("h"), names.fresh("h")) for _ in range(d))
         face_maps = tuple(names.fresh("h") for _ in range(d))
-    return PolygonDecl(names.fresh(), d, vertices, edges, random_expr(rng, 0),
-                       edge_maps, face_maps)
+    return PolygonOfGroups(names.fresh(), d, vertices, edges,
+                           random_expr(rng, 0), edge_maps, face_maps)
 
 
-def random_gcw(rng: random.Random, names: _Names) -> GcwDecl:
+def random_gcw(rng: random.Random, names: _Names) -> GcwDescription:
     top = rng.randint(0, 3)
     dims: List[tuple] = [tuple(random_expr(rng, 1)
                                for _ in range(rng.randint(0, 3)))
@@ -149,21 +151,21 @@ def random_gcw(rng: random.Random, names: _Names) -> GcwDecl:
     # the top dimension must be inhabited or it would not be the top
     if not dims[-1]:
         dims[-1] = (random_expr(rng, 1),)
-    return GcwDecl(names.fresh(), rng.random() < 0.6, tuple(dims))
+    return GcwDescription(names.fresh(), tuple(dims), rng.random() < 0.6)
 
 
-def random_boundary(rng: random.Random, i: int) -> BoundaryDecl:
-    return BoundaryDecl(f"s{i}", random_expr(rng, 1),
+def random_boundary(rng: random.Random, i: int) -> BoundaryComponent:
+    return BoundaryComponent(f"s{i}", random_expr(rng, 1),
                         rng.random() < 0.6,
                         random_extnat(rng) if rng.random() < 0.4 else None)
 
 
-def random_gluing(rng: random.Random, names: _Names) -> GluingDecl:
+def random_gluing(rng: random.Random, names: _Names) -> GluingSetup:
     pieces = []
     for i in range(rng.randint(1, 3)):
         bounds = tuple(random_boundary(rng, j)
                        for j in range(rng.randint(0, 2)))
-        pieces.append(PieceDecl(
+        pieces.append(Piece(
             f"m{i}", random_expr(rng, 1),
             random_extnat(rng) if rng.random() < 0.4 else None, bounds))
     pairs = []
@@ -171,30 +173,31 @@ def random_gluing(rng: random.Random, names: _Names) -> GluingDecl:
     rng.shuffle(slots)
     while len(slots) >= 2 and rng.random() < 0.6:
         pairs.append((slots.pop(), slots.pop()))
-    return GluingDecl(names.fresh("Set"), rng.randint(2, 6), tuple(pieces),
+    return GluingSetup(names.fresh("Set"), rng.randint(2, 6), tuple(pieces),
                       tuple(pairs), rng.random() < 0.7)
 
 
-def random_double(rng: random.Random, names: _Names) -> DoubleDecl:
+def random_double(rng: random.Random, names: _Names) -> DoubleSetup:
     bounds = tuple(random_boundary(rng, j) for j in range(rng.randint(1, 3)))
-    return DoubleDecl(names.fresh("Set"), rng.randint(2, 6),
-                      random_expr(rng, 1),
-                      random_extnat(rng) if rng.random() < 0.4 else None,
-                      bounds)
+    # the parser names a double's one piece "M"
+    return DoubleSetup(names.fresh("Set"), rng.randint(2, 6),
+                       Piece("M", random_expr(rng, 1),
+                             random_extnat(rng) if rng.random() < 0.4 else None,
+                             bounds))
 
 
-def random_branched(rng: random.Random, names: _Names) -> BranchedDecl:
+def random_branched(rng: random.Random, names: _Names) -> BranchedSetup:
     wall_embeds = None
     core_embeds = None
     if rng.random() < 0.4:
         wall_embeds = (names.fresh("h"), names.fresh("h"))
     if rng.random() < 0.4:
         core_embeds = names.fresh("h")
-    return BranchedDecl(names.fresh("Set"), rng.randint(3, 6),
-                        rng.randint(1, 6), random_expr(rng, 1),
-                        random_expr(rng, 1), random_expr(rng, 0),
-                        rng.random() < 0.6, rng.random() < 0.6,
-                        wall_embeds, core_embeds)
+    return BranchedSetup(names.fresh("Set"), rng.randint(3, 6),
+                         rng.randint(1, 6), random_expr(rng, 1),
+                         random_expr(rng, 1), random_expr(rng, 0),
+                         rng.random() < 0.6, rng.random() < 0.6,
+                         wall_embeds, core_embeds)
 
 
 _MAKERS = (random_group, random_amalgam, random_family, random_hom,

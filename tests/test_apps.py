@@ -64,14 +64,6 @@ def test_branched_pentagon(fixture_texts):
                         "(v)": "verified"}
 
 
-def test_twist_never_changes_the_certificate(fixture_texts):
-    u = load(fixture_texts["double_max"])
-    s = u.setups["DblMax"]
-    plain = certify_double(u, s)
-    twisted = certify_double(u, dataclasses.replace(s, twisted=True))
-    assert plain.to_json() == twisted.to_json()
-
-
 # -- each hypothesis is load-bearing --------------------------------------
 
 

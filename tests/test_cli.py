@@ -267,6 +267,12 @@ def test_validate_reports_diagnostics(capsys, tmp_path):
     payload = json.loads(out)
     assert payload["ok"] is False
     assert payload["diagnostics"]
+    # a fact-sheet contradiction is reported once, at the declaration
+    bad.write_text("group G = cyclic(3) { trivial = yes; }", encoding="utf-8")
+    code, out, _ = run(capsys, "validate", "--format", "json", str(bad))
+    assert code == 1
+    assert json.loads(out)["diagnostics"] == [
+        {"loc": "1:1", "message": "declared trivial but has order 3"}]
 
 
 def test_load_errors_are_reported(capsys, tmp_path):

@@ -109,6 +109,18 @@ def test_parse_positions_in_errors():
         parse("group G {\n  gd <= ;\n}")
     diag = info.value.diagnostics[0]
     assert diag.loc.startswith("2:")
+    # malformed literals: a non-ASCII digit, a bound past the largest
+    # finite value, more digits than int() converts
+    for text, loc, message in (
+            ("group G = cyclic(\u00b2);", "1:18", "stray character '\u00b2'"),
+            ("group G { gd <= 99999999999; }", "1:17",
+             "bound exceeds the largest finite value 4294967295"),
+            ("group G { gd <= " + "9" * 5000 + "; }", "1:17",
+             "integer literal of 5000 digits is too long")):
+        with pytest.raises(ParseFailure) as info:
+            parse(text)
+        assert [(d.loc, d.message) for d in info.value.diagnostics] == [
+            (loc, message)], text
 
 
 def test_parse_reserved_names_rejected():
@@ -144,8 +156,8 @@ polygon P {
 }
 """)
     p = m.decls[0]
-    assert p.vertices == (Ref("A"),) * 4
-    assert p.edges == (Ref("B"),) * 4
+    assert p.vertex_groups == (Ref("A"),) * 4
+    assert p.edge_groups == (Ref("B"),) * 4
 
 
 def test_polygon_ring_arity_checked_at_build():
@@ -296,7 +308,9 @@ double D {
 """
     u, diags = load_text(text, load_prelude())
     assert not diags
-    assert "D" in u.setups
+    # the parsed setup is the one registered; a double's piece is "M"
+    assert u.setups["D"] == parse(text).decls[0]
+    assert u.setups["D"].piece.id == "M"
 
 
 def test_setup_bad_pairing_diagnostic():
