@@ -14,7 +14,14 @@ works too), and `--plus-one` to print finite values in the convention
 that counts sets rather than the normalized count.
 
 Exit codes: 0 result established, 2 inconclusive (no finite bound, or
-certificate hypotheses not established), 1 errors and diagnostics.
+certificate hypotheses not established), 1 errors and diagnostics.  An
+unexpected exception (for example a RecursionError on a very deep
+model) is reported as `error: internal: <type>: <message>` with exit 1.
+
+Text traces list the derivation in pre-order.  A node cited more than
+once is written out once, its line ending in `#k`, and every later
+citation is the line `see #k`; k is the node's index in the JSON node
+table (`"trace": {"nodes": [...], "root": k}`).
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ import dataclasses
 import json
 import os
 import sys
+from collections import Counter
 from pathlib import Path
 from typing import List, Optional, Tuple
 
@@ -154,13 +162,29 @@ def _shown_value(v: ExtNat, plus_one: bool) -> str:
     return str(v)
 
 
-def _trace_lines(node: DerivationNode, depth: int = 0,
-                 out: Optional[List[str]] = None) -> List[str]:
-    if out is None:
-        out = []
-    out.append(f"{'  ' * depth}{node.rule} = {node.value}  ({node.cite})")
-    for p in node.premises:
-        _trace_lines(p, depth + 1, out)
+def _trace_lines(root: DerivationNode) -> List[str]:
+    """The derivation in pre-order, one indented line per node.
+
+    A node cited more than once is written out at its first citation,
+    whose line ends with `#k` (k is its index in the JSON node table);
+    each later citation is the single line `see #k`.
+    """
+    order = root.nodes()
+    index = {id(n): i for i, n in enumerate(order)}
+    cited = Counter(id(p) for n in order for p in n.premises)
+    out: List[str] = []
+    written = set()
+    stack = [(root, 1)]
+    while stack:
+        node, depth = stack.pop()
+        pad, k = "  " * depth, index[id(node)]
+        if k in written:
+            out.append(f"{pad}see #{k}")
+            continue
+        written.add(k)
+        tag = f"  #{k}" if cited[id(node)] > 1 else ""
+        out.append(f"{pad}{node.rule} = {node.value}  ({node.cite}){tag}")
+        stack.extend((p, depth + 1) for p in reversed(node.premises))
     return out
 
 
@@ -180,7 +204,7 @@ def _print_bound(r: BoundResult, args) -> int:
             for a in assumed:
                 print(f"  - {a}")
         print("trace:")
-        for line in _trace_lines(r.trace, 1):
+        for line in _trace_lines(r.trace):
             print(line)
     return 0 if r.value.is_finite else 2
 
@@ -361,6 +385,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _COMMANDS[args.command](args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except Exception as exc:        # a fault of catbound, never a traceback
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 
 

@@ -34,7 +34,8 @@ else: GroupDecl (fact sheet, table or definition), AmalgamDecl (a
 two-vertex graph) and HomDecl (generator images, closed to a full map).
 It raises ParseFailure carrying positioned diagnostics, also for every
 malformed literal (a non-ASCII digit, an integer too long to convert, a
-bound past the largest finite value); no other exception escapes it.
+bound past the largest finite value, a polygon side count or gcw
+dimension past SIZE_LIMIT); no other exception escapes it.
 serialize() emits the canonical form and parse(serialize(m)) equals m
 for canonical m.
 """
@@ -244,6 +245,10 @@ RESERVED = {
     "gluing", "double", "branched", "assert", "yes", "no", "unknown",
 }
 
+# the most sides a polygon and the highest dimension a gcw may declare:
+# the parser builds a tuple of that length before any other check
+SIZE_LIMIT = 10_000
+
 _DECL_KEYWORDS = ("group", "amalgam", "family", "hom", "graph", "polygon",
                   "gcw", "gluing", "double", "branched")
 
@@ -298,13 +303,16 @@ class _Parser:
             raise _Syntax(t.loc, f"{t.value!r} is reserved and cannot be declared")
         return t.value
 
-    def integer(self, what: str = "integer") -> int:
+    def integer(self, what: str = "integer", limit: Optional[int] = None) -> int:
         t = self.expect("int", what=what)
         try:
-            return int(t.value)
+            v = int(t.value)
         except ValueError:      # past the interpreter's digit limit
             raise _Syntax(t.loc, f"integer literal of {len(t.value)} digits "
                                  "is too long") from None
+        if limit is not None and v > limit:
+            raise _Syntax(t.loc, f"{what} exceeds the limit of {limit}")
+        return v
 
     def extnat(self) -> ExtNat:
         if self.eat("name", "inf"):
@@ -553,7 +561,7 @@ class _Parser:
         loc = self.advance().loc
         name = self.fresh_name("polygon name")
         self.expect("op", "{")
-        d = self.int_field("d", "number of sides")
+        d = self.int_field("d", "number of sides", SIZE_LIMIT)
         count = max(d, 1)
         vertices = self.ring_field("vertex", "vertices", count)
         edges = self.ring_field("edge", "edges", count)
@@ -598,7 +606,7 @@ class _Parser:
         rows: Dict[int, Tuple[GroupExpr, ...]] = {}
         while not self.eat("op", "}"):
             t = self.expect("name", "dim")
-            i = self.integer("dimension")
+            i = self.integer("dimension", SIZE_LIMIT)
             self.expect("op", ":")
             items = self.listed(self.gexpr, empty=True)
             self.semicolon()
@@ -638,10 +646,10 @@ class _Parser:
                 raise _Syntax(t.loc, f"unexpected {t.value!r} in gluing block")
         return GluingSetup(name, n, tuple(pieces), tuple(pairings), connected, loc)
 
-    def int_field(self, key: str, what: str) -> int:
+    def int_field(self, key: str, what: str, limit: Optional[int] = None) -> int:
         self.expect("name", key)
         self.expect("op", "=")
-        v = self.integer(what)
+        v = self.integer(what, limit)
         self.semicolon()
         return v
 
@@ -995,13 +1003,8 @@ def build_universe(model: SourceModel,
                 u.polygons[d.name] = d
         elif isinstance(d, GcwDescription):
             u.gcws[d.name] = d
-        else:
-            setup, setup_diags = apps.build_setup(u, d)
-            diags.extend(setup_diags)
-            if setup is not None:
-                u.setups[d.name] = setup
     # checked once everything is registered: a fact may name a family,
-    # and a setup a group, declared further down
+    # and a setup a group or homomorphism, declared further down
     known = u.group_names()
     for d in model.decls:
         if isinstance(d, GroupDecl):
@@ -1009,6 +1012,10 @@ def build_universe(model: SourceModel,
                 if f.kind in ("cat", "member") and f.slot not in u.families:
                     diags.append(Diagnostic(d.loc, f"unknown family {f.slot!r}"))
         elif isinstance(d, _SETUPS):
+            setup, setup_diags = apps.build_setup(u, d)
+            diags.extend(setup_diags)
+            if setup is not None:
+                u.setups[d.name] = setup
             for what, e in _setup_groups(d):
                 for name in expr_refs(e):
                     if name not in known:

@@ -4,7 +4,10 @@ Four invariants are bounded: the family-relative category of a group
 (cat), geometric dimension (gd), cohomological dimension (cd), and
 topological complexity (tc).  Every bound is the minimum over the rule
 instances that apply to the expression, and the winning rule's
-derivation is kept as a tree of nodes that can be replayed.
+derivation is kept as nodes that can be replayed.  Memoized results
+are shared, so a derivation is a DAG, and every consumer (nodes(),
+to_json(), replay(), BoundResult.assumptions()) visits each distinct
+node once.
 
 Rule inventory for cat, by rule id:
 
@@ -56,19 +59,46 @@ class DerivationNode:
     assumptions: Tuple[str, ...] = ()
     premises: Tuple["DerivationNode", ...] = ()
 
-    def to_json(self) -> dict:
-        return {
-            "rule": self.rule,
-            "cite": self.cite,
-            "value": self.value.to_json(),
-            "assumptions": list(self.assumptions),
-            "premises": [p.to_json() for p in self.premises],
-        }
+    def nodes(self) -> List["DerivationNode"]:
+        """The distinct nodes of this derivation, each once by identity.
 
-    def walk(self):
-        yield self
-        for p in self.premises:
-            yield from p.walk()
+        Post-order: every premise comes before the nodes that cite it,
+        premises in first-visit order, this node last.  Iterative, so a
+        deep derivation costs no Python recursion.
+        """
+        order: List[DerivationNode] = []
+        seen = {id(self)}
+        stack = [(self, iter(self.premises))]
+        while stack:
+            node, todo = stack[-1]
+            for p in todo:
+                if id(p) not in seen:
+                    seen.add(id(p))
+                    stack.append((p, iter(p.premises)))
+                    break
+            else:
+                stack.pop()
+                order.append(node)
+        return order
+
+    def to_json(self) -> dict:
+        """The derivation as a node table in the order of nodes().
+
+        Premises are indices into the table, always below their node's
+        own index; the root is the last entry.
+        """
+        order = self.nodes()
+        index = {id(n): i for i, n in enumerate(order)}
+        return {
+            "nodes": [{
+                "rule": n.rule,
+                "cite": n.cite,
+                "value": n.value.to_json(),
+                "assumptions": list(n.assumptions),
+                "premises": [index[id(p)] for p in n.premises],
+            } for n in order],
+            "root": len(order) - 1,
+        }
 
 
 # how each rule recomputes its value from its premises when replayed
@@ -87,11 +117,18 @@ REPLAY: Dict[str, str] = {
 
 
 def replay(node: DerivationNode) -> ExtNat:
-    'Recompute the node value bottom-up; leaves stand as recorded.'
+    'Recompute the value bottom-up, once per distinct node; leaves stand as recorded.'
+    values: Dict[int, ExtNat] = {}
+    for n in node.nodes():
+        values[id(n)] = _replay_step(n, [values[id(p)] for p in n.premises])
+    return values[id(node)]
+
+
+def _replay_step(node: DerivationNode, vals: List[ExtNat]) -> ExtNat:
+    'The value of one node from the replayed values of its premises.'
     kind = REPLAY[node.rule]
     if kind == "leaf":
         return node.value
-    vals = [replay(p) for p in node.premises]
     if kind == "sum":
         total = ZERO
         for v in vals:
@@ -114,10 +151,7 @@ class BoundResult:
     trace: DerivationNode
 
     def assumptions(self) -> List[str]:
-        seen: Set[str] = set()
-        for node in self.trace.walk():
-            seen.update(node.assumptions)
-        return sorted(seen)
+        return sorted({a for node in self.trace.nodes() for a in node.assumptions})
 
     def to_json(self) -> dict:
         return {

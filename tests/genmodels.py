@@ -1,8 +1,9 @@
-"""Random declaration models for round-trip testing.
+"""Generated declaration models.
 
-The generator emits declarations in the parser's normal form, so
+random_model() emits declarations in the parser's normal form, so
 serialize-then-parse must reproduce them exactly.  Names need not
-resolve: round-tripping is purely syntactic.
+resolve: round-tripping is purely syntactic.  nested_text() writes a
+model whose derivations share subderivations many times over.
 """
 
 import random
@@ -210,3 +211,23 @@ def random_model(rng: random.Random) -> SourceModel:
     decls = tuple(rng.choice(_MAKERS)(rng, names)
                   for _ in range(rng.randint(1, 6)))
     return SourceModel(decls)
+
+
+def nested_text(depth: int, width: int) -> str:
+    """Graphs of groups N1..N<depth> over B0 = Z.
+
+    Level i is a path of `width` vertices, each a copy of level i - 1,
+    with edge groups B0.  Every bound on N<depth> cites the bound on
+    N<depth - 1> once per vertex, so its trace as a tree has about
+    width ** depth nodes; shared, it grows linearly in depth.
+    """
+    lines = ["group B0 = Z;"]
+    prev = "B0"
+    for level in range(1, depth + 1):
+        vids = [f"v{j}" for j in range(width)]
+        lines.append(f"graph N{level} {{")
+        lines += [f"  vertex {v} = {prev};" for v in vids]
+        lines += [f"  edge {a} - {b} : B0;" for a, b in zip(vids, vids[1:])]
+        lines.append("}")
+        prev = f"N{level}"
+    return "\n".join(lines) + "\n"

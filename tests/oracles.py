@@ -4,10 +4,10 @@ Each oracle computes its answer a second, slower way, reading only the
 public data of the model and sharing no helper with the code it checks.
 """
 
-from typing import List
+from typing import List, Tuple
 
 from catbound.develop import CurvatureReport, DevelopmentBall
-from catbound.engine import Evaluator
+from catbound.engine import DerivationNode, Evaluator
 from catbound.extnat import ExtNat, ext_max, supremum
 from catbound.facts import Family
 from catbound.model import GcwDescription, PolygonOfGroups, Universe
@@ -92,3 +92,19 @@ def sum_combination(ev: Evaluator, x: GcwDescription, fam: Family) -> ExtNat:
         total = total + supremum(ev.bound_cat(g, fam).value + 1
                                  for g in x.dims[i])
     return total
+
+
+def dag_size(root: DerivationNode) -> Tuple[int, int]:
+    """Distinct nodes of a derivation (by identity) and the premise
+    citations among them, by a plain worklist over node ids."""
+    seen = {id(root)}
+    todo = [root]
+    edges = 0
+    while todo:
+        node = todo.pop()
+        edges += len(node.premises)
+        for p in node.premises:
+            if id(p) not in seen:
+                seen.add(id(p))
+                todo.append(p)
+    return len(seen), edges

@@ -189,7 +189,7 @@ double DS {
     assert cert.conclusion == "volume_vanishes"
     assert cert.value == ExtNat(2)
     assert cert.trace.rule == "gluing-sum"
-    assert any(node.rule == "space-declared" for node in cert.trace.walk())
+    assert any(node.rule == "space-declared" for node in cert.trace.nodes())
 
 
 def test_sum_bound_with_no_pairings():
@@ -224,11 +224,16 @@ double D3 { n = 4; group = Nope; boundary s : Missing { pi1_injective = assert; 
     assert "unknown homomorphism 'nohom'" in messages
     assert "group: unresolved group name 'Nope'" in messages
     assert "boundary s: unresolved group name 'Missing'" in messages
-    # a setup may name a group declared below it
+    # a setup may name a group or a homomorphism declared below it
     _, diags = dsl.load_text("double D { n = 4; group = Later; boundary s : Z "
                              "{ pi1_injective = assert; } }\ngroup Later;",
                              dsl.load_prelude())
     assert not diags, diags
+    u, diags = dsl.load_text("branched B { n = 4; d = 5; piece = Z; wall = Z; "
+                             "core = Z2; embed core = h; }\n"
+                             "hom h : Z2 -> Z4 { 1 -> 2; }", dsl.load_prelude())
+    assert not diags, diags
+    assert u.setups["B"].core_embeds == "h"
 
 
 def test_build_setup_rejects_foreign_declarations():

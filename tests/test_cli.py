@@ -1,9 +1,12 @@
 import json
+import re
 from pathlib import Path
 
 import pytest
 
 from catbound.cli import main
+
+from genmodels import nested_text
 
 FIXTURES = Path(__file__).parent / "fixtures"
 EXAMPLES = str(FIXTURES / "examples.catb")
@@ -86,7 +89,9 @@ def test_json_outputs_are_reproducible(capsys):
     assert out1 == out2
     payload = json.loads(out1)
     assert payload["value"] == 1
-    assert payload["trace"]["rule"] == "gog-sum"
+    trace = payload["trace"]
+    assert trace["nodes"][trace["root"]]["rule"] == "gog-sum"
+    assert trace["root"] == len(trace["nodes"]) - 1
 
 
 def test_plus_one_shifts_only_the_top_value(capsys):
@@ -100,6 +105,39 @@ def test_plus_one_shifts_only_the_top_value(capsys):
     _, text, _ = run(capsys, "bound", "--target", "Am46", "--family", "Fin",
                      "--plus-one", EXAMPLES)
     assert text.splitlines()[0] == "cat[Fin] <= 2  (+1 convention)"
+
+
+def test_shared_nodes_print_once(capsys, tmp_path):
+    model = tmp_path / "nested.catb"
+    model.write_text(nested_text(12, 3), encoding="utf-8")
+    args = ("bound", "--target", "N12", "--invariant", "cd", str(model))
+    code, out, _ = run(capsys, *args, "--format", "json")
+    assert code == 0
+    nodes = json.loads(out)["trace"]["nodes"]
+    edges = sum(len(n["premises"]) for n in nodes)
+    code, out, _ = run(capsys, *args)
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[:2] == ["cd <= 2", "trace:"]
+    trace = lines[2:]
+    root = nodes[-1]
+    assert trace[0] == f"  {root['rule']} = {root['value']}  ({root['cite']})"
+    assert len(trace) <= len(nodes) + edges
+    # each shared node is written out once, tagged with its JSON index,
+    # before any line that refers back to it
+    tagged = set()
+    for line in trace:
+        ref = re.fullmatch(r" +see #(\d+)", line)
+        if ref:
+            assert int(ref.group(1)) in tagged, line
+            continue
+        tag = re.search(r"  #(\d+)$", line)
+        if tag:
+            k = int(tag.group(1))
+            assert k not in tagged
+            tagged.add(k)
+            assert line.strip().startswith(f"{nodes[k]['rule']} = {nodes[k]['value']}  (")
+    assert tagged
 
 
 # -- develop / check-curvature --------------------------------------------
@@ -273,6 +311,16 @@ def test_validate_reports_diagnostics(capsys, tmp_path):
     assert code == 1
     assert json.loads(out)["diagnostics"] == [
         {"loc": "1:1", "message": "declared trivial but has order 3"}]
+    # an oversized polygon or complex is refused before it is built
+    for text, message in (
+            ("polygon P { d = 1000000000; vertex = Z; edge = Z; face = One; }",
+             "1:17: number of sides exceeds the limit of 10000"),
+            ("gcw X { dim 1000000000 : [Z]; }",
+             "1:13: dimension exceeds the limit of 10000")):
+        bad.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, "validate", str(bad))
+        assert code == 1 and not out
+        assert err == f"{bad}:{message}\n"
 
 
 def test_load_errors_are_reported(capsys, tmp_path):
@@ -330,3 +378,21 @@ def test_certify_rejects_extra_words(capsys):
                        DOUBLE_MAX, "surplus")
     assert code == 1
     assert "unexpected argument" in err
+
+
+# -- the guard against unexpected exceptions -------------------------------
+
+
+def test_unexpected_exception_is_a_diagnostic(capsys, tmp_path):
+    # `bound --invariant gd` nests one evaluation per link and survives
+    # about 330 links on the default stack; at 600 the RecursionError
+    # must become a one-line diagnostic with exit 1
+    chain = tmp_path / "chain.catb"
+    chain.write_text("".join(
+        f"amalgam G{i} = {f'G{i - 1}' if i > 1 else 'Z'} *[One] Z;\n"
+        for i in range(1, 601)), encoding="utf-8")
+    code, out, err = run(capsys, "bound", "--target", "G600",
+                         "--invariant", "gd", str(chain))
+    assert code == 1 and not out
+    assert err.startswith("error: internal: RecursionError: ")
+    assert "Traceback" not in err and len(err.splitlines()) == 1

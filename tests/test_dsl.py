@@ -116,7 +116,12 @@ def test_parse_positions_in_errors():
             ("group G { gd <= 99999999999; }", "1:17",
              "bound exceeds the largest finite value 4294967295"),
             ("group G { gd <= " + "9" * 5000 + "; }", "1:17",
-             "integer literal of 5000 digits is too long")):
+             "integer literal of 5000 digits is too long"),
+            # sizes are checked before the parser builds a tuple that long
+            ("polygon P { d = 1000000000; vertex = Z; edge = Z; face = One; }",
+             "1:17", "number of sides exceeds the limit of 10000"),
+            ("gcw X { dim 1000000000 : [Z]; }", "1:13",
+             "dimension exceeds the limit of 10000")):
         with pytest.raises(ParseFailure) as info:
             parse(text)
         assert [(d.loc, d.message) for d in info.value.diagnostics] == [

@@ -3,14 +3,15 @@ import random
 import pytest
 
 from catbound import dsl
-from catbound.engine import REPLAY, Evaluator, replay
+from catbound.engine import REPLAY, DerivationNode, Evaluator, replay
 from catbound.extnat import INF, ZERO, ExtNat
 from catbound.facts import AM, FIN, TR, MemoTable
 from catbound.model import (DirectProduct, FreeProduct, Ref, TrivialGroup,
                             Universe)
 
 from gencw import oracle_exhaustive, oracle_recursion, random_instance
-from oracles import max_combination, sum_combination
+from genmodels import nested_text
+from oracles import dag_size, max_combination, sum_combination
 
 
 @pytest.fixture(scope="module")
@@ -327,8 +328,52 @@ def all_results(u):
 def test_replay_reproduces_values(example_universe):
     for r in all_results(example_universe):
         assert replay(r.trace) == r.value
-        for node in r.trace.walk():
+        for node in r.trace.nodes():
             assert node.rule in REPLAY
+
+
+def test_nodes_are_distinct_in_post_order():
+    a = DerivationNode("const", "a", ExtNat(1))
+    b = DerivationNode("const", "b", ExtNat(2))
+    ab = DerivationNode("plus", "a + a + b", ExtNat(4), (), (a, a, b))
+    root = DerivationNode("sup", "root", ExtNat(4), (), (b, ab, a))
+    assert [n.cite for n in root.nodes()] == ["b", "a", "a + a + b", "root"]
+    assert root.to_json() == {"nodes": [
+        {"rule": "const", "cite": "b", "value": 2, "assumptions": [], "premises": []},
+        {"rule": "const", "cite": "a", "value": 1, "assumptions": [], "premises": []},
+        {"rule": "plus", "cite": "a + a + b", "value": 4, "assumptions": [],
+         "premises": [1, 1, 0]},
+        {"rule": "sup", "cite": "root", "value": 4, "assumptions": [],
+         "premises": [0, 2, 1]},
+    ], "root": 3}
+    assert replay(root) == ExtNat(4)
+
+
+def test_shared_traces_cost_one_visit_per_node():
+    # 12 levels of 3 copies of the level below: the cd trace has 87
+    # distinct nodes and about 2.9 million as an expanded tree
+    u, diags = dsl.load_text(nested_text(12, 3), dsl.load_prelude())
+    assert not diags
+    ev = Evaluator(u)
+    target = Ref("N12")
+    results = [ev.bound_cd(target), ev.bound_gd(target), ev.bound_tc(target),
+               ev.bound_cat(target, FIN)]
+    assert [str(r.value) for r in results] == ["2", "2", "4", "2"]
+    assert dag_size(results[0].trace)[0] == 87
+    for r in results:
+        distinct, _ = dag_size(r.trace)
+        order = r.trace.nodes()
+        assert len(order) == len({id(n) for n in order}) == distinct
+        assert order[-1] is r.trace
+        index = {id(n): i for i, n in enumerate(order)}
+        js = r.to_json()["trace"]
+        assert len(js["nodes"]) == distinct and js["root"] == distinct - 1
+        for i, (node, entry) in enumerate(zip(order, js["nodes"])):
+            assert entry["rule"] == node.rule
+            assert entry["premises"] == [index[id(p)] for p in node.premises]
+            assert all(k < i for k in entry["premises"])
+        assert replay(r.trace) == r.value
+        assert r.assumptions() == []
 
 
 def test_traces_serialize_deterministically(example_universe):
