@@ -13,6 +13,11 @@ the standard prelude alone when it is omitted), `--format text|json`,
 works too), and `--plus-one` to print finite values in the convention
 that counts sets rather than the normalized count.
 
+Repeated main() calls in one process share what does not depend on the
+query: the argument parser is built once, and a prelude text is parsed
+and validated once (dsl.load_prelude still reads the file on every
+call and hands each call a fresh overlay of the kept universe).
+
 Exit codes: 0 result established, 2 inconclusive (no finite bound, or
 certificate hypotheses not established), 1 errors and diagnostics.  An
 unexpected exception (for example a RecursionError on a very deep
@@ -28,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -53,7 +59,9 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(f"{self.prog}: {message}")
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    'Built on the first call and shared: parsing leaves it unchanged.'
     top = _Parser(
         prog="catbound",
         description="certified upper bounds for category-type invariants "
@@ -326,6 +334,9 @@ def _cmd_certify(args) -> int:
     if args.d is not None:
         if kind != "branched":
             raise CliError("--d applies only to branched setups")
+        if args.d > dsl.SIZE_LIMIT:
+            raise CliError(f"--d: number of copies exceeds the limit of "
+                           f"{dsl.SIZE_LIMIT}")
         setup = dataclasses.replace(setup, d=args.d)
     try:
         if kind == "gluing":

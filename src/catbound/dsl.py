@@ -34,8 +34,9 @@ else: GroupDecl (fact sheet, table or definition), AmalgamDecl (a
 two-vertex graph) and HomDecl (generator images, closed to a full map).
 It raises ParseFailure carrying positioned diagnostics, also for every
 malformed literal (a non-ASCII digit, an integer too long to convert, a
-bound past the largest finite value, a polygon side count or gcw
-dimension past SIZE_LIMIT); no other exception escapes it.
+bound past the largest finite value, a polygon side count, gcw
+dimension or branched copy count past SIZE_LIMIT), and for parentheses
+nested deeper than NESTING_LIMIT; no other exception escapes it.
 serialize() emits the canonical form and parse(serialize(m)) equals m
 for canonical m.
 """
@@ -43,6 +44,7 @@ for canonical m.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple, TypeVar, Union
 
@@ -245,9 +247,15 @@ RESERVED = {
     "gluing", "double", "branched", "assert", "yes", "no", "unknown",
 }
 
-# the most sides a polygon and the highest dimension a gcw may declare:
-# the parser builds a tuple of that length before any other check
+# the most sides a polygon, the highest dimension a gcw and the most
+# copies a branched setup may declare: the parser or the certificate
+# builds a tuple of that length before any other check
 SIZE_LIMIT = 10_000
+
+# the deepest parenthesis nesting in a group expression: the parser and
+# every later walk over an expression recurse once per level, and an
+# expression this deep still loads and bounds on the default stack
+NESTING_LIMIT = 100
 
 _DECL_KEYWORDS = ("group", "amalgam", "family", "hom", "graph", "polygon",
                   "gcw", "gluing", "double", "branched")
@@ -259,6 +267,7 @@ class _Parser:
     def __init__(self, tokens: List[Token]) -> None:
         self.toks = tokens
         self.pos = 0
+        self.depth = 0          # open parentheses around the current atom
 
     # -- stream helpers ---------------------------------------------------
 
@@ -368,9 +377,15 @@ class _Parser:
         return DirectProduct(tuple(parts))
 
     def gatom(self) -> GroupExpr:
-        if self.eat("op", "("):
+        if self.at("op", "("):
+            t = self.advance()
+            self.depth += 1
+            if self.depth > NESTING_LIMIT:
+                raise _Syntax(t.loc, "parenthesis depth exceeds the limit "
+                                     f"of {NESTING_LIMIT}")
             e = self.gexpr()
             self.expect("op", ")")
+            self.depth -= 1
             return e
         if self.at("name", "trivial"):
             self.advance()
@@ -713,7 +728,7 @@ class _Parser:
         name = self.fresh_name("branched name")
         self.expect("op", "{")
         n = self.int_field("n", "dimension")
-        d = self.int_field("d", "number of copies")
+        d = self.int_field("d", "number of copies", SIZE_LIMIT)
         piece = self.named_field("piece")
         wall = self.named_field("wall")
         core = self.named_field("core")
@@ -1115,12 +1130,30 @@ def prelude_path() -> Path:
 
 
 def load_prelude(path: Optional[Path] = None) -> Universe:
+    """The prelude at `path` (the standard one by default) as a new universe.
+
+    The file is read on every call, so an edit or another path takes
+    effect at once.  A prelude text is parsed, built and validated once
+    per process: the last text that loaded cleanly is kept with its
+    universe, and each call returns a fresh overlay of it, so what a
+    caller registers never reaches the kept copy.  Raises OSError when
+    the file cannot be read and ValueError when the prelude has
+    problems; a prelude with problems is not kept.
+    """
     p = path if path is not None else prelude_path()
-    model = parse(p.read_text(encoding="utf-8"))
-    u, diags = build_universe(model, base=None)
+    try:
+        base = _validated_prelude(p.read_text(encoding="utf-8"))
+    except ParseFailure as exc:
+        raise ValueError(f"prelude {p} has problems: {exc}") from None
+    return base.overlay()
+
+
+@lru_cache(maxsize=1)
+def _validated_prelude(text: str) -> Universe:
+    'Raises ParseFailure with every diagnostic; a raise is not cached.'
+    u, diags = build_universe(parse(text), base=None)
     if diags:
-        raise ValueError(
-            f"prelude {p} has problems: " + "; ".join(str(x) for x in diags))
+        raise ParseFailure(diags)
     return u
 
 

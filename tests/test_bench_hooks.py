@@ -36,6 +36,7 @@ def test_traced_names_resolve():
 
 
 def test_installed_tracer_sees_setup_checks(fixture_texts):
+    dsl.load_prelude()      # the standard prelude is then built once per process
     tracer = load_tracing().Tracer()
     tracer.install()
     try:
@@ -44,4 +45,4 @@ def test_installed_tracer_sees_setup_checks(fixture_texts):
         tracer.uninstall()
     assert not diags
     assert tracer.calls["apps.build_setup"] == 1
-    assert tracer.calls["dsl.build_universe"] == 2      # prelude and file
+    assert tracer.calls["dsl.build_universe"] == 1      # the file alone

@@ -1,9 +1,11 @@
 import json
 import re
+import time
 from pathlib import Path
 
 import pytest
 
+from catbound import cli, dsl
 from catbound.cli import main
 
 from genmodels import nested_text
@@ -255,6 +257,16 @@ def test_certify_d_rejected_for_doubles(capsys):
     assert "--d applies only to branched setups" in err
 
 
+def test_certify_d_over_the_size_limit(capsys):
+    # refused before a branched certificate builds d copies
+    start = time.perf_counter()
+    code, out, err = run(capsys, "certify", "--target", "BrFive",
+                         "--d", "1000000000", BRANCHED)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (1, "")
+    assert err == "error: --d: number of copies exceeds the limit of 10000\n"
+
+
 def test_certify_inconclusive_exits_two(capsys, tmp_path):
     text = Path(BRANCHED).read_text(encoding="utf-8")
     mutated = tmp_path / "no_pi1.catb"
@@ -316,11 +328,36 @@ def test_validate_reports_diagnostics(capsys, tmp_path):
             ("polygon P { d = 1000000000; vertex = Z; edge = Z; face = One; }",
              "1:17: number of sides exceeds the limit of 10000"),
             ("gcw X { dim 1000000000 : [Z]; }",
-             "1:13: dimension exceeds the limit of 10000")):
+             "1:13: dimension exceeds the limit of 10000"),
+            ("branched B { n = 4; d = 1000000000; piece = Z; wall = Z; "
+             "core = One; }",
+             "1:25: number of copies exceeds the limit of 10000"),
+            # too deep to parse: a diagnostic, not an internal error
+            ("group A = " + "(" * 400 + "Z" + ")" * 400 + ";",
+             "1:111: parenthesis depth exceeds the limit of 100")):
         bad.write_text(text, encoding="utf-8")
         code, out, err = run(capsys, "validate", str(bad))
         assert code == 1 and not out
         assert err == f"{bad}:{message}\n"
+
+
+def test_nesting_at_the_limit_loads_and_bounds(capsys, tmp_path):
+    def nested(depth):
+        return "group A = " + "(Z * " * depth + "Z" + ")" * depth + ";"
+    model = tmp_path / "nested.catb"
+    model.write_text(nested(dsl.NESTING_LIMIT), encoding="utf-8")
+    assert run(capsys, "validate", str(model))[0] == 0
+    for args, first in ((("--family", "Am"), "cat[Am] <= 1"),
+                        (("--invariant", "gd"), "gd <= 1"),
+                        (("--invariant", "cd"), "cd <= 1")):
+        code, out, _ = run(capsys, "bound", "--target", "A", *args, str(model))
+        assert (code, out.splitlines()[0]) == (0, first)
+    code, out, _ = run(capsys, "tc", "--target", "A", str(model))
+    assert (code, out.splitlines()[0]) == (0, "tc <= 2")
+    model.write_text(nested(dsl.NESTING_LIMIT + 1), encoding="utf-8")
+    code, out, err = run(capsys, "validate", str(model))
+    assert (code, out) == (1, "")
+    assert err == f"{model}:1:511: parenthesis depth exceeds the limit of 100\n"
 
 
 def test_load_errors_are_reported(capsys, tmp_path):
@@ -360,6 +397,28 @@ def test_prelude_flag_beats_env(capsys, tmp_path, monkeypatch):
     assert out.splitlines()[0] == "gd <= 2"
 
 
+def test_prelude_file_read_on_every_call(capsys, tmp_path):
+    alt = tmp_path / "alt.catb"
+    args = ("bound", "--target", "V", "--invariant", "gd", "--prelude", str(alt))
+    for bound in (2, 3, 2):
+        alt.write_text(f'group V {{ gd <= {bound} by "hand"; }}', encoding="utf-8")
+        code, out, _ = run(capsys, *args)
+        assert (code, out.splitlines()[0]) == (0, f"gd <= {bound}")
+
+
+def test_broken_prelude_fails_every_call(capsys, tmp_path):
+    broken = tmp_path / "broken.catb"
+    for text, problem in (("group {", "1:7: expected 'group name', found '{'"),
+                          ("group X = Y;", "group X: unresolved group name 'Y'")):
+        broken.write_text(text, encoding="utf-8")
+        for _ in range(2):
+            assert run(capsys, "validate", "--prelude", str(broken)) == (
+                1, "", f"error: prelude: prelude {broken} has problems: "
+                       f"{problem}\n")
+    # the standard prelude is unaffected
+    assert run(capsys, "validate")[0] == 0
+
+
 # -- argument handling ----------------------------------------------------
 
 
@@ -371,6 +430,26 @@ def test_usage_errors_exit_one(capsys):
     assert main(["bound", "--target", "Z", "--family", "Am",
                  "x.catb", "extra"]) == 1
     _, err = capsys.readouterr().out, capsys.readouterr().err
+
+
+def test_shared_parser_keeps_no_state(capsys):
+    calls = [
+        ("bound", "--target", "Am46", "--family", "Am", EXAMPLES),
+        ("bound", "--target", "ZZ", "--invariant", "gd", EXAMPLES),
+        ("certify", "double", "--target", "DblMax", DOUBLE_MAX),
+        ("certify", "--target", "BrFive", BRANCHED),
+        ("bound", "--family", "Am", EXAMPLES),          # no --target
+        ("bound", "--target", "ZZ", "--family", "Tr", EXAMPLES),
+    ]
+
+    def first_in_process(argv):
+        cli._build_parser.cache_clear()
+        dsl._validated_prelude.cache_clear()
+        return run(capsys, *argv)
+
+    expected = [first_in_process(argv) for argv in calls]
+    assert [code for code, _, _ in expected] == [0, 0, 0, 0, 1, 0]
+    assert [run(capsys, *argv) for argv in calls] == expected
 
 
 def test_certify_rejects_extra_words(capsys):

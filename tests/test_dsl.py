@@ -1,14 +1,21 @@
+import dataclasses
 import random
+from pathlib import Path
 
 import pytest
 
 from catbound import dsl
+from catbound.cli import main
 from catbound.dsl import (FactEntry, GroupDecl, ParseFailure, load_prelude,
                           load_text, parse, serialize, tokenize, try_parse)
+from catbound.engine import Evaluator
 from catbound.extnat import INF, ExtNat
+from catbound.facts import FactSheet
 from catbound.model import DirectProduct, FreeProduct, Ref, TrivialGroup
 
 from genmodels import random_model
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 # -- tokenizer ------------------------------------------------------------
 
@@ -121,7 +128,13 @@ def test_parse_positions_in_errors():
             ("polygon P { d = 1000000000; vertex = Z; edge = Z; face = One; }",
              "1:17", "number of sides exceeds the limit of 10000"),
             ("gcw X { dim 1000000000 : [Z]; }", "1:13",
-             "dimension exceeds the limit of 10000")):
+             "dimension exceeds the limit of 10000"),
+            ("branched B { n = 4; d = 1000000000; piece = Z; wall = Z; "
+             "core = One; }", "1:25",
+             "number of copies exceeds the limit of 10000"),
+            # the parser recurses once per parenthesis
+            ("group A = " + "(" * 400 + "Z" + ")" * 400 + ";", "1:111",
+             "parenthesis depth exceeds the limit of 100")):
         with pytest.raises(ParseFailure) as info:
             parse(text)
         assert [(d.loc, d.message) for d in info.value.diagnostics] == [
@@ -301,6 +314,44 @@ def test_load_prelude_contents():
     assert u.sheets["Z"].gd_ub == ExtNat(1)
     assert set(u.families) == {"Tr", "Fin", "Am"}
     assert u.defs["F2"] == FreeProduct((Ref("Z"), Ref("Z")))
+
+
+def tables(u):
+    'Every table of a universe, fact sheets copied field by field.'
+    out = {attr: dict(table) for attr, table in vars(u).items()}
+    out["sheets"] = {n: dataclasses.asdict(s) for n, s in u.sheets.items()}
+    return out
+
+
+def test_kept_prelude_stays_isolated(fixture_texts, capsys):
+    before = tables(load_prelude())
+    assert before["sheets"] and before["concretes"] and before["defs"]
+    for name, text in fixture_texts.items():
+        _, diags = load_text(text, load_prelude())
+        assert not diags, name
+    for path in sorted(FIXTURES.glob("*.catb")):
+        assert main(["validate", str(path)]) == 0
+    capsys.readouterr()
+    # shadowing prelude names replaces them in the model's universe only
+    u, diags = load_text('group Z { gd <= 4 by "shadow"; }\n'
+                         "group Z2 { amenable = no; finite = no; }", load_prelude())
+    assert not diags
+    assert "Z2" not in u.concretes and u.sheets["Z"].gd_ub == ExtNat(4)
+    ev = Evaluator(u)
+    assert ev.bound_gd(Ref("Z")).value == ExtNat(4)
+    assert ev.bound_cat(Ref("Z2"), u.families["Fin"]).value == INF
+    assert tables(load_prelude()) == before
+    # each call hands out its own universe, and what is registered in
+    # or dropped from one never reaches the next
+    first, second = load_prelude(), load_prelude()
+    assert first is not second
+    assert all(getattr(first, attr) is not getattr(second, attr)
+               for attr in vars(first))
+    first.sheets["W"] = FactSheet(name="W")
+    first.drop_group("Z4")
+    fresh = load_prelude()
+    assert "W" not in fresh.sheets and "Z4" in fresh.concretes
+    assert tables(fresh) == before
 
 
 def test_setup_declarations_build():
