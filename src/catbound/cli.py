@@ -22,6 +22,9 @@ Exit codes: 0 result established, 2 inconclusive (no finite bound, or
 certificate hypotheses not established), 1 errors and diagnostics.  An
 unexpected exception (for example a RecursionError on a very deep
 model) is reported as `error: internal: <type>: <message>` with exit 1.
+When the reader of stdout goes away (`catbound ... | head -1`), the
+rest of the output is dropped and the exit code is 1, with nothing on
+stderr.
 
 Text traces list the derivation in pre-order.  A node cited more than
 once is written out once, its line ending in `#k`, and every later
@@ -382,6 +385,19 @@ _COMMANDS = {
 }
 
 
+def _drop_stdout() -> None:
+    """The reader of stdout went away: send the rest of the output, and
+    the interpreter's flush at exit, to the null device (the SIGPIPE
+    note of the `signal` module's documentation)."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):     # not backed by a file
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     try:
         # known-args so certify's trailing positionals survive argparse's
@@ -393,7 +409,12 @@ def main(argv: Optional[List[str]] = None) -> int:
             raise CliError(f"unrecognized arguments: {' '.join(extras)}")
         if extras:
             args.words = list(args.words) + extras
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()      # so a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:
+        _drop_stdout()
+        return 1
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -43,6 +43,7 @@ for canonical m.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
@@ -61,17 +62,44 @@ from .model import (Diagnostic, DirectProduct, Edge, FreeProduct,
 
 # -- tokens ---------------------------------------------------------------
 
-_PUNCT2 = ("<=", "->")
-_PUNCT1 = "{}()[];:,=-.*<>"
-_DIGITS = "0123456789"      # str.isdigit() also admits '²' and other scripts
+# Token shapes, tried in order; tokenize() scans one line at a time,
+# and finditer skips the spaces, tabs and carriage returns between
+# matches.  Every alternative starts with a character or a class, so the
+# engine passes over it on the first character, and ends in an empty
+# group whose number names its shape.  A name is a run of word
+# characters (str.isalnum or '_') that starts with a letter or '_'; a
+# word run that starts with another word character (a digit outside
+# ASCII, such as '²') starts with a stray character, which tokenize()
+# checks.  In a string, a backslash escapes '"' or '\' and otherwise
+# stands for itself, so a body splits into characters one way only and
+# an escaped quote never closes it.
+_TOKEN = re.compile(r"""
+    [A-Za-z_]\w*()                          # 1 name
+  | [{}()\[\];:,=.*>]()                     # 2 op
+  | <=?()                                   # 3 op
+  | ->?()                                   # 4 op
+  | //.*()                                  # 5 comment
+  | [0-9][0-9]*()                           # 6 int, ASCII digits only
+  | "(?:[^"\\]|\\["\\]|\\(?!["\\]))*"()     # 7 string
+  | ".*()                                   # 8 unterminated string
+  | [^\W\d]\w*()                            # 9 word, not an ASCII start
+  | [^ \t\r]()                              # 10 stray character
+""", re.VERBOSE)
+_SHAPES = (None, "name", "op", "op", "op", "comment", "int", "string",
+           "unterminated", "word", "stray")
+_ESCAPE = re.compile(r'\\(["\\])')
 
 
-@dataclass(frozen=True)
 class Token:
-    kind: str        # name | int | string | op | error | eof
-    value: str
-    line: int
-    col: int
+    'kind is name | int | string | op | error | eof.'
+
+    __slots__ = ("kind", "value", "line", "col")
+
+    def __init__(self, kind: str, value: str, line: int, col: int) -> None:
+        self.kind = kind
+        self.value = value
+        self.line = line
+        self.col = col
 
     @property
     def loc(self) -> str:
@@ -79,81 +107,50 @@ class Token:
 
 
 def tokenize(text: str) -> List[Token]:
-    'Total: malformed input produces error tokens, never an exception.'
+    """Total: malformed input produces error tokens, never an exception.
+
+    Lines and columns count from 1, in characters; a tab is one column.
+    The eof token after a comment that ends the text sits where the
+    comment starts.
+    """
     out: List[Token] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if text.startswith("//", i):
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start_line, start_col = line, col
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            out.append(Token("name", text[i:j], start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        if c in _DIGITS:
-            j = i
-            while j < n and text[j] in _DIGITS:
-                j += 1
-            out.append(Token("int", text[i:j], start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        if c == '"':
-            j = i + 1
-            buf: List[str] = []
-            closed = False
-            while j < n:
-                if text[j] == "\\" and j + 1 < n and text[j + 1] in '"\\':
-                    buf.append(text[j + 1])
-                    j += 2
-                    continue
-                if text[j] == '"':
-                    closed = True
-                    j += 1
-                    break
-                if text[j] == "\n":
-                    break
-                buf.append(text[j])
-                j += 1
-            if closed:
-                out.append(Token("string", "".join(buf), start_line, start_col))
+    append = out.append
+    scan = _TOKEN.finditer
+    shapes = _SHAPES
+    lines = text.split("\n")
+    eof_col = len(lines[-1]) + 1
+    for line_no, line in enumerate(lines, 1):
+        pos = 0
+        while pos is not None:      # set again after a stray word start
+            for m in scan(line, pos):
+                kind = shapes[m.lastindex]
+                col = m.start() + 1
+                if kind == "name" or kind == "op" or kind == "int":
+                    append(Token(kind, m.group(), line_no, col))
+                elif kind == "word":
+                    c = line[col - 1]
+                    if not c.isalpha():
+                        append(Token("error", f"stray character {c!r}",
+                                     line_no, col))
+                        pos = col
+                        break
+                    append(Token("name", m.group(), line_no, col))
+                elif kind == "string":
+                    value = m.group()[1:-1]
+                    if "\\" in value:
+                        value = _ESCAPE.sub(r"\1", value)
+                    append(Token("string", value, line_no, col))
+                elif kind == "comment":
+                    if line_no == len(lines):
+                        eof_col = col
+                elif kind == "unterminated":
+                    append(Token("error", "unterminated string", line_no, col))
+                else:
+                    append(Token("error", f"stray character {m.group()!r}",
+                                 line_no, col))
             else:
-                out.append(Token("error", "unterminated string", start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        two = text[i:i + 2]
-        if two in _PUNCT2:
-            out.append(Token("op", two, start_line, start_col))
-            i += 2
-            col += 2
-            continue
-        if c in _PUNCT1:
-            out.append(Token("op", c, start_line, start_col))
-            i += 1
-            col += 1
-            continue
-        out.append(Token("error", f"stray character {c!r}", start_line, start_col))
-        i += 1
-        col += 1
-    out.append(Token("eof", "", line, col))
+                pos = None
+    append(Token("eof", "", len(lines), eof_col))
     return out
 
 
@@ -285,17 +282,22 @@ class _Parser:
         return t
 
     def eat(self, kind: str, value: Optional[str] = None) -> Optional[Token]:
-        if self.at(kind, value):
-            return self.advance()
-        return None
+        t = self.toks[self.pos]
+        if t.kind != kind or (value is not None and t.value != value):
+            return None
+        if kind != "eof":
+            self.pos += 1
+        return t
 
     def expect(self, kind: str, value: Optional[str] = None,
                what: Optional[str] = None) -> Token:
-        t = self.peek()
+        t = self.toks[self.pos]
+        if t.kind == kind and (value is None or t.value == value):
+            if kind != "eof":
+                self.pos += 1
+            return t
         if t.kind == "error":
             raise _Syntax(t.loc, t.value)
-        if self.at(kind, value):
-            return self.advance()
         wanted = what or (value if value is not None else kind)
         found = t.value if t.value else t.kind
         raise _Syntax(t.loc, f"expected {wanted!r}, found {found!r}")
@@ -369,16 +371,15 @@ class _Parser:
 
     def fexpr(self) -> GroupExpr:
         parts = [self.gatom()]
-        while self.at("name", "x"):
-            self.advance()
+        while self.eat("name", "x"):
             parts.append(self.gatom())
         if len(parts) == 1:
             return parts[0]
         return DirectProduct(tuple(parts))
 
     def gatom(self) -> GroupExpr:
-        if self.at("op", "("):
-            t = self.advance()
+        t = self.eat("op", "(")
+        if t is not None:
             self.depth += 1
             if self.depth > NESTING_LIMIT:
                 raise _Syntax(t.loc, "parenthesis depth exceeds the limit "
@@ -387,11 +388,9 @@ class _Parser:
             self.expect("op", ")")
             self.depth -= 1
             return e
-        if self.at("name", "trivial"):
-            self.advance()
+        if self.eat("name", "trivial"):
             return TrivialGroup()
-        if self.at("name", "free"):
-            self.advance()
+        if self.eat("name", "free"):
             self.expect("op", "(")
             k = self.integer("free-group rank")
             self.expect("op", ")")
@@ -478,8 +477,7 @@ class _Parser:
         raise _Syntax(t.loc, f"unknown fact {key!r}")
 
     def by_clause(self) -> Optional[str]:
-        if self.at("name", "by"):
-            self.advance()
+        if self.eat("name", "by"):
             return self.expect("string", what="justification string").value
         return None
 
@@ -612,8 +610,7 @@ class _Parser:
         name = self.fresh_name("complex name")
         self.expect("op", "{")
         contractible = False
-        if self.at("name", "contractible"):
-            self.advance()
+        if self.eat("name", "contractible"):
             self.expect("op", "=")
             self.expect("name", "assert")
             self.semicolon()
@@ -685,8 +682,7 @@ class _Parser:
         return Piece(pid, group, cat_space, tuple(boundaries))
 
     def opt_cat_space(self) -> Optional[ExtNat]:
-        if self.at("name", "cat_am"):
-            self.advance()
+        if self.eat("name", "cat_am"):
             self.expect("op", "<=")
             v = self.extnat()
             self.semicolon()
@@ -988,7 +984,11 @@ def build_universe(model: SourceModel,
 
     Declarations shadow same-named prelude groups.  Returns the universe
     together with all build and validation diagnostics; a universe with
-    diagnostics should not be evaluated.
+    diagnostics should not be evaluated.  The copy keeps `base`'s
+    record of its nearest validated ancestor, so model.validate
+    re-checks only what the declarations (and anything registered into
+    `base` since that ancestor passed) changed, and the kept prelude of
+    load_prelude() is not verified again.
     """
     u = base.overlay() if base is not None else Universe()
     if not u.families:
@@ -1125,8 +1125,11 @@ def _polygon_arity(p: PolygonOfGroups) -> Optional[str]:
 
 # -- prelude and file loading ---------------------------------------------
 
+_PRELUDE_PATH = Path(__file__).parent / "prelude.catb"
+
+
 def prelude_path() -> Path:
-    return Path(__file__).parent / "prelude.catb"
+    return _PRELUDE_PATH
 
 
 def load_prelude(path: Optional[Path] = None) -> Universe:
@@ -1136,9 +1139,12 @@ def load_prelude(path: Optional[Path] = None) -> Universe:
     effect at once.  A prelude text is parsed, built and validated once
     per process: the last text that loaded cleanly is kept with its
     universe, and each call returns a fresh overlay of it, so what a
-    caller registers never reaches the kept copy.  Raises OSError when
-    the file cannot be read and ValueError when the prelude has
-    problems; a prelude with problems is not kept.
+    caller registers never reaches the kept copy.  The overlay counts as
+    validated up to what a caller registers into it, so a model loaded
+    over it re-checks only its own declarations, the prelude names they
+    shadow or drop, and the prelude names that refer to those.  Raises
+    OSError when the file cannot be read and ValueError when the prelude
+    has problems; a prelude with problems is not kept.
     """
     p = path if path is not None else prelude_path()
     try:

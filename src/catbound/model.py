@@ -368,6 +368,10 @@ class GcwDescription:
 
 GROUP_KINDS = ("atom", "def", "concrete", "graph", "polygon", "gcw")
 
+# the tables of a Universe; validate() reads the group tables and homs
+GROUP_TABLES = ("sheets", "defs", "concretes", "graphs", "polygons", "gcws")
+TABLES = GROUP_TABLES + ("homs", "families", "setups")
+
 
 class Universe:
     """Symbol table for one loaded model.
@@ -375,6 +379,10 @@ class Universe:
     Group-like declarations share one namespace; homs, families and the
     application setups each get their own.  An atom may carry both a
     fact sheet and a concrete realization under the same name.
+
+    `validated` records this universe, or the nearest one it was
+    overlaid from, as it stood when it passed validate(), or is None if
+    none has; validate() checks only what differs from it.
     """
 
     def __init__(self) -> None:
@@ -387,6 +395,7 @@ class Universe:
         self.homs: Dict[str, Homomorphism] = {}
         self.families: Dict[str, object] = {}      # name -> facts.Family
         self.setups: Dict[str, object] = {}        # name -> apps setup
+        self.validated: Optional[Validated] = None
 
     # -- declaration ------------------------------------------------------
 
@@ -417,8 +426,9 @@ class Universe:
         added to it leave this one unchanged.  Declared objects are
         shared, not copied."""
         u = Universe()
-        for attr, table in vars(self).items():
-            getattr(u, attr).update(table)
+        for attr in TABLES:
+            getattr(u, attr).update(getattr(self, attr))
+        u.validated = self.validated
         return u
 
     def drop_group(self, name: str) -> None:
@@ -493,6 +503,26 @@ class Universe:
         return out
 
 
+class Validated:
+    """The group tables and homs of a universe as they stood when it
+    passed validate(), and who names whom among them."""
+
+    def __init__(self, u: Universe) -> None:
+        self.tables = Universe()
+        for attr in GROUP_TABLES + ("homs",):
+            getattr(self.tables, attr).update(getattr(u, attr))
+        self._users: Optional[Dict[str, List[str]]] = None
+
+    def users(self) -> Dict[str, List[str]]:
+        'Group name -> the names whose declarations refer to it; built once.'
+        if self._users is None:
+            self._users = {}
+            for name in self.tables.group_names():
+                for dep in self.tables.dependencies(name):
+                    self._users.setdefault(dep, []).append(name)
+        return self._users
+
+
 def _connected(vertex_ids: List[str], edges: Sequence[Edge]) -> bool:
     if not vertex_ids:
         return False
@@ -512,13 +542,29 @@ def validate(u: Universe) -> List[Diagnostic]:
     """All structural and declaration-level checks, as a diagnostic list.
 
     Includes fact-sheet consistency, pulled in from the facts module.
+
+    Only what can differ from `u.validated` is checked: every group or
+    hom entry that is not the very same object as there, or that is
+    gone; every name that reaches such a name through
+    Universe.dependencies; every graph or polygon naming a changed hom;
+    and every hom whose source or target is such a name.  Declared
+    objects are frozen and fact sheets are closed in place, once, so an
+    entry kept from a universe that passed yields no diagnostic, and
+    any definition cycle passes through a checked name: the result is
+    that of checking everything.  When `u.validated` is None everything
+    is checked.  A universe that passes records its tables there.
     """
+    names, hom_names = _unchecked(u)
     out: List[Diagnostic] = []
 
-    for name, g in sorted(u.concretes.items()):
-        out.extend(g.verify(f"group {name}"))
+    def picked(table: Dict[str, object], among: Set[str]) -> List[str]:
+        return sorted(table.keys() & among)
 
-    for name, h in sorted(u.homs.items()):
+    for name in picked(u.concretes, names):
+        out.extend(u.concretes[name].verify(f"group {name}"))
+
+    for name in picked(u.homs, hom_names):
+        h = u.homs[name]
         loc = f"hom {name}"
         src = u.concretes.get(h.source)
         tgt = u.concretes.get(h.target)
@@ -529,21 +575,20 @@ def validate(u: Universe) -> List[Diagnostic]:
         if src is not None and tgt is not None:
             out.extend(h.verify(src, tgt, loc))
 
-    known = u.group_names()
-
     def check_expr(e: GroupExpr, loc: str) -> None:
         if isinstance(e, (DirectProduct, FreeProduct)):
             if not e.factors:
                 out.append(Diagnostic(loc, "empty product expression"))
             for f in e.factors:
                 check_expr(f, loc)
-        elif isinstance(e, Ref) and e.name not in known:
+        elif isinstance(e, Ref) and u.kind_of(e.name) is None:
             out.append(Diagnostic(loc, f"unresolved group name {e.name!r}"))
 
-    for name, e in sorted(u.defs.items()):
-        check_expr(e, f"group {name}")
+    for name in picked(u.defs, names):
+        check_expr(u.defs[name], f"group {name}")
 
-    for name, g in sorted(u.graphs.items()):
+    for name in picked(u.graphs, names):
+        g = u.graphs[name]
         loc = f"graph {name}"
         ids = g.vertex_ids()
         if len(set(ids)) != len(ids):
@@ -565,7 +610,8 @@ def validate(u: Universe) -> List[Diagnostic]:
         if ids and not _connected(ids, g.edges):
             out.append(Diagnostic(loc, "underlying graph is not connected"))
 
-    for name, p in sorted(u.polygons.items()):
+    for name in picked(u.polygons, names):
+        p = u.polygons[name]
         loc = f"polygon {name}"
         if p.d < 3:
             out.append(Diagnostic(loc, f"d = {p.d}, but a polygon needs d >= 3"))
@@ -582,7 +628,8 @@ def validate(u: Universe) -> List[Diagnostic]:
             else:
                 out.extend(_check_polygon_maps(u, p, loc))
 
-    for name, x in sorted(u.gcws.items()):
+    for name in picked(u.gcws, names):
+        x = u.gcws[name]
         loc = f"gcw {name}"
         if not x.dims:
             out.append(Diagnostic(loc, "needs at least dimension 0"))
@@ -592,14 +639,60 @@ def validate(u: Universe) -> List[Diagnostic]:
         for _, ge in x.cells():
             check_expr(ge, loc)
 
-    out.extend(_cycle_diagnostics(u))
+    out.extend(_cycle_diagnostics(u, names))
 
     # fact-sheet closure and consistency lives with the fact logic
     from .facts import sheet_diagnostics
-    for name in sorted(u.sheets):
+    for name in picked(u.sheets, names):
         out.extend(sheet_diagnostics(u, name))
 
+    if not out:
+        u.validated = Validated(u)
     return out
+
+
+def _unchecked(u: Universe) -> Tuple[Set[str], Set[str]]:
+    'The group names and hom names validate() checks; see there.'
+    if u.validated is None:
+        return u.group_names(), set(u.homs)
+    old = u.validated.tables
+    changed: Set[str] = set()
+    for attr in GROUP_TABLES:
+        _add_replaced(changed, getattr(u, attr), getattr(old, attr))
+    homs: Set[str] = set()
+    _add_replaced(homs, u.homs, old.homs)
+    if homs:
+        changed.update(name for name, g in u.graphs.items()
+                       if any(e.maps is not None and not homs.isdisjoint(e.maps)
+                              for e in g.edges))
+        changed.update(name for name, p in u.polygons.items()
+                       if not homs.isdisjoint(itertools.chain(
+                           *(p.edge_maps or ()), p.face_maps or ())))
+    # a path to a changed name runs through unchanged names up to the
+    # first changed one, and an unchanged name refers to what it
+    # referred to when the universe passed
+    users = u.validated.users()
+    names = set(changed)
+    todo = list(changed)
+    while todo:
+        for user in users.get(todo.pop(), ()):
+            if user not in names:
+                names.add(user)
+                todo.append(user)
+    homs.update(name for name, h in u.homs.items()
+                if h.source in names or h.target in names)
+    return names, homs
+
+
+def _add_replaced(into: Set[str], table: Dict[str, object],
+                  before: Dict[str, object]) -> None:
+    'Add the names whose entry in table is not the very object in before, or is gone.'
+    for name, obj in table.items():
+        if before.get(name) is not obj:
+            into.add(name)
+    for name in before:
+        if name not in table:
+            into.add(name)
 
 
 def _check_polygon_maps(u: Universe, p: PolygonOfGroups, loc: str) -> List[Diagnostic]:
@@ -658,25 +751,37 @@ def _check_polygon_maps(u: Universe, p: PolygonOfGroups, loc: str) -> List[Diagn
     return out
 
 
-def _cycle_diagnostics(u: Universe) -> List[Diagnostic]:
+def _cycle_diagnostics(u: Universe, names: Set[str]) -> List[Diagnostic]:
+    """Each definition cycle met by a depth-first walk from the given
+    names in sorted order, reported where the walk closes it.
+
+    The walk stays among the given names: validate() passes every name
+    that reaches one of its changed names, and every cycle runs through
+    a changed name, so a name outside them reaches no cycle.  The walk
+    keeps its own stack, so a chain of any length fits."""
     out: List[Diagnostic] = []
-    state: Dict[str, int] = {}  # 1 = visiting, 2 = done
-
-    def visit(name: str, trail: List[str]) -> None:
-        mark = state.get(name)
-        if mark == 2:
-            return
-        if mark == 1:
-            cycle = trail[trail.index(name):] + [name]
-            out.append(Diagnostic(
-                f"group {name}", "circular definition: " + " -> ".join(cycle)))
-            return
-        state[name] = 1
-        for dep in u.dependencies(name):
-            if u.kind_of(dep) is not None:
-                visit(dep, trail + [name])
-        state[name] = 2
-
-    for name in sorted(u.group_names()):
-        visit(name, [])
+    state: Dict[str, int] = {}  # 1 = on the path, 2 = done
+    for root in sorted(names):
+        if root in state or u.kind_of(root) is None:
+            continue
+        path = [root]
+        state[root] = 1
+        pending = [iter(u.dependencies(root))]
+        while pending:
+            for dep in pending[-1]:
+                if dep not in names or u.kind_of(dep) is None:
+                    continue
+                mark = state.get(dep)
+                if mark == 1:
+                    cycle = path[path.index(dep):] + [dep]
+                    out.append(Diagnostic(
+                        f"group {dep}", "circular definition: " + " -> ".join(cycle)))
+                elif mark is None:
+                    state[dep] = 1
+                    path.append(dep)
+                    pending.append(iter(u.dependencies(dep)))
+                    break
+            else:
+                state[path.pop()] = 2
+                pending.pop()
     return out

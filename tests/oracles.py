@@ -4,6 +4,7 @@ Each oracle computes its answer a second, slower way, reading only the
 public data of the model and sharing no helper with the code it checks.
 """
 
+from dataclasses import dataclass
 from typing import List, Tuple
 
 from catbound.develop import CurvatureReport, DevelopmentBall
@@ -108,3 +109,101 @@ def dag_size(root: DerivationNode) -> Tuple[int, int]:
                 seen.add(id(p))
                 todo.append(p)
     return len(seen), edges
+
+
+# -- the character-by-character tokenizer that dsl.tokenize replaced ------
+
+_PUNCT2 = ("<=", "->")
+_PUNCT1 = "{}()[];:,=-.*<>"
+_DIGITS = "0123456789"      # str.isdigit() also admits '²' and other scripts
+
+
+@dataclass(frozen=True)
+class Token:
+    kind: str        # name | int | string | op | error | eof
+    value: str
+    line: int
+    col: int
+
+    @property
+    def loc(self) -> str:
+        return f"{self.line}:{self.col}"
+
+
+def tokenize(text: str) -> List[Token]:
+    'Total: malformed input produces error tokens, never an exception.'
+    out: List[Token] = []
+    i, line, col = 0, 1, 1
+    n = len(text)
+    while i < n:
+        c = text[i]
+        if c == "\n":
+            i += 1
+            line += 1
+            col = 1
+            continue
+        if c in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if text.startswith("//", i):
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        start_line, start_col = line, col
+        if c.isalpha() or c == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            out.append(Token("name", text[i:j], start_line, start_col))
+            col += j - i
+            i = j
+            continue
+        if c in _DIGITS:
+            j = i
+            while j < n and text[j] in _DIGITS:
+                j += 1
+            out.append(Token("int", text[i:j], start_line, start_col))
+            col += j - i
+            i = j
+            continue
+        if c == '"':
+            j = i + 1
+            buf: List[str] = []
+            closed = False
+            while j < n:
+                if text[j] == "\\" and j + 1 < n and text[j + 1] in '"\\':
+                    buf.append(text[j + 1])
+                    j += 2
+                    continue
+                if text[j] == '"':
+                    closed = True
+                    j += 1
+                    break
+                if text[j] == "\n":
+                    break
+                buf.append(text[j])
+                j += 1
+            if closed:
+                out.append(Token("string", "".join(buf), start_line, start_col))
+            else:
+                out.append(Token("error", "unterminated string", start_line, start_col))
+            col += j - i
+            i = j
+            continue
+        two = text[i:i + 2]
+        if two in _PUNCT2:
+            out.append(Token("op", two, start_line, start_col))
+            i += 2
+            col += 2
+            continue
+        if c in _PUNCT1:
+            out.append(Token("op", c, start_line, start_col))
+            i += 1
+            col += 1
+            continue
+        out.append(Token("error", f"stray character {c!r}", start_line, start_col))
+        i += 1
+        col += 1
+    out.append(Token("eof", "", line, col))
+    return out

@@ -1,5 +1,8 @@
+import io
 import json
+import os
 import re
+import sys
 import time
 from pathlib import Path
 
@@ -305,6 +308,31 @@ def test_validate_json(capsys):
     assert payload == {"ok": True, "diagnostics": []}
 
 
+def test_validate_long_chain(capsys, tmp_path):
+    # the text of bench/workloads.chain_model("G", 10_000): the cycle
+    # check keeps its own stack, so a chain far past the interpreter's
+    # recursion limit validates
+    chain = tmp_path / "chain.catb"
+    chain.write_text("group G0 = Z;\n" + "".join(
+        f"amalgam G{i} = G{i - 1} *[One] Z;\n" for i in range(1, 10_001)),
+        encoding="utf-8")
+    code, out, err = run(capsys, "validate", str(chain))
+    assert (code, err) == (0, "")
+    assert out == "ok: 10010 groups, 0 homomorphisms, 3 families, 0 setups\n"
+
+
+def test_validate_long_cycle(capsys, tmp_path):
+    # C0 = C4999 and Ci = C(i-1): one cycle through 5000 names, reported
+    # once, where the walk from C0 (first in sorted order) closes it
+    ring = tmp_path / "ring.catb"
+    ring.write_text("group C0 = C4999;\n" + "".join(
+        f"group C{i} = C{i - 1};\n" for i in range(1, 5000)), encoding="utf-8")
+    code, out, err = run(capsys, "validate", str(ring))
+    cycle = ["C0"] + [f"C{i}" for i in range(4999, 0, -1)] + ["C0"]
+    assert (code, out) == (1, "")
+    assert err == f"{ring}:group C0: circular definition: {' -> '.join(cycle)}\n"
+
+
 def test_validate_reports_diagnostics(capsys, tmp_path):
     bad = tmp_path / "bad.catb"
     bad.write_text("group X = Nope * Nope;", encoding="utf-8")
@@ -475,3 +503,32 @@ def test_unexpected_exception_is_a_diagnostic(capsys, tmp_path):
     assert code == 1 and not out
     assert err.startswith("error: internal: RecursionError: ")
     assert "Traceback" not in err and len(err.splitlines()) == 1
+
+
+class ClosedPipe(io.StringIO):
+    'A stdout whose reader has gone.'
+
+    def write(self, s):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_closed_stdout_ends_quietly(capsys, monkeypatch, tmp_path):
+    model = tmp_path / "nested.catb"
+    model.write_text(nested_text(12, 3), encoding="utf-8")
+    argv = ["tc", "--target", "N12", str(model)]
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    assert main(argv) == 1
+    # a stdout on a file descriptor is pointed at the null device, so
+    # the interpreter's flush at exit cannot fail again
+    read_end, write_end = os.pipe()
+    stdout = ClosedPipe()
+    stdout.fileno = lambda: write_end
+    monkeypatch.setattr(sys, "stdout", stdout)
+    try:
+        assert main(argv) == 1
+        assert os.path.samestat(os.fstat(write_end), os.stat(os.devnull))
+    finally:
+        os.close(read_end)
+        os.close(write_end)
+    monkeypatch.undo()
+    assert capsys.readouterr() == ("", "")

@@ -1,9 +1,14 @@
+import copy
 import dataclasses
 import random
+import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from catbound import dsl
 from catbound.cli import main
 from catbound.dsl import (FactEntry, GroupDecl, ParseFailure, load_prelude,
@@ -11,7 +16,8 @@ from catbound.dsl import (FactEntry, GroupDecl, ParseFailure, load_prelude,
 from catbound.engine import Evaluator
 from catbound.extnat import INF, ExtNat
 from catbound.facts import FactSheet
-from catbound.model import DirectProduct, FreeProduct, Ref, TrivialGroup
+from catbound.model import (TABLES, ConcreteFiniteGroup, DirectProduct,
+                            FreeProduct, Ref, TrivialGroup, Universe, validate)
 
 from genmodels import random_model
 
@@ -54,6 +60,40 @@ def test_tokenizer_error_tokens():
     assert any(t.kind == "error" for t in toks)
     toks = tokenize('x = "unfinished')
     assert any(t.kind == "error" for t in toks)
+
+
+def fields(tokens):
+    return [(t.kind, t.value, t.line, t.col) for t in tokens]
+
+
+def test_tokenizer_matches_the_oracle_on_fixtures(fixture_texts):
+    for name, text in fixture_texts.items():
+        assert fields(tokenize(text)) == fields(oracles.tokenize(text)), name
+
+
+# pieces that each take a different path through the tokenizer: comment
+# and two-character operators, string quotes and escapes, line ends,
+# tabs, ASCII digits, and word characters outside ASCII that are a
+# letter ('é'), a digit but not a decimal ('²'), and a decimal ('٣')
+PIECES = ("//", "<=", "->", "<", "-", '"', '\\"', "\\\\", "\\", "\r\n",
+          "\n", "\r", "\t", " ", "0", "42", "é", "²", "٣", "a", "Z2", "_x",
+          "x", "{", "}", "(", ")", ";", "=", "*", ".", "/", "@", "in[")
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.sampled_from(PIECES), max_size=30).map("".join))
+def test_tokenizer_matches_the_oracle_on_random_text(text):
+    assert fields(tokenize(text)) == fields(oracles.tokenize(text))
+
+
+def test_tokenizer_eof_after_a_trailing_comment():
+    for text in ("group G; // no newline", "// only a comment",
+                 'group G;\n  by "s" // "quoted" \\', "x\r\n\t//"):
+        toks = tokenize(text)
+        assert fields(toks) == fields(oracles.tokenize(text)), text
+    # the eof token sits where the comment starts
+    assert tokenize("group G; // no newline")[-1].loc == "1:10"
+    assert tokenize("x\r\n\t//")[-1].loc == "2:2"
 
 
 # -- parsing --------------------------------------------------------------
@@ -318,7 +358,7 @@ def test_load_prelude_contents():
 
 def tables(u):
     'Every table of a universe, fact sheets copied field by field.'
-    out = {attr: dict(table) for attr, table in vars(u).items()}
+    out = {attr: dict(getattr(u, attr)) for attr in TABLES}
     out["sheets"] = {n: dataclasses.asdict(s) for n, s in u.sheets.items()}
     return out
 
@@ -346,12 +386,143 @@ def test_kept_prelude_stays_isolated(fixture_texts, capsys):
     first, second = load_prelude(), load_prelude()
     assert first is not second
     assert all(getattr(first, attr) is not getattr(second, attr)
-               for attr in vars(first))
+               for attr in TABLES)
     first.sheets["W"] = FactSheet(name="W")
     first.drop_group("Z4")
     fresh = load_prelude()
     assert "W" not in fresh.sheets and "Z4" in fresh.concretes
     assert tables(fresh) == before
+
+
+# -- validating what a model adds -----------------------------------------
+
+
+def full_validate(u):
+    """validate() on a fresh Universe holding the same tables, so nothing
+    is taken as already checked; the sheets are copies, since closing a
+    sheet changes it."""
+    fresh = Universe()
+    for attr in TABLES:
+        getattr(fresh, attr).update(getattr(u, attr))
+    fresh.sheets.update({n: copy.deepcopy(s) for n, s in u.sheets.items()})
+    return validate(fresh)
+
+
+@pytest.fixture
+def checked_loads(monkeypatch):
+    """Records, for each validate() the loader runs, whether the universe
+    had a validated ancestor, what validate() returned, and what a full
+    check of the same tables returns."""
+    loads = []
+
+    def recording(u):
+        full = full_validate(u)
+        kept = u.validated is not None
+        loads.append((kept, validate(u), full))
+        return loads[-1][1]
+
+    load_prelude()
+    monkeypatch.setattr(dsl, "validate", recording)
+    return loads
+
+
+# renamings that make random models name, shadow and redefine prelude
+# groups: G1 and G2 are the first two declared names
+PRELUDE_NAMES = ((r"\bG1\b", "Z"), (r"\bG2\b", "F2"), (r"\bA\b", "Z2"),
+                 (r"\bB\b", "One"), (r"\bP\d+\b", "Z3"))
+
+
+def test_validating_additions_equals_validating_everything(checked_loads):
+    rng = random.Random(20)
+    for i in range(400):
+        text = serialize(random_model(rng))
+        if i % 2:
+            for pattern, name in PRELUDE_NAMES:
+                text = re.sub(pattern, name, text)
+        load_text(text, load_prelude())
+    assert checked_loads
+    for kept, got, full in checked_loads:
+        assert kept
+        assert got == full
+    # the models exercise the checks: most have findings
+    assert sum(bool(got) for _, got, _ in checked_loads) > len(checked_loads) / 2
+
+
+HAND_CASES = {
+    # shadowing Z: F2 and F3 refer to the new Z
+    "group Z = Z2 x Z3;": [],
+    # a cycle through the prelude
+    "group Z = F2;": ["group F2: circular definition: F2 -> Z -> F2"],
+    # a declaration that fails to build removes the prelude's Z
+    "polygon Z { d = 3; vertices = [One, One]; edge = One; face = One; }": [
+        "1:1: polygon 'Z' needs exactly 3 vertex and edge entries",
+        *["group F2: unresolved group name 'Z'"] * 2,
+        *["group F3: unresolved group name 'Z'"] * 3],
+    "group A = B x C;\ngroup B = A;\ngroup C = D * A;\ngroup D = C;": [
+        "group A: circular definition: A -> B -> A",
+        "group C: circular definition: C -> D -> C",
+        "group A: circular definition: A -> C -> A"],
+}
+
+
+def test_validating_additions_on_hand_written_cases(checked_loads):
+    for text, expected in HAND_CASES.items():
+        _, diags = load_text(text, load_prelude())
+        assert [str(d) for d in diags] == expected, text
+    assert all(kept and got == full for kept, got, full in checked_loads)
+
+
+def test_changed_homs_and_their_groups_are_checked(checked_loads, tmp_path):
+    # a prelude with a polygon of concrete groups and maps; each model
+    # changes something the polygon or its homs rely on
+    prelude = tmp_path / "prelude.catb"
+    prelude.write_text(dsl.prelude_path().read_text(encoding="utf-8")
+                       + (FIXTURES / "square_coxeter.catb").read_text(encoding="utf-8"),
+                       encoding="utf-8")
+    cases = {
+        "hom a4 : Z2 -> Z2 { 1 -> 1; }":
+            ["polygon SQ: hom 'a4' should map Z2 -> V4"] * 4,
+        "group V4;":
+            ["hom a4: target 'V4' is not a concrete group",
+             "hom b4: target 'V4' is not a concrete group"]
+            + [f"polygon SQ: vertex {i} must name a concrete group when maps "
+               "are given" for i in range(4)],
+    }
+    for text, expected in cases.items():
+        _, diags = load_text(text, load_prelude(prelude))
+        assert [str(d) for d in diags] == expected, text
+    assert len(checked_loads) == 3     # the prelude, then the two models
+    assert all(got == full for _, got, full in checked_loads)
+
+
+def test_a_table_registered_over_a_validated_universe_is_checked(checked_loads):
+    base = load_prelude()
+    base.concretes["Bad"] = ConcreteFiniteGroup(((0, 1), (0, 1)), 0, ("e", "a"))
+    base.sheets["Bad"] = FactSheet(name="Bad")
+    _, diags = load_text("group G = Bad x Z;", base)
+    bad = ["group Bad: index 0 is not an identity (fails at 1)"]
+    assert [str(d) for d in diags] == bad
+    # also when registered into a model's universe after it passed
+    u, diags = load_text("group G = Z x Z;", load_prelude())
+    assert not diags and u.validated is not None
+    u.concretes["Bad"] = base.concretes["Bad"]
+    u.sheets["Bad"] = FactSheet(name="Bad")
+    _, diags = load_text("group H = G;", u)
+    assert [str(d) for d in diags] == bad
+    assert all(kept and got == full for kept, got, full in checked_loads)
+
+
+def test_kept_prelude_tables_are_not_verified_again(monkeypatch):
+    load_prelude()
+    verified = []
+    verify = ConcreteFiniteGroup.verify
+    monkeypatch.setattr(ConcreteFiniteGroup, "verify",
+                        lambda g, loc="table": verified.append(loc) or verify(g, loc))
+    _, diags = load_text((FIXTURES / "double_max.catb").read_text(encoding="utf-8"),
+                         load_prelude())
+    assert not diags and verified == []
+    _, diags = load_text("group Z2 = cyclic(2);", load_prelude())
+    assert not diags and verified == ["group Z2"]
 
 
 def test_setup_declarations_build():
