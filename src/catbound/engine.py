@@ -7,7 +7,16 @@ instances that apply to the expression, and the winning rule's
 derivation is kept as nodes that can be replayed.  Memoized results
 are shared, so a derivation is a DAG, and every consumer (nodes(),
 to_json(), replay(), BoundResult.assumptions()) visits each distinct
-node once.
+node once.  Node equality is identity, which is how they tell shared
+nodes apart.
+
+An Evaluator memoizes twice, by key: bound results per (invariant,
+expression, family) in its MemoTable, and, in its own facts.FactMemo,
+membership and the provably_* questions per (question, family,
+expression) and the resolution of each expression.  Both last as long
+as the evaluator (the MemoTable longer, if it is shared), neither sees
+later changes to the universe, so the universe must not change while
+an evaluator uses it.
 
 Rule inventory for cat, by rule id:
 
@@ -41,23 +50,62 @@ d_{i-1}, which is why the greedy arm choice is globally optimal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 from typing import (Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence,
                     Set, Tuple)
 
 from .extnat import INF, ZERO, ExtNat, supremum
-from .facts import Family, MemoTable, Tri, membership_with_reason
+from .facts import TR, FactMemo, Family, MemoTable, Tri
 from .model import (DirectProduct, GcwDescription, GraphOfGroups, GroupExpr,
                     PolygonOfGroups, TrivialGroup, Universe, expr_key)
 
+_set = object.__setattr__
 
-@dataclass(frozen=True)
-class DerivationNode:
+
+class _Frozen:
+    """Fields in __slots__ that cannot be reassigned, with the repr, copy
+    and pickle behaviour of a frozen dataclass."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self.__slots__)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class DerivationNode(_Frozen):
+    """One rule application: its value, citation, assumptions and premises.
+
+    Equality is identity: two nodes are the same derivation step only
+    if they are the same object, which is how every consumer (nodes(),
+    to_json(), replay()) tells shared premises apart.
+    """
+
+    __slots__ = ("rule", "cite", "value", "assumptions", "premises")
+
     rule: str
     cite: str
     value: ExtNat
-    assumptions: Tuple[str, ...] = ()
-    premises: Tuple["DerivationNode", ...] = ()
+    assumptions: Tuple[str, ...]
+    premises: Tuple["DerivationNode", ...]
+
+    def __init__(self, rule: str, cite: str, value: ExtNat,
+                 assumptions: Tuple[str, ...] = (),
+                 premises: Tuple["DerivationNode", ...] = ()) -> None:
+        _set(self, "rule", rule)
+        _set(self, "cite", cite)
+        _set(self, "value", value)
+        _set(self, "assumptions", assumptions)
+        _set(self, "premises", premises)
 
     def nodes(self) -> List["DerivationNode"]:
         """The distinct nodes of this derivation, each once by identity.
@@ -87,18 +135,27 @@ class DerivationNode:
         Premises are indices into the table, always below their node's
         own index; the root is the last entry.
         """
-        order = self.nodes()
-        index = {id(n): i for i, n in enumerate(order)}
-        return {
-            "nodes": [{
-                "rule": n.rule,
-                "cite": n.cite,
-                "value": n.value.to_json(),
-                "assumptions": list(n.assumptions),
-                "premises": [index[id(p)] for p in n.premises],
-            } for n in order],
-            "root": len(order) - 1,
-        }
+        return _node_table(self.nodes())
+
+
+def _node_table(order: List[DerivationNode]) -> dict:
+    'DerivationNode.to_json of the nodes() list `order`.'
+    index = {id(n): i for i, n in enumerate(order)}
+    return {
+        "nodes": [{
+            "rule": n.rule,
+            "cite": n.cite,
+            "value": n.value.to_json(),
+            "assumptions": list(n.assumptions),
+            "premises": [index[id(p)] for p in n.premises],
+        } for n in order],
+        "root": len(order) - 1,
+    }
+
+
+def _assumptions(order: List[DerivationNode]) -> List[str]:
+    'BoundResult.assumptions of the nodes() list `order` of its trace.'
+    return sorted({a for node in order for a in node.assumptions})
 
 
 # how each rule recomputes its value from its premises when replayed
@@ -143,23 +200,45 @@ def _replay_step(node: DerivationNode, vals: List[ExtNat]) -> ExtNat:
     raise ValueError(f"no replay semantics for rule {node.rule!r}")
 
 
-@dataclass(frozen=True)
-class BoundResult:
+class BoundResult(_Frozen):
+    'A bound with the derivation of the rule instance that attains it.'
+
+    __slots__ = ("invariant", "family", "value", "trace")
+
     invariant: str               # "cat" | "gd" | "cd" | "tc"
     family: Optional[str]
     value: ExtNat
     trace: DerivationNode
 
+    def __init__(self, invariant: str, family: Optional[str], value: ExtNat,
+                 trace: DerivationNode) -> None:
+        _set(self, "invariant", invariant)
+        _set(self, "family", family)
+        _set(self, "value", value)
+        _set(self, "trace", trace)
+
+    def _fields(self) -> tuple:
+        return (self.invariant, self.family, self.value, self.trace)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
     def assumptions(self) -> List[str]:
-        return sorted({a for node in self.trace.nodes() for a in node.assumptions})
+        return _assumptions(self.trace.nodes())
 
     def to_json(self) -> dict:
+        order = self.trace.nodes()
         return {
             "invariant": self.invariant,
             "family": self.family,
             "value": self.value.to_json(),
-            "assumptions": self.assumptions(),
-            "trace": self.trace.to_json(),
+            "assumptions": _assumptions(order),
+            "trace": _node_table(order),
         }
 
 
@@ -200,10 +279,11 @@ def _memoized_bound(invariant: str,
 
     def bound(self: Evaluator, e: GroupExpr, *fam: Family) -> BoundResult:
         fam_name = fam[0].name if fam else None
-        hit = self.memo.get(invariant, e, fam_name)
+        key = (invariant, expr_key(e), fam_name)
+        results = self.memo.results
+        hit = results.get(key)
         if hit is not None:
             return hit
-        key = (invariant, expr_key(e), fam_name)
         if key in self._active:
             raise ValueError(f"circular evaluation at {key[1]}")
         self._active.add(key)
@@ -214,7 +294,7 @@ def _memoized_bound(invariant: str,
             self._active.discard(key)
         winner = min(nodes, key=lambda node: node.value)
         result = BoundResult(invariant, fam_name, winner.value, winner)
-        self.memo.put(invariant, e, fam_name, result)
+        results.setdefault(key, result)
         return result
 
     bound.__name__ = f"bound_{invariant}"
@@ -227,15 +307,21 @@ class Evaluator:
 
     The entry points are bound_cat(e, fam), bound_gd(e), bound_cd(e)
     and bound_tc(e), each returning a BoundResult.  Results are
-    memoized by (invariant, expression, family); the memo is written
-    only by this evaluator.  Evaluation is deterministic: rules are
-    tried in a fixed order and the first rule attaining the minimum
-    supplies the reported derivation.
+    memoized by (invariant, expression, family) in `memo`, which may be
+    shared with other evaluators over the same universe and is written
+    only by them.  `facts` is this evaluator's own FactMemo: membership
+    and the provably_* questions it asks, and the resolution of each
+    expression, are answered once per key for the evaluator's
+    lifetime.  Neither memo notices a change to the universe, so the
+    universe must not change while an evaluator uses it.  Evaluation
+    is deterministic: rules are tried in a fixed order and the first
+    rule attaining the minimum supplies the reported derivation.
     """
 
     def __init__(self, universe: Universe, memo: Optional[MemoTable] = None) -> None:
         self.universe = universe
         self.memo = memo if memo is not None else MemoTable()
+        self.facts = FactMemo(universe)
         self._active: Set[Tuple[str, str, Optional[str]]] = set()
 
     # -- cat --------------------------------------------------------------
@@ -243,11 +329,12 @@ class Evaluator:
     def cat_candidates(self, e: GroupExpr, fam: Family) -> List[DerivationNode]:
         'All applicable rule instances, in evaluation order.'
         u = self.universe
+        facts = self.facts
         out: List[DerivationNode] = []
-        verdict, reason = membership_with_reason(u, e, fam)
+        verdict, reason = facts.membership_with_reason(e, fam)
         if verdict is Tri.YES:
             out.append(_leaf("member-zero", reason, ZERO))
-        kind, payload, chain = u.resolve_chain(e)
+        kind, payload, chain = facts.resolve_chain(e)
         for nm in chain:
             sheet = u.sheets.get(nm)
             if sheet is None:
@@ -269,7 +356,7 @@ class Evaluator:
             vertices, edges = _as_gog(kind, payload)
             out.append(self._gog_sum(vertices, edges, fam))
             out.append(self._gog_max(vertices, edges, fam))
-            if all(membership_with_reason(u, g, fam)[0] is Tri.YES for _, g in vertices):
+            if all(facts.membership(g, fam) is Tri.YES for _, g in vertices):
                 out.append(_leaf(
                     "one-step",
                     "fundamental group of a graph of groups with vertex groups "
@@ -383,7 +470,7 @@ class Evaluator:
     def _gd_candidates(self, e: GroupExpr) -> List[DerivationNode]:
         u = self.universe
         out: List[DerivationNode] = []
-        kind, payload, chain = u.resolve_chain(e)
+        kind, payload, chain = self.facts.resolve_chain(e)
         for nm in chain:
             sheet = u.sheets.get(nm)
             if sheet is None:
@@ -420,7 +507,7 @@ class Evaluator:
     def _cd_candidates(self, e: GroupExpr) -> List[DerivationNode]:
         u = self.universe
         out: List[DerivationNode] = []
-        kind, payload, chain = u.resolve_chain(e)
+        kind, payload, chain = self.facts.resolve_chain(e)
         for nm in chain:
             sheet = u.sheets.get(nm)
             if sheet is None:
@@ -440,7 +527,6 @@ class Evaluator:
             factors = [self.bound_cd(f).trace for f in payload.factors]
             out.append(_sumnode("cd-product",
                                 "subadditive under direct products", factors))
-        from .facts import TR
         cat = self.bound_cat(e, TR)
         out.append(_supnode("cat-tr-as-cd",
                             "category over the trivial family is cohomological dimension",
@@ -454,7 +540,7 @@ class Evaluator:
     def _tc_candidates(self, e: GroupExpr) -> List[DerivationNode]:
         u = self.universe
         out: List[DerivationNode] = []
-        kind, payload, chain = u.resolve_chain(e)
+        kind, payload, chain = self.facts.resolve_chain(e)
         for nm in chain:
             sheet = u.sheets.get(nm)
             if sheet is None:

@@ -16,59 +16,89 @@ True
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 from typing import Iterable, Optional, Union
 
 FINITE_MAX = 2**32 - 1
 
+_set = object.__setattr__
+_new = object.__new__
 
-@dataclass(frozen=True, order=False)
+
 class ExtNat:
-    'A natural number or None for infinity.'
+    'A natural number or None for infinity.  Immutable.'
 
-    v: Optional[int] = None
+    __slots__ = ("v",)
+    __match_args__ = ("v",)
 
-    def __post_init__(self) -> None:
-        if self.v is not None:
-            if not isinstance(self.v, int) or isinstance(self.v, bool):
-                raise TypeError(f"ExtNat wants an int or None, got {self.v!r}")
-            if self.v < 0:
-                raise ValueError(f"ExtNat is non-negative, got {self.v}")
-            if self.v > FINITE_MAX:
-                raise OverflowError(f"finite value {self.v} exceeds {FINITE_MAX}")
+    v: Optional[int]
+
+    def __init__(self, v: Optional[int] = None) -> None:
+        if v is not None:
+            if not isinstance(v, int) or isinstance(v, bool):
+                raise TypeError(f"ExtNat wants an int or None, got {v!r}")
+            if v < 0:
+                raise ValueError(f"ExtNat is non-negative, got {v}")
+            if v > FINITE_MAX:
+                raise OverflowError(f"finite value {v} exceeds {FINITE_MAX}")
+        _set(self, "v", v)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return ExtNat, (self.v,)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is self.__class__:
+            return self.v == other.v
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.v,))
 
     @property
     def is_finite(self) -> bool:
         return self.v is not None
 
     def __add__(self, other: Union["ExtNat", int]) -> "ExtNat":
-        other = _coerce(other)
-        if self.v is None or other.v is None:
+        if other.__class__ is not ExtNat:
+            other = _coerce(other)
+        a, b = self.v, other.v
+        if a is None or b is None:
             return INF
-        total = self.v + other.v
+        total = a + b
         if total > FINITE_MAX:
             raise OverflowError(f"sum {total} exceeds {FINITE_MAX}")
-        return ExtNat(total)
+        # a sum of two valid values needs no check beyond the overflow one
+        out = _new(ExtNat)
+        _set(out, "v", total)
+        return out
 
     __radd__ = __add__
 
     def __lt__(self, other: Union["ExtNat", int]) -> bool:
-        other = _coerce(other)
+        if other.__class__ is not ExtNat:
+            other = _coerce(other)
         if self.v is None:
             return False
-        if other.v is None:
-            return True
-        return self.v < other.v
+        return other.v is None or self.v < other.v
 
     def __le__(self, other: Union["ExtNat", int]) -> bool:
-        other = _coerce(other)
-        return self == other or self < other
+        if other.__class__ is not ExtNat:
+            other = _coerce(other)
+        if other.v is None:
+            return True
+        return self.v is not None and self.v <= other.v
 
     def __gt__(self, other: Union["ExtNat", int]) -> bool:
-        return not self <= _coerce(other)
+        return not self <= other
 
     def __ge__(self, other: Union["ExtNat", int]) -> bool:
-        return not self < _coerce(other)
+        return not self < other
 
     def __repr__(self) -> str:
         return "INF" if self.v is None else f"ExtNat({self.v})"
@@ -102,13 +132,24 @@ def _coerce(x: Union[ExtNat, int]) -> ExtNat:
 
 
 def ext_max(a: Union[ExtNat, int], b: Union[ExtNat, int]) -> ExtNat:
-    a, b = _coerce(a), _coerce(b)
-    return b if a <= b else a
+    'The larger of the two; b on a tie.'
+    if a.__class__ is not ExtNat:
+        a = _coerce(a)
+    if b.__class__ is not ExtNat:
+        b = _coerce(b)
+    if b.v is None:
+        return b
+    if a.v is None:
+        return a
+    return b if a.v <= b.v else a
 
 
 def supremum(values: Iterable[Union[ExtNat, int]]) -> ExtNat:
-    'Largest value of the collection; 0 when it is empty.'
+    'Largest value of the collection; 0 when it is empty.  ext_max, folded.'
     best = ZERO
     for x in values:
-        best = ext_max(best, x)
+        if x.__class__ is not ExtNat:
+            x = _coerce(x)
+        if x.v is None or (best.v is not None and best.v <= x.v):
+            best = x
     return best

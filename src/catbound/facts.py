@@ -22,12 +22,19 @@ rules:
 
 "yes" and "no" are only reported when derivable; everything else stays
 unknown.  Inconsistent declarations are load-time errors.
+
+A FactMemo answers membership and the provably_* questions once per
+(question, family, expression key), and resolves each expression once,
+for as long as it lives; each Evaluator owns one for its own lifetime,
+and the universe must not change meanwhile.  The module functions
+membership(u, e, fam), membership_with_reason(u, e, fam) and
+provably_*(u, e) ask a fresh memo, so each call stands alone.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
 from .extnat import INF, ZERO, ExtNat
@@ -144,273 +151,326 @@ def close_sheet(sheet: FactSheet, order: Optional[int]) -> List[str]:
 
 
 def sheet_diagnostics(u: Universe, name: str) -> List[Diagnostic]:
-    'Close one sheet; each problem is reported at its declaration.'
+    """Close one sheet; each problem is reported at its declaration.
+
+    A sheet that `u.validated` also holds is shared with the universe
+    that passed, such as the kept prelude, which must not see this
+    universe's tables: it is replaced in `u` by a copy, and the copy is
+    closed."""
     sheet = u.sheets[name]
+    if u.validated is not None and u.validated.tables.sheets.get(name) is sheet:
+        sheet = u.sheets[name] = replace(sheet, cat_ub=dict(sheet.cat_ub),
+                                         member=dict(sheet.member),
+                                         provenance=dict(sheet.provenance))
     order = u.concretes[name].order if name in u.concretes else None
     loc = sheet.loc or f"group {name}"
     return [Diagnostic(loc, msg) for msg in close_sheet(sheet, order)]
 
 
 # ---------------------------------------------------------------------------
-# provable structural attributes
+# provable attributes and membership, memoized
 
-def _sheet(u: Universe, name) -> Optional[FactSheet]:
-    return u.sheets.get(name)
+def _memoized(conservative):
+    """A FactMemo method answered once per (method, family, expr_key).
+
+    While its own answer is being computed, a key reads as
+    `conservative`: a derivation that would need itself is not
+    well-founded, so the cautious answer stands.
+    """
+
+    def decorate(compute):
+        chaser = compute.__name__
+
+        def ask(self: "FactMemo", e: GroupExpr, *fam: Family):
+            key = (chaser, fam[0].name if fam else None, expr_key(e))
+            answers = self._answers
+            hit = answers.get(key)
+            if hit is not None:
+                return hit
+            answers[key] = conservative
+            answer = answers[key] = compute(self, e, *fam)
+            return answer
+
+        ask.__name__ = chaser
+        ask.__qualname__ = compute.__qualname__
+        ask.__doc__ = compute.__doc__
+        return ask
+
+    return decorate
 
 
-def _order(u: Universe, name) -> Optional[int]:
-    g = u.concretes.get(name)
-    return g.order if g is not None else None
+class FactMemo:
+    """The fact-layer questions about one universe, each answered once.
 
+    membership_with_reason() and the provably_* chasers are answered
+    once per (chaser, family, expr_key) and resolve_chain() once per
+    expr_key, for as long as the memo lives; an Evaluator keeps one for
+    its own lifetime.  The universe must not change while a memo over
+    it is in use.
 
-# Each chaser threads the set of expressions already on its own call
-# path.  A revisit means the derivation would need itself, which no
-# well-founded argument allows, so the conservative answer stands.
-# Definition cycles are rejected at load time; this keeps hand-built
-# universes from overflowing the stack.
+    A key whose answer is being computed reads as the conservative one
+    (not provable; membership UNKNOWN by "circular definition").  So a
+    hand-built universe whose expressions contain themselves, such as a
+    graph with itself as a vertex group, still gets an answer; a
+    validated universe has no such circle, and there every answer is
+    that of the plain recursive rules.
+    """
 
-def provably_trivial(u: Universe, e: GroupExpr,
-                     _seen: frozenset = frozenset()) -> bool:
-    key = expr_key(e)
-    if key in _seen:
-        return False
-    _seen = _seen | {key}
-    kind, payload = u.resolve(e)
-    if kind == "trivial":
-        return True
-    if kind == "atom":
-        s = _sheet(u, payload)
-        if s is not None and s.trivial:
+    def __init__(self, universe: Universe) -> None:
+        self.universe = universe
+        self._chains: Dict[str, Tuple[str, object, Tuple[str, ...]]] = {}
+        # (chaser, family name or None, expr_key) -> answer
+        self._answers: Dict[Tuple[str, Optional[str], str], object] = {}
+
+    def resolve_chain(self, e: GroupExpr) -> Tuple[str, object, Tuple[str, ...]]:
+        'Universe.resolve_chain, once per expr_key; errors are raised every time.'
+        key = expr_key(e)
+        hit = self._chains.get(key)
+        if hit is None:
+            hit = self._chains[key] = self.universe.resolve_chain(e)
+        return hit
+
+    def resolve(self, e: GroupExpr) -> Tuple[str, object]:
+        kind, payload, _ = self.resolve_chain(e)
+        return kind, payload
+
+    def _sheet(self, name) -> Optional[FactSheet]:
+        return self.universe.sheets.get(name)
+
+    def _order(self, name) -> Optional[int]:
+        g = self.universe.concretes.get(name)
+        return g.order if g is not None else None
+
+    # -- provable structural attributes -----------------------------------
+
+    @_memoized(False)
+    def provably_trivial(self, e: GroupExpr) -> bool:
+        kind, payload = self.resolve(e)
+        if kind == "trivial":
             return True
-        return _order(u, payload) == 1
-    if kind in ("product", "free"):
-        return all(provably_trivial(u, f, _seen) for f in payload.factors)
-    return False
-
-
-def provably_nontrivial(u: Universe, e: GroupExpr,
-                        _seen: frozenset = frozenset()) -> bool:
-    key = expr_key(e)
-    if key in _seen:
-        return False
-    _seen = _seen | {key}
-    kind, payload = u.resolve(e)
-    if kind == "atom":
-        s = _sheet(u, payload)
-        if s is not None and s.finite is Tri.NO:
-            return True
-        o = _order(u, payload)
-        return o is not None and o > 1
-    if kind in ("product", "free"):
-        return any(provably_nontrivial(u, f, _seen) for f in payload.factors)
-    if kind == "graph":
-        if len(payload.edges) >= len(payload.vertices):
-            return True  # a cycle in the underlying graph gives a free quotient
-        return any(provably_nontrivial(u, g, _seen)
-                   for _, g in payload.vertices)
-    return False
-
-
-def provably_infinite(u: Universe, e: GroupExpr,
-                      _seen: frozenset = frozenset()) -> bool:
-    key = expr_key(e)
-    if key in _seen:
-        return False
-    _seen = _seen | {key}
-    kind, payload = u.resolve(e)
-    if kind == "atom":
-        s = _sheet(u, payload)
-        return s is not None and s.finite is Tri.NO
-    if kind == "product":
-        return any(provably_infinite(u, f, _seen) for f in payload.factors)
-    if kind == "free":
-        if any(provably_infinite(u, f, _seen) for f in payload.factors):
-            return True
-        nontrivial = sum(1 for f in payload.factors if provably_nontrivial(u, f))
-        return nontrivial >= 2
-    if kind == "graph":
-        if len(payload.edges) >= len(payload.vertices):
-            return True
-        return any(provably_infinite(u, g, _seen) for _, g in payload.vertices)
-    return False
-
-
-def _provably_order_at_least_3(u: Universe, e: GroupExpr,
-                               _seen: frozenset = frozenset()) -> bool:
-    key = expr_key(e)
-    if key in _seen:
-        return False
-    _seen = _seen | {key}
-    if provably_infinite(u, e):
-        return True
-    kind, payload = u.resolve(e)
-    if kind == "atom":
-        o = _order(u, payload)
-        return o is not None and o >= 3
-    if kind == "product":
-        if any(_provably_order_at_least_3(u, f, _seen) for f in payload.factors):
-            return True
-        nontrivial = sum(1 for f in payload.factors if provably_nontrivial(u, f))
-        return nontrivial >= 2
-    if kind == "free":
-        live = [f for f in payload.factors if not provably_trivial(u, f)]
-        if len(live) == 1:
-            return _provably_order_at_least_3(u, live[0], _seen)
-    return False
-
-
-# ---------------------------------------------------------------------------
-# membership
-
-def membership(u: Universe, e: GroupExpr, fam: Family,
-               _seen: frozenset = frozenset()) -> Tri:
-    return membership_with_reason(u, e, fam, _seen)[0]
-
-
-def membership_with_reason(u: Universe, e: GroupExpr, fam: Family,
-                           _seen: frozenset = frozenset()) -> Tuple[Tri, str]:
-    'Verdict plus a short derivation note for traces.'
-    key = (fam.name, expr_key(e))
-    if key in _seen:
-        return Tri.UNKNOWN, "circular definition"
-    _seen = _seen | {key}
-    if provably_trivial(u, e):
-        return Tri.YES, "trivial group, member of every family"
-
-    kind, payload = u.resolve(e)
-
-    if fam.kind is FamilyKind.TRIVIAL:
-        if provably_nontrivial(u, e):
-            return Tri.NO, "provably nontrivial"
-        return Tri.UNKNOWN, "triviality not derivable"
-
-    if fam.kind is FamilyKind.FINITE:
-        if provably_infinite(u, e):
-            return Tri.NO, "provably infinite"
         if kind == "atom":
-            s = _sheet(u, payload)
-            if s is not None and s.finite is Tri.YES:
-                return Tri.YES, s.cite("finite")
-            return Tri.UNKNOWN, "finiteness not declared"
-        if kind == "product":
-            verdicts = [membership_with_reason(u, f, fam, _seen)
-                        for f in payload.factors]
-            if all(v is Tri.YES for v, _ in verdicts):
-                return Tri.YES, "direct product of finite members"
-            return Tri.UNKNOWN, "finiteness not derivable"
-        if kind == "free":
-            return _free_delegate(u, payload, fam, _seen)
+            s = self._sheet(payload)
+            if s is not None and s.trivial:
+                return True
+            return self._order(payload) == 1
+        if kind in ("product", "free"):
+            return all(self.provably_trivial(f) for f in payload.factors)
+        return False
+
+    @_memoized(False)
+    def provably_nontrivial(self, e: GroupExpr) -> bool:
+        kind, payload = self.resolve(e)
+        if kind == "atom":
+            s = self._sheet(payload)
+            if s is not None and s.finite is Tri.NO:
+                return True
+            o = self._order(payload)
+            return o is not None and o > 1
+        if kind in ("product", "free"):
+            return any(self.provably_nontrivial(f) for f in payload.factors)
         if kind == "graph":
-            return _single_vertex_delegate(u, payload, fam, _seen)
-        return Tri.UNKNOWN, "finiteness not derivable"
+            if len(payload.edges) >= len(payload.vertices):
+                return True  # a cycle in the underlying graph gives a free quotient
+            return any(self.provably_nontrivial(g) for _, g in payload.vertices)
+        return False
 
-    if fam.kind is FamilyKind.AMENABLE:
-        return _amenable_membership(u, kind, payload, fam, _seen)
-
-    return _custom_membership(u, kind, payload, fam, _seen)
-
-
-def _free_delegate(u: Universe, fp: FreeProduct, fam: Family,
-                   seen: frozenset) -> Tuple[Tri, str]:
-    'A free product with at most one nontrivial factor is that factor.'
-    live = [f for f in fp.factors if not provably_trivial(u, f)]
-    if len(live) == 1:
-        return membership_with_reason(u, live[0], fam, seen)
-    return Tri.UNKNOWN, "free product not reducible"
-
-
-def _single_vertex_delegate(u: Universe, graph, fam: Family,
-                            seen: frozenset) -> Tuple[Tri, str]:
-    if len(graph.vertices) == 1 and not graph.edges:
-        return membership_with_reason(u, graph.vertices[0][1], fam, seen)
-    return Tri.UNKNOWN, "not derivable for this graph of groups"
-
-
-def _amenable_membership(u: Universe, kind: str, payload, fam: Family,
-                         seen: frozenset) -> Tuple[Tri, str]:
-    if kind == "atom":
-        s = _sheet(u, payload)
-        if s is not None and s.amenable is not Tri.UNKNOWN:
-            return s.amenable, s.cite("amenable")
-        return Tri.UNKNOWN, "amenability not declared"
-    if kind == "product":
-        verdicts = [membership_with_reason(u, f, fam, seen)
-                    for f in payload.factors]
-        if any(v is Tri.NO for v, _ in verdicts):
-            return Tri.NO, "contains a non-amenable factor"
-        if all(v is Tri.YES for v, _ in verdicts):
-            return Tri.YES, "direct product of amenable groups"
-        return Tri.UNKNOWN, "amenability not derivable"
-    if kind == "free":
-        for f in payload.factors:
-            if membership(u, f, fam, seen) is Tri.NO:
-                return Tri.NO, "contains a non-amenable free factor"
-        live = [f for f in payload.factors if not provably_trivial(u, f)]
-        if len(live) == 1:
-            return membership_with_reason(u, live[0], fam, seen)
-        nontrivial = sum(1 for f in payload.factors if provably_nontrivial(u, f))
-        if nontrivial >= 2 and any(_provably_order_at_least_3(u, f)
-                                   for f in payload.factors):
-            return Tri.NO, "free product of nontrivial groups, one of order > 2"
-        return Tri.UNKNOWN, "amenability not derivable"
-    if kind == "graph":
-        for _, g in payload.vertices:
-            if membership(u, g, fam, seen) is Tri.NO:
-                return Tri.NO, "contains a non-amenable vertex group"
-        return _single_vertex_delegate(u, payload, fam, seen)
-    return Tri.UNKNOWN, "amenability not derivable"
-
-
-def _custom_membership(u: Universe, kind: str, payload, fam: Family,
-                       seen: frozenset) -> Tuple[Tri, str]:
-    if kind == "atom":
-        s = _sheet(u, payload)
-        if s is None:
-            return Tri.UNKNOWN, "no facts declared"
-        asserted = s.member.get(fam.name)
-        if asserted in (Tri.YES, Tri.NO):
-            return asserted, s.cite(f"member[{fam.name}]")
-        if fam.requires:
-            flags = {"amenable": s.amenable, "finite": s.finite,
-                     "trivial": Tri.YES if s.trivial else Tri.UNKNOWN}
-            got = [flags.get(key, Tri.UNKNOWN) for key, _ in fam.requires]
-            if all(g is want for g, (_, want) in zip(got, fam.requires)):
-                return Tri.YES, "flag oracle satisfied"
-        return Tri.UNKNOWN, "membership not asserted"
-    if kind in ("product", "free"):
-        for f in payload.factors:
-            if membership(u, f, fam, seen) is Tri.NO:
-                return Tri.NO, "contains a non-member piece"
+    @_memoized(False)
+    def provably_infinite(self, e: GroupExpr) -> bool:
+        kind, payload = self.resolve(e)
+        if kind == "atom":
+            s = self._sheet(payload)
+            return s is not None and s.finite is Tri.NO
+        if kind == "product":
+            return any(self.provably_infinite(f) for f in payload.factors)
         if kind == "free":
-            return _free_delegate(u, payload, fam, seen)
+            if any(self.provably_infinite(f) for f in payload.factors):
+                return True
+            nontrivial = sum(1 for f in payload.factors if self.provably_nontrivial(f))
+            return nontrivial >= 2
+        if kind == "graph":
+            if len(payload.edges) >= len(payload.vertices):
+                return True
+            return any(self.provably_infinite(g) for _, g in payload.vertices)
+        return False
+
+    @_memoized(False)
+    def provably_order_at_least_3(self, e: GroupExpr) -> bool:
+        if self.provably_infinite(e):
+            return True
+        kind, payload = self.resolve(e)
+        if kind == "atom":
+            o = self._order(payload)
+            return o is not None and o >= 3
+        if kind == "product":
+            if any(self.provably_order_at_least_3(f) for f in payload.factors):
+                return True
+            nontrivial = sum(1 for f in payload.factors if self.provably_nontrivial(f))
+            return nontrivial >= 2
+        if kind == "free":
+            live = [f for f in payload.factors if not self.provably_trivial(f)]
+            if len(live) == 1:
+                return self.provably_order_at_least_3(live[0])
+        return False
+
+    # -- membership -------------------------------------------------------
+
+    def membership(self, e: GroupExpr, fam: Family) -> Tri:
+        return self.membership_with_reason(e, fam)[0]
+
+    @_memoized((Tri.UNKNOWN, "circular definition"))
+    def membership_with_reason(self, e: GroupExpr, fam: Family) -> Tuple[Tri, str]:
+        'Verdict plus a short derivation note for traces.'
+        if self.provably_trivial(e):
+            return Tri.YES, "trivial group, member of every family"
+
+        kind, payload = self.resolve(e)
+
+        if fam.kind is FamilyKind.TRIVIAL:
+            if self.provably_nontrivial(e):
+                return Tri.NO, "provably nontrivial"
+            return Tri.UNKNOWN, "triviality not derivable"
+
+        if fam.kind is FamilyKind.FINITE:
+            if self.provably_infinite(e):
+                return Tri.NO, "provably infinite"
+            if kind == "atom":
+                s = self._sheet(payload)
+                if s is not None and s.finite is Tri.YES:
+                    return Tri.YES, s.cite("finite")
+                return Tri.UNKNOWN, "finiteness not declared"
+            if kind == "product":
+                verdicts = [self.membership_with_reason(f, fam) for f in payload.factors]
+                if all(v is Tri.YES for v, _ in verdicts):
+                    return Tri.YES, "direct product of finite members"
+                return Tri.UNKNOWN, "finiteness not derivable"
+            if kind == "free":
+                return self._free_delegate(payload, fam)
+            if kind == "graph":
+                return self._single_vertex_delegate(payload, fam)
+            return Tri.UNKNOWN, "finiteness not derivable"
+
+        if fam.kind is FamilyKind.AMENABLE:
+            return self._amenable_membership(kind, payload, fam)
+
+        return self._custom_membership(kind, payload, fam)
+
+    def _free_delegate(self, fp: FreeProduct, fam: Family) -> Tuple[Tri, str]:
+        'A free product with at most one nontrivial factor is that factor.'
+        live = [f for f in fp.factors if not self.provably_trivial(f)]
+        if len(live) == 1:
+            return self.membership_with_reason(live[0], fam)
+        return Tri.UNKNOWN, "free product not reducible"
+
+    def _single_vertex_delegate(self, graph, fam: Family) -> Tuple[Tri, str]:
+        if len(graph.vertices) == 1 and not graph.edges:
+            return self.membership_with_reason(graph.vertices[0][1], fam)
+        return Tri.UNKNOWN, "not derivable for this graph of groups"
+
+    def _amenable_membership(self, kind: str, payload, fam: Family) -> Tuple[Tri, str]:
+        if kind == "atom":
+            s = self._sheet(payload)
+            if s is not None and s.amenable is not Tri.UNKNOWN:
+                return s.amenable, s.cite("amenable")
+            return Tri.UNKNOWN, "amenability not declared"
+        if kind == "product":
+            verdicts = [self.membership_with_reason(f, fam) for f in payload.factors]
+            if any(v is Tri.NO for v, _ in verdicts):
+                return Tri.NO, "contains a non-amenable factor"
+            if all(v is Tri.YES for v, _ in verdicts):
+                return Tri.YES, "direct product of amenable groups"
+            return Tri.UNKNOWN, "amenability not derivable"
+        if kind == "free":
+            for f in payload.factors:
+                if self.membership(f, fam) is Tri.NO:
+                    return Tri.NO, "contains a non-amenable free factor"
+            live = [f for f in payload.factors if not self.provably_trivial(f)]
+            if len(live) == 1:
+                return self.membership_with_reason(live[0], fam)
+            nontrivial = sum(1 for f in payload.factors if self.provably_nontrivial(f))
+            if nontrivial >= 2 and any(self.provably_order_at_least_3(f)
+                                       for f in payload.factors):
+                return Tri.NO, "free product of nontrivial groups, one of order > 2"
+            return Tri.UNKNOWN, "amenability not derivable"
+        if kind == "graph":
+            for _, g in payload.vertices:
+                if self.membership(g, fam) is Tri.NO:
+                    return Tri.NO, "contains a non-amenable vertex group"
+            return self._single_vertex_delegate(payload, fam)
+        return Tri.UNKNOWN, "amenability not derivable"
+
+    def _custom_membership(self, kind: str, payload, fam: Family) -> Tuple[Tri, str]:
+        if kind == "atom":
+            s = self._sheet(payload)
+            if s is None:
+                return Tri.UNKNOWN, "no facts declared"
+            asserted = s.member.get(fam.name)
+            if asserted in (Tri.YES, Tri.NO):
+                return asserted, s.cite(f"member[{fam.name}]")
+            if fam.requires:
+                flags = {"amenable": s.amenable, "finite": s.finite,
+                         "trivial": Tri.YES if s.trivial else Tri.UNKNOWN}
+                got = [flags.get(key, Tri.UNKNOWN) for key, _ in fam.requires]
+                if all(g is want for g, (_, want) in zip(got, fam.requires)):
+                    return Tri.YES, "flag oracle satisfied"
+            return Tri.UNKNOWN, "membership not asserted"
+        if kind in ("product", "free"):
+            for f in payload.factors:
+                if self.membership(f, fam) is Tri.NO:
+                    return Tri.NO, "contains a non-member piece"
+            if kind == "free":
+                return self._free_delegate(payload, fam)
+            return Tri.UNKNOWN, "membership not derivable"
+        if kind == "graph":
+            for _, g in payload.vertices:
+                if self.membership(g, fam) is Tri.NO:
+                    return Tri.NO, "contains a non-member vertex group"
+            return self._single_vertex_delegate(payload, fam)
         return Tri.UNKNOWN, "membership not derivable"
-    if kind == "graph":
-        for _, g in payload.vertices:
-            if membership(u, g, fam, seen) is Tri.NO:
-                return Tri.NO, "contains a non-member vertex group"
-        return _single_vertex_delegate(u, payload, fam, seen)
-    return Tri.UNKNOWN, "membership not derivable"
+
+
+# The module-level questions, each over a fresh memo.
+
+def provably_trivial(u: Universe, e: GroupExpr) -> bool:
+    return FactMemo(u).provably_trivial(e)
+
+
+def provably_nontrivial(u: Universe, e: GroupExpr) -> bool:
+    return FactMemo(u).provably_nontrivial(e)
+
+
+def provably_infinite(u: Universe, e: GroupExpr) -> bool:
+    return FactMemo(u).provably_infinite(e)
+
+
+def membership(u: Universe, e: GroupExpr, fam: Family) -> Tri:
+    return FactMemo(u).membership(e, fam)
+
+
+def membership_with_reason(u: Universe, e: GroupExpr, fam: Family) -> Tuple[Tri, str]:
+    'Verdict plus a short derivation note for traces.'
+    return FactMemo(u).membership_with_reason(e, fam)
 
 
 # ---------------------------------------------------------------------------
 # the memo table
 
 class MemoTable:
-    """Cache of engine results keyed by (invariant, expression, family).
+    """Cache of engine results keyed by (invariant, expr_key, family name).
 
-    Single-writer contract: the evaluator that owns the table is the
-    only writer; concurrent readers are safe because entries are only
-    ever added, never replaced.
+    `results` maps each key to its BoundResult.  Single-writer
+    contract: the evaluator that owns the table is the only writer;
+    concurrent readers are safe because entries are only ever added,
+    never replaced.
     """
 
     def __init__(self) -> None:
-        self._store: Dict[Tuple[str, str, Optional[str]], object] = {}
+        self.results: Dict[Tuple[str, str, Optional[str]], object] = {}
 
     def get(self, invariant: str, e: GroupExpr, fam_name: Optional[str]):
-        return self._store.get((invariant, expr_key(e), fam_name))
+        return self.results.get((invariant, expr_key(e), fam_name))
 
     def put(self, invariant: str, e: GroupExpr, fam_name: Optional[str], result) -> None:
-        self._store.setdefault((invariant, expr_key(e), fam_name), result)
+        self.results.setdefault((invariant, expr_key(e), fam_name), result)
 
     def __len__(self) -> int:
-        return len(self._store)
+        return len(self.results)

@@ -34,13 +34,17 @@ class ConcreteFiniteGroup:
 
     table[i][j] is the index of (element i) * (element j).  Builders
     below always produce well-formed tables; tables read from user input
-    go through verify() at load time.
+    go through verify() at load time.  `verified` records that verify()
+    found nothing when table_group() built the group, so validate() need
+    not run it again; it is not an argument, so a group made any other
+    way, dataclasses.replace() included, starts unverified.
     """
 
     table: Tuple[Tuple[int, ...], ...]
     identity: int
     labels: Tuple[str, ...]
     generators: Tuple[int, ...] = ()
+    verified: bool = field(default=False, init=False, compare=False, repr=False)
 
     @property
     def order(self) -> int:
@@ -160,17 +164,26 @@ def table_group(rows: Sequence[Sequence[int]],
     problems = g.verify()
     if problems:
         raise ValueError("; ".join(d.message for d in problems))
+    object.__setattr__(g, "verified", True)
     return g
 
 
 @dataclass(frozen=True)
 class Homomorphism:
-    """A verified map between two named concrete groups, as a full image table."""
+    """A verified map between two named concrete groups, as a full image table.
+
+    `verified_on` holds the (source, target) groups verify() passed
+    against when hom_from_generator_images() built the map, so
+    validate() need not run it again while the names still denote those
+    groups; like ConcreteFiniteGroup.verified it is not an argument.
+    """
 
     name: str
     source: str
     target: str
     images: Tuple[int, ...]
+    verified_on: Optional[Tuple[ConcreteFiniteGroup, ConcreteFiniteGroup]] = field(
+        default=None, init=False, compare=False, repr=False)
 
     @property
     def injective(self) -> bool:
@@ -233,6 +246,7 @@ def hom_from_generator_images(name: str, source: str, target: str,
     errs = hom.verify(src, tgt, loc)
     if errs:
         return errs[0]
+    object.__setattr__(hom, "verified_on", (src, tgt))
     return hom
 
 
@@ -548,11 +562,15 @@ def validate(u: Universe) -> List[Diagnostic]:
     gone; every name that reaches such a name through
     Universe.dependencies; every graph or polygon naming a changed hom;
     and every hom whose source or target is such a name.  Declared
-    objects are frozen and fact sheets are closed in place, once, so an
-    entry kept from a universe that passed yields no diagnostic, and
-    any definition cycle passes through a checked name: the result is
-    that of checking everything.  When `u.validated` is None everything
-    is checked.  A universe that passes records its tables there.
+    objects are frozen, and fact sheets are closed once (a checked
+    sheet shared with `u.validated` is replaced in `u` by a closed
+    copy), so an entry kept from a universe that passed yields no
+    diagnostic, and any definition cycle passes through a checked
+    name: the result is that of checking everything.  A table
+    group or hom that passed verify() when it was built (see its
+    `verified` or `verified_on`) is not verified again.  When
+    `u.validated` is None everything is checked.  A universe that
+    passes records its tables there.
     """
     names, hom_names = _unchecked(u)
     out: List[Diagnostic] = []
@@ -561,7 +579,9 @@ def validate(u: Universe) -> List[Diagnostic]:
         return sorted(table.keys() & among)
 
     for name in picked(u.concretes, names):
-        out.extend(u.concretes[name].verify(f"group {name}"))
+        g = u.concretes[name]
+        if not g.verified:
+            out.extend(g.verify(f"group {name}"))
 
     for name in picked(u.homs, hom_names):
         h = u.homs[name]
@@ -572,7 +592,7 @@ def validate(u: Universe) -> List[Diagnostic]:
             out.append(Diagnostic(loc, f"source {h.source!r} is not a concrete group"))
         if tgt is None:
             out.append(Diagnostic(loc, f"target {h.target!r} is not a concrete group"))
-        if src is not None and tgt is not None:
+        if src is not None and tgt is not None and h.verified_on != (src, tgt):
             out.extend(h.verify(src, tgt, loc))
 
     def check_expr(e: GroupExpr, loc: str) -> None:

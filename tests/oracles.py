@@ -5,13 +5,14 @@ public data of the model and sharing no helper with the code it checks.
 """
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 from catbound.develop import CurvatureReport, DevelopmentBall
 from catbound.engine import DerivationNode, Evaluator
 from catbound.extnat import ExtNat, ext_max, supremum
-from catbound.facts import Family
-from catbound.model import GcwDescription, PolygonOfGroups, Universe
+from catbound.facts import FactSheet, Family, FamilyKind, Tri
+from catbound.model import (FreeProduct, GcwDescription, GroupExpr, PolygonOfGroups,
+                            Universe, expr_key)
 
 
 def brute_force_curvature(u: Universe, p: PolygonOfGroups) -> CurvatureReport:
@@ -207,3 +208,244 @@ def tokenize(text: str) -> List[Token]:
         col += 1
     out.append(Token("eof", "", line, col))
     return out
+
+
+# -- the recursive membership rules that facts.FactMemo memoizes ----------
+#
+# As the package had them before their answers were memoized: each call
+# re-derives everything below it, and each chaser threads the set of
+# expressions on its own call path instead of reading a memo.
+
+def _sheet(u: Universe, name) -> Optional[FactSheet]:
+    return u.sheets.get(name)
+
+
+def _order(u: Universe, name) -> Optional[int]:
+    g = u.concretes.get(name)
+    return g.order if g is not None else None
+
+
+# Each chaser threads the set of expressions already on its own call
+# path.  A revisit means the derivation would need itself, which no
+# well-founded argument allows, so the conservative answer stands.
+# Definition cycles are rejected at load time; this keeps hand-built
+# universes from overflowing the stack.
+
+def provably_trivial(u: Universe, e: GroupExpr,
+                     _seen: frozenset = frozenset()) -> bool:
+    key = expr_key(e)
+    if key in _seen:
+        return False
+    _seen = _seen | {key}
+    kind, payload = u.resolve(e)
+    if kind == "trivial":
+        return True
+    if kind == "atom":
+        s = _sheet(u, payload)
+        if s is not None and s.trivial:
+            return True
+        return _order(u, payload) == 1
+    if kind in ("product", "free"):
+        return all(provably_trivial(u, f, _seen) for f in payload.factors)
+    return False
+
+
+def provably_nontrivial(u: Universe, e: GroupExpr,
+                        _seen: frozenset = frozenset()) -> bool:
+    key = expr_key(e)
+    if key in _seen:
+        return False
+    _seen = _seen | {key}
+    kind, payload = u.resolve(e)
+    if kind == "atom":
+        s = _sheet(u, payload)
+        if s is not None and s.finite is Tri.NO:
+            return True
+        o = _order(u, payload)
+        return o is not None and o > 1
+    if kind in ("product", "free"):
+        return any(provably_nontrivial(u, f, _seen) for f in payload.factors)
+    if kind == "graph":
+        if len(payload.edges) >= len(payload.vertices):
+            return True  # a cycle in the underlying graph gives a free quotient
+        return any(provably_nontrivial(u, g, _seen)
+                   for _, g in payload.vertices)
+    return False
+
+
+def provably_infinite(u: Universe, e: GroupExpr,
+                      _seen: frozenset = frozenset()) -> bool:
+    key = expr_key(e)
+    if key in _seen:
+        return False
+    _seen = _seen | {key}
+    kind, payload = u.resolve(e)
+    if kind == "atom":
+        s = _sheet(u, payload)
+        return s is not None and s.finite is Tri.NO
+    if kind == "product":
+        return any(provably_infinite(u, f, _seen) for f in payload.factors)
+    if kind == "free":
+        if any(provably_infinite(u, f, _seen) for f in payload.factors):
+            return True
+        nontrivial = sum(1 for f in payload.factors if provably_nontrivial(u, f))
+        return nontrivial >= 2
+    if kind == "graph":
+        if len(payload.edges) >= len(payload.vertices):
+            return True
+        return any(provably_infinite(u, g, _seen) for _, g in payload.vertices)
+    return False
+
+
+def _provably_order_at_least_3(u: Universe, e: GroupExpr,
+                               _seen: frozenset = frozenset()) -> bool:
+    key = expr_key(e)
+    if key in _seen:
+        return False
+    _seen = _seen | {key}
+    if provably_infinite(u, e):
+        return True
+    kind, payload = u.resolve(e)
+    if kind == "atom":
+        o = _order(u, payload)
+        return o is not None and o >= 3
+    if kind == "product":
+        if any(_provably_order_at_least_3(u, f, _seen) for f in payload.factors):
+            return True
+        nontrivial = sum(1 for f in payload.factors if provably_nontrivial(u, f))
+        return nontrivial >= 2
+    if kind == "free":
+        live = [f for f in payload.factors if not provably_trivial(u, f)]
+        if len(live) == 1:
+            return _provably_order_at_least_3(u, live[0], _seen)
+    return False
+
+
+def membership(u: Universe, e: GroupExpr, fam: Family,
+               _seen: frozenset = frozenset()) -> Tri:
+    return membership_with_reason(u, e, fam, _seen)[0]
+
+
+def membership_with_reason(u: Universe, e: GroupExpr, fam: Family,
+                           _seen: frozenset = frozenset()) -> Tuple[Tri, str]:
+    'Verdict plus a short derivation note for traces.'
+    key = (fam.name, expr_key(e))
+    if key in _seen:
+        return Tri.UNKNOWN, "circular definition"
+    _seen = _seen | {key}
+    if provably_trivial(u, e):
+        return Tri.YES, "trivial group, member of every family"
+
+    kind, payload = u.resolve(e)
+
+    if fam.kind is FamilyKind.TRIVIAL:
+        if provably_nontrivial(u, e):
+            return Tri.NO, "provably nontrivial"
+        return Tri.UNKNOWN, "triviality not derivable"
+
+    if fam.kind is FamilyKind.FINITE:
+        if provably_infinite(u, e):
+            return Tri.NO, "provably infinite"
+        if kind == "atom":
+            s = _sheet(u, payload)
+            if s is not None and s.finite is Tri.YES:
+                return Tri.YES, s.cite("finite")
+            return Tri.UNKNOWN, "finiteness not declared"
+        if kind == "product":
+            verdicts = [membership_with_reason(u, f, fam, _seen)
+                        for f in payload.factors]
+            if all(v is Tri.YES for v, _ in verdicts):
+                return Tri.YES, "direct product of finite members"
+            return Tri.UNKNOWN, "finiteness not derivable"
+        if kind == "free":
+            return _free_delegate(u, payload, fam, _seen)
+        if kind == "graph":
+            return _single_vertex_delegate(u, payload, fam, _seen)
+        return Tri.UNKNOWN, "finiteness not derivable"
+
+    if fam.kind is FamilyKind.AMENABLE:
+        return _amenable_membership(u, kind, payload, fam, _seen)
+
+    return _custom_membership(u, kind, payload, fam, _seen)
+
+
+def _free_delegate(u: Universe, fp: FreeProduct, fam: Family,
+                   seen: frozenset) -> Tuple[Tri, str]:
+    'A free product with at most one nontrivial factor is that factor.'
+    live = [f for f in fp.factors if not provably_trivial(u, f)]
+    if len(live) == 1:
+        return membership_with_reason(u, live[0], fam, seen)
+    return Tri.UNKNOWN, "free product not reducible"
+
+
+def _single_vertex_delegate(u: Universe, graph, fam: Family,
+                            seen: frozenset) -> Tuple[Tri, str]:
+    if len(graph.vertices) == 1 and not graph.edges:
+        return membership_with_reason(u, graph.vertices[0][1], fam, seen)
+    return Tri.UNKNOWN, "not derivable for this graph of groups"
+
+
+def _amenable_membership(u: Universe, kind: str, payload, fam: Family,
+                         seen: frozenset) -> Tuple[Tri, str]:
+    if kind == "atom":
+        s = _sheet(u, payload)
+        if s is not None and s.amenable is not Tri.UNKNOWN:
+            return s.amenable, s.cite("amenable")
+        return Tri.UNKNOWN, "amenability not declared"
+    if kind == "product":
+        verdicts = [membership_with_reason(u, f, fam, seen)
+                    for f in payload.factors]
+        if any(v is Tri.NO for v, _ in verdicts):
+            return Tri.NO, "contains a non-amenable factor"
+        if all(v is Tri.YES for v, _ in verdicts):
+            return Tri.YES, "direct product of amenable groups"
+        return Tri.UNKNOWN, "amenability not derivable"
+    if kind == "free":
+        for f in payload.factors:
+            if membership(u, f, fam, seen) is Tri.NO:
+                return Tri.NO, "contains a non-amenable free factor"
+        live = [f for f in payload.factors if not provably_trivial(u, f)]
+        if len(live) == 1:
+            return membership_with_reason(u, live[0], fam, seen)
+        nontrivial = sum(1 for f in payload.factors if provably_nontrivial(u, f))
+        if nontrivial >= 2 and any(_provably_order_at_least_3(u, f)
+                                   for f in payload.factors):
+            return Tri.NO, "free product of nontrivial groups, one of order > 2"
+        return Tri.UNKNOWN, "amenability not derivable"
+    if kind == "graph":
+        for _, g in payload.vertices:
+            if membership(u, g, fam, seen) is Tri.NO:
+                return Tri.NO, "contains a non-amenable vertex group"
+        return _single_vertex_delegate(u, payload, fam, seen)
+    return Tri.UNKNOWN, "amenability not derivable"
+
+
+def _custom_membership(u: Universe, kind: str, payload, fam: Family,
+                       seen: frozenset) -> Tuple[Tri, str]:
+    if kind == "atom":
+        s = _sheet(u, payload)
+        if s is None:
+            return Tri.UNKNOWN, "no facts declared"
+        asserted = s.member.get(fam.name)
+        if asserted in (Tri.YES, Tri.NO):
+            return asserted, s.cite(f"member[{fam.name}]")
+        if fam.requires:
+            flags = {"amenable": s.amenable, "finite": s.finite,
+                     "trivial": Tri.YES if s.trivial else Tri.UNKNOWN}
+            got = [flags.get(key, Tri.UNKNOWN) for key, _ in fam.requires]
+            if all(g is want for g, (_, want) in zip(got, fam.requires)):
+                return Tri.YES, "flag oracle satisfied"
+        return Tri.UNKNOWN, "membership not asserted"
+    if kind in ("product", "free"):
+        for f in payload.factors:
+            if membership(u, f, fam, seen) is Tri.NO:
+                return Tri.NO, "contains a non-member piece"
+        if kind == "free":
+            return _free_delegate(u, payload, fam, seen)
+        return Tri.UNKNOWN, "membership not derivable"
+    if kind == "graph":
+        for _, g in payload.vertices:
+            if membership(u, g, fam, seen) is Tri.NO:
+                return Tri.NO, "contains a non-member vertex group"
+        return _single_vertex_delegate(u, payload, fam, seen)
+    return Tri.UNKNOWN, "membership not derivable"

@@ -15,9 +15,10 @@ from catbound.dsl import (FactEntry, GroupDecl, ParseFailure, load_prelude,
                           load_text, parse, serialize, tokenize, try_parse)
 from catbound.engine import Evaluator
 from catbound.extnat import INF, ExtNat
-from catbound.facts import FactSheet
+from catbound.facts import FIN, FactSheet, Tri
 from catbound.model import (TABLES, ConcreteFiniteGroup, DirectProduct,
-                            FreeProduct, Ref, TrivialGroup, Universe, validate)
+                            FreeProduct, Homomorphism, Ref, TrivialGroup, Universe,
+                            cyclic_group, validate)
 
 from genmodels import random_model
 
@@ -523,6 +524,42 @@ def test_kept_prelude_tables_are_not_verified_again(monkeypatch):
     assert not diags and verified == []
     _, diags = load_text("group Z2 = cyclic(2);", load_prelude())
     assert not diags and verified == ["group Z2"]
+
+
+def test_declared_homs_and_tables_are_verified_once_per_load(monkeypatch):
+    load_prelude()
+    verified = []
+    for cls in (ConcreteFiniteGroup, Homomorphism):
+        monkeypatch.setattr(cls, "verify", lambda self, *args, verify=cls.verify:
+                            verified.append(type(self).__name__) or verify(self, *args))
+    _, diags = load_text((FIXTURES / "z4_polygon.catb").read_text(encoding="utf-8"),
+                         load_prelude())
+    assert not diags and verified.count("Homomorphism") == 2
+    verified.clear()
+    _, diags = load_text("group T = table [[0,1],[1,0]];", load_prelude())
+    assert not diags and verified == ["ConcreteFiniteGroup"]
+    # a hom whose target is redeclared after it is built is verified
+    # again, against the group the name then denotes
+    verified.clear()
+    _, diags = load_text("hom h : Z2 -> Z4 { 1 -> 2; }\ngroup Z4 = cyclic(3);",
+                         load_prelude())
+    assert [str(d) for d in diags] == ["hom h: not a homomorphism at (1,1)"]
+    assert verified.count("Homomorphism") == 2
+
+
+def test_closing_sheets_leaves_the_kept_prelude_alone():
+    # a table registered under a prelude atom's name: the load reports
+    # the clash, and closing Z's sheet under that table must not reach
+    # the sheet the kept prelude holds
+    u = load_prelude()
+    u.concretes["Z"] = cyclic_group(2)
+    _, diags = load_text("group H;", u)
+    assert "declared infinite but carries a finite multiplication table" in [
+        d.message for d in diags]
+    assert load_prelude().sheets["Z"].finite is Tri.NO
+    v, diags = load_text("group H;", load_prelude())
+    assert not diags
+    assert Evaluator(v).bound_cat(Ref("Z"), FIN).value == ExtNat(1)
 
 
 def test_setup_declarations_build():

@@ -1,3 +1,4 @@
+import collections
 import random
 
 import pytest
@@ -7,7 +8,7 @@ from catbound.engine import REPLAY, DerivationNode, Evaluator, replay
 from catbound.extnat import INF, ZERO, ExtNat
 from catbound.facts import AM, FIN, TR, MemoTable
 from catbound.model import (DirectProduct, FreeProduct, Ref, TrivialGroup,
-                            Universe)
+                            Universe, expr_key)
 
 from gencw import oracle_exhaustive, oracle_recursion, random_instance
 from genmodels import nested_text
@@ -415,3 +416,45 @@ def test_nested_evaluation_depth():
     assert ev.bound_gd(target).value == ExtNat(1)
     assert ev.bound_cd(target).value == ExtNat(1)
     assert ev.bound_tc(target).value == ExtNat(2)
+
+
+class WriteCounts(dict):
+    'A dict that counts the writes to each key.'
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.writes = collections.Counter()
+
+    def __setitem__(self, key, value) -> None:
+        self.writes[key] += 1
+        super().__setitem__(key, value)
+
+
+def chain_text(n: int) -> str:
+    return "".join(f"amalgam G{i} = {f'G{i - 1}' if i > 1 else 'Z'} *[One] Z;\n"
+                   for i in range(1, n + 1))
+
+
+# N1 gets 1 from one-step, every later level 2 from gog-max (edge
+# groups Z, so gd + 1 = 2); each chain link gets 1 from gog-max
+@pytest.mark.parametrize("text,target,size,value", [
+    (nested_text(10, 3), "N10", 10, 2),
+    (chain_text(200), "G200", 200, 1),
+], ids=["nested-10", "chain-200"])
+def test_facts_are_computed_once_per_key(monkeypatch, text, target, size, value):
+    u, diags = dsl.load_text(text, dsl.load_prelude())
+    assert not diags
+    resolved = collections.Counter()
+    resolve_chain = Universe.resolve_chain
+    monkeypatch.setattr(Universe, "resolve_chain", lambda self, e: (
+        resolved.update([expr_key(e)]) or resolve_chain(self, e)))
+    ev = Evaluator(u)
+    # a question is computed once: its key is written with the
+    # conservative answer that stands while it is being computed, then
+    # with its answer
+    ev.facts._answers = answers = WriteCounts()
+    assert ev.bound_cat(Ref(target), AM).value == ExtNat(value)
+    assert answers and max(answers.writes.values()) == 2
+    assert resolved and max(resolved.values()) == 1
+    # keys grow with the model, not with the paths through it
+    assert len(answers) <= 3 * (size + 5)

@@ -1,11 +1,23 @@
+import dataclasses
+import random
+import re
+
 import pytest
 
-from catbound.extnat import ZERO, ExtNat
-from catbound.facts import (AM, FIN, TR, Family, FamilyKind, FactSheet,
+import oracles
+from catbound import facts
+from catbound.dsl import (CyclicCtor, GroupDecl, SourceModel, load_prelude,
+                          load_text, serialize)
+from catbound.engine import Evaluator
+from catbound.extnat import INF, ZERO, ExtNat
+from catbound.facts import (AM, FIN, TR, FactMemo, Family, FamilyKind, FactSheet,
                             MemoTable, Tri, builtin_families, close_sheet,
                             membership, membership_with_reason)
-from catbound.model import (DirectProduct, FreeProduct, Ref, TrivialGroup,
-                            Universe, cyclic_group)
+from catbound.model import (DirectProduct, FreeProduct, GraphOfGroups, Ref,
+                            TrivialGroup, Universe, cyclic_group)
+
+from genmodels import (_Names, random_amalgam, random_fact, random_family,
+                       random_gcw, random_graph, random_group)
 
 
 def atom(u: Universe, name: str, **kw) -> FactSheet:
@@ -180,3 +192,123 @@ def test_memo_table_round_trip():
     assert memo.get("cat", e, "Am") is r
     assert memo.get("cat", e, "Tr") is None
     assert memo.get("gd", e, "Am") is None
+
+
+# -- the memoized chasers against the recursive rules ---------------------
+
+PROVABLY = (("provably_trivial", "provably_trivial"),
+            ("provably_nontrivial", "provably_nontrivial"),
+            ("provably_infinite", "provably_infinite"),
+            ("provably_order_at_least_3", "_provably_order_at_least_3"))
+
+# the base atoms of a generated model, and the prelude names they may
+# take instead, so that prelude groups such as F2 = Z * Z see the new
+# declaration
+BASE_ATOMS = ("A", "B", "C", "Zed", "Q9")
+SHADOWS = (("A", "Z"), ("B", "Z2"), ("C", "F2"))
+MAKERS = (random_group, random_amalgam, random_family, random_graph, random_gcw)
+
+
+def random_fact_universe(rng: random.Random, shadow: bool) -> Universe:
+    """A validated universe over the prelude, or None: base atoms with
+    random facts, a custom family, and a few generated declarations over
+    them.  With `shadow`, the first base atoms take prelude names."""
+    names = _Names()
+    decls = [Family("Nice", FamilyKind.CUSTOM, (("amenable", Tri.YES),))]
+    for atom_name in BASE_ATOMS:
+        rhs = rng.choice((None, None, CyclicCtor(rng.randint(1, 4))))
+        decls.append(GroupDecl(atom_name, rhs,
+                               tuple(random_fact(rng) for _ in range(rng.randint(0, 2)))))
+    for _ in range(rng.randint(1, 5)):
+        decl = rng.choice(MAKERS)(rng, names)
+        if isinstance(decl, GraphOfGroups):
+            decl = dataclasses.replace(decl, edges=tuple(
+                dataclasses.replace(e, maps=None) for e in decl.edges))
+        elif hasattr(decl, "maps"):
+            decl = dataclasses.replace(decl, maps=None)
+        decls.append(decl)
+    text = serialize(SourceModel(tuple(decls)))
+    if shadow:
+        for old, new in SHADOWS:
+            text = re.sub(rf"\b{old}\b", new, text)
+    u, diags = load_text(text, load_prelude())
+    return None if diags else u
+
+
+def random_group_expr(rng: random.Random, names, depth: int = 2):
+    roll = rng.random()
+    if depth == 0 or roll < 0.5:
+        return Ref(rng.choice(names))
+    if roll < 0.55:
+        return TrivialGroup()
+    factors = tuple(random_group_expr(rng, names, depth - 1)
+                    for _ in range(rng.randint(2, 3)))
+    return DirectProduct(factors) if roll < 0.8 else FreeProduct(factors)
+
+
+def test_memoized_chasers_agree_with_the_recursive_rules():
+    rng = random.Random(7)
+    universes = {False: 0, True: 0}
+    for i in range(400):
+        shadow = bool(i % 2)
+        u = random_fact_universe(rng, shadow)
+        if u is None:
+            continue
+        universes[shadow] += 1
+        names = sorted(u.group_names())
+        exprs = [Ref(n) for n in names]
+        exprs += [random_group_expr(rng, names) for _ in range(12)]
+        rng.shuffle(exprs)
+        fams = list(u.families.values())
+        # one memo for every question, as an evaluator asks them
+        memo = FactMemo(u)
+        for e in exprs:
+            for ours, theirs in PROVABLY:
+                want = getattr(oracles, theirs)(u, e)
+                assert getattr(memo, ours)(e) is want, (ours, e)
+                if hasattr(facts, ours):
+                    assert getattr(facts, ours)(u, e) is want, (ours, e)
+            for fam in fams:
+                want = oracles.membership_with_reason(u, e, fam)
+                assert memo.membership_with_reason(e, fam) == want, (e, fam)
+                assert membership_with_reason(u, e, fam) == want, (e, fam)
+                assert membership(u, e, fam) is want[0]
+    assert min(universes.values()) > 30
+
+
+def test_self_containing_universe_answers_conservatively():
+    # hand-built and never validated: a graph whose vertex group is the
+    # graph itself, and a definition cycle through a free product
+    u = Universe()
+    u.graphs["G"] = GraphOfGroups("G", (("v", Ref("G")),), ())
+    u.defs["X"] = FreeProduct((Ref("Y"), Ref("Y")))
+    u.defs["Y"] = Ref("X")
+    nice = Family("Nice", FamilyKind.CUSTOM, (("amenable", Tri.YES),))
+    exprs = (Ref("G"), Ref("X"), Ref("Y"), DirectProduct((Ref("G"), Ref("X"))))
+    memo = FactMemo(u)
+    for e in exprs:
+        for ours, theirs in PROVABLY:
+            assert getattr(memo, ours)(e) is False
+            assert getattr(oracles, theirs)(u, e) is False
+        for fam in (TR, FIN, AM, nice):
+            verdict, _ = memo.membership_with_reason(e, fam)
+            assert verdict is Tri.UNKNOWN
+            assert membership_with_reason(u, e, fam) == oracles.membership_with_reason(u, e, fam)
+    assert memo.membership_with_reason(Ref("G"), AM) == (Tri.UNKNOWN, "circular definition")
+
+
+def test_evaluators_over_overlays_keep_their_own_answers():
+    base, diags = load_text("group Q;\ngroup H = Q x Q;", load_prelude())
+    assert not diags
+    overlays = {}
+    for flag in (Tri.YES, Tri.NO):
+        overlays[flag] = base.overlay()
+        overlays[flag].sheets["Q"] = dataclasses.replace(base.sheets["Q"], amenable=flag)
+    evs = {flag: Evaluator(u) for flag, u in overlays.items()}
+    for _ in range(2):
+        for flag, ev in evs.items():
+            assert ev.facts.membership(Ref("H"), AM) is flag
+            assert ev.facts.membership(Ref("Q"), AM) is flag
+        assert evs[Tri.YES].bound_cat(Ref("H"), AM).value == ZERO
+        assert evs[Tri.NO].bound_cat(Ref("H"), AM).value == INF
+    assert membership(base, Ref("H"), AM) is Tri.UNKNOWN
