@@ -26,6 +26,16 @@ When the reader of stdout goes away (`catbound ... | head -1`), the
 rest of the output is dropped and the exit code is 1, with nothing on
 stderr.
 
+JSON output has exactly the layout of `json.dumps(obj, indent=2,
+ensure_ascii=False)`: two-space indents, one value per line, non-ASCII
+text as is.  Bound and certificate payloads put their top-level scalars
+(invariant, family, value; conclusion, value) before the trace, so the
+head of a long output carries the result.  The layout is kept on
+purpose: scripts and transcripts read it line by line.  json_text()
+writes it in one pass, at a fraction of the cost of the stdlib's
+pure-Python indenting encoder.  Each query's stdout goes out in one
+write.
+
 Text traces list the derivation in pre-order.  A node cited more than
 once is written out once, its line ending in `#k`, and every later
 citation is the line `see #k`; k is the node's index in the JSON node
@@ -37,10 +47,12 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import json
 import os
 import sys
 from collections import Counter
+from itertools import chain
+from json.encoder import encode_basestring as _esc     # json.dumps' own (C) one
+from operator import attrgetter
 from pathlib import Path
 from typing import List, Optional, Tuple
 
@@ -134,10 +146,25 @@ def _read_model(args) -> Tuple[Optional[Universe], List[Diagnostic]]:
     if args.file is None:
         return base, []
     try:
-        text = Path(args.file).read_text(encoding="utf-8")
+        data = Path(args.file).read_bytes()
     except OSError as exc:
         raise CliError(str(exc))
+    # the newline translation of reading in text mode; no byte of a
+    # multi-byte UTF-8 sequence is a \r or \n
+    data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return None, [_not_utf8(data, exc.start)]
     return dsl.load_text(text, base)
+
+
+def _not_utf8(data: bytes, start: int) -> Diagnostic:
+    'Positions the first byte of `data` that is not UTF-8 (at `start`).'
+    head = data[:start].decode("utf-8")
+    line = head.count("\n") + 1
+    col = len(head) - head.rfind("\n")
+    return Diagnostic(f"{line}:{col}", f"not UTF-8 text (byte 0x{data[start]:02x})")
 
 
 def _load(args) -> Universe:
@@ -163,8 +190,69 @@ def _family(u: Universe, name: Optional[str]) -> Family:
 
 # -- rendering ------------------------------------------------------------
 
+# JSON text of the scalar types, by exact type; subclasses take the
+# isinstance path of _json_container
+_SCALARS = {
+    str: _esc,
+    int: int.__repr__,
+    bool: lambda b: "true" if b else "false",
+    type(None): lambda _: "null",
+}
+# empty containers, written without a call (most trace nodes have no
+# assumptions and a leaf has no premises)
+_EMPTY = {list: "[]", tuple: "[]", dict: "{}"}
+
+
+def json_text(obj) -> str:
+    """`json.dumps(obj, indent=2, ensure_ascii=False)`, for dicts with str
+    keys, lists, tuples, str, int, bool and None.
+
+    Every container becomes one joined string.  Any other type (a float,
+    a set, a dict key that is not a str) raises TypeError.
+    """
+    enc = _SCALARS.get(type(obj))
+    return enc(obj) if enc is not None else _json_container(obj, "\n")
+
+
+def _json_container(obj, nl: str) -> str:
+    'json_text of a non-scalar whose opening line ends in `nl`.'
+    inner = nl + "  "
+    get = _SCALARS.get
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        parts = []
+        for k, v in obj.items():
+            enc = get(type(v))
+            if enc is not None:
+                text = enc(v)
+            elif not v and type(v) in _EMPTY:
+                text = _EMPTY[type(v)]
+            else:
+                text = _json_container(v, inner)
+            parts.append(_esc(k) + ": " + text)
+        return "{" + inner + ("," + inner).join(parts) + nl + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        parts = []
+        for v in obj:
+            enc = get(type(v))
+            parts.append(enc(v) if enc is not None else _json_container(v, inner))
+        return "[" + inner + ("," + inner).join(parts) + nl + "]"
+    if isinstance(obj, str):
+        return _esc(obj)
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 def _emit_json(obj) -> None:
-    sys.stdout.write(json.dumps(obj, indent=2, ensure_ascii=False) + "\n")
+    sys.stdout.write(json_text(obj) + "\n")
+
+
+def _emit_lines(lines: List[str]) -> None:
+    sys.stdout.write("\n".join(lines) + "\n")
 
 
 def _shown_value(v: ExtNat, plus_one: bool) -> str:
@@ -173,29 +261,31 @@ def _shown_value(v: ExtNat, plus_one: bool) -> str:
     return str(v)
 
 
-def _trace_lines(root: DerivationNode) -> List[str]:
-    """The derivation in pre-order, one indented line per node.
+def _trace_lines(root: DerivationNode, order: List[DerivationNode]) -> List[str]:
+    """The derivation in pre-order, one indented line per node; `order`
+    is `root.nodes()`.
 
     A node cited more than once is written out at its first citation,
     whose line ends with `#k` (k is its index in the JSON node table);
     each later citation is the single line `see #k`.
     """
-    order = root.nodes()
     index = {id(n): i for i, n in enumerate(order)}
-    cited = Counter(id(p) for n in order for p in n.premises)
+    cited = Counter(map(id, chain.from_iterable(map(attrgetter("premises"), order))))
     out: List[str] = []
     written = set()
-    stack = [(root, 1)]
+    stack = [(root, "  ")]
     while stack:
-        node, depth = stack.pop()
-        pad, k = "  " * depth, index[id(node)]
+        node, pad = stack.pop()
+        k = index[id(node)]
         if k in written:
             out.append(f"{pad}see #{k}")
             continue
         written.add(k)
         tag = f"  #{k}" if cited[id(node)] > 1 else ""
         out.append(f"{pad}{node.rule} = {node.value}  ({node.cite}){tag}")
-        stack.extend((p, depth + 1) for p in reversed(node.premises))
+        if node.premises:
+            inner = pad + "  "
+            stack += [(p, inner) for p in reversed(node.premises)]
     return out
 
 
@@ -208,15 +298,15 @@ def _print_bound(r: BoundResult, args) -> int:
     else:
         label = (f"cat[{r.family}]" if r.invariant == "cat" else r.invariant)
         suffix = "  (+1 convention)" if args.plus_one and r.value.is_finite else ""
-        print(f"{label} <= {_shown_value(r.value, args.plus_one)}{suffix}")
-        assumed = r.assumptions()
+        lines = [f"{label} <= {_shown_value(r.value, args.plus_one)}{suffix}"]
+        order = r.trace.nodes()
+        assumed = r.assumptions(order)
         if assumed:
-            print("assumed:")
-            for a in assumed:
-                print(f"  - {a}")
-        print("trace:")
-        for line in _trace_lines(r.trace):
-            print(line)
+            lines.append("assumed:")
+            lines += [f"  - {a}" for a in assumed]
+        lines.append("trace:")
+        lines += _trace_lines(r.trace, order)
+        _emit_lines(lines)
     return 0 if r.value.is_finite else 2
 
 
@@ -269,15 +359,15 @@ def _cmd_develop(args) -> int:
         return 0
     dims = sorted({c.dim for c in ball.cells})
     counts = ", ".join(f"dim {d}: {len(ball.of_dim(d))}" for d in dims)
-    print(f"ball around the base cell of {ball.name}, radius {ball.radius}"
-          f" ({'complete' if ball.complete else 'truncated at the frontier'})")
-    print(f"cells: {counts}")
-    for kind, orders in sorted(report.orders.items()):
-        print(f"stabilizer orders, {kind}: {sorted(orders)}")
+    lines = [f"ball around the base cell of {ball.name}, radius {ball.radius}"
+             f" ({'complete' if ball.complete else 'truncated at the frontier'})",
+             f"cells: {counts}"]
+    lines += [f"stabilizer orders, {kind}: {sorted(orders)}"
+              for kind, orders in sorted(report.orders.items())]
     if not report.ok:
-        print("stabilizer inconsistencies:")
-        for p in report.problems:
-            print(f"  - {p}")
+        lines.append("stabilizer inconsistencies:")
+        lines += [f"  - {p}" for p in report.problems]
+    _emit_lines(lines)
     return 0
 
 
@@ -302,11 +392,11 @@ def _cmd_check_curvature(args) -> int:
             "detail": report.detail,
         })
     elif report.holds:
-        print(f"link condition holds for {args.target}")
+        _emit_lines([f"link condition holds for {args.target}"])
     else:
         witness = "{" + ", ".join(str(x) for x in report.witness or ()) + "}"
-        print(f"link condition fails for {args.target} at vertex "
-              f"{report.vertex}: intersection {witness} ({report.detail})")
+        _emit_lines([f"link condition fails for {args.target} at vertex "
+                     f"{report.vertex}: intersection {witness} ({report.detail})"])
     return 0
 
 
@@ -353,7 +443,7 @@ def _cmd_certify(args) -> int:
     if args.format == "json":
         _emit_json(cert.to_json())
     else:
-        print(cert.to_text())
+        _emit_lines([cert.to_text()])
     return 0 if cert.conclusion != "inconclusive" else 2
 
 
@@ -370,8 +460,8 @@ def _cmd_validate(args) -> int:
             print(f"{args.file}:{d}", file=sys.stderr)
         return 1
     assert u is not None
-    print(f"ok: {len(u.group_names())} groups, {len(u.homs)} homomorphisms, "
-          f"{len(u.families)} families, {len(u.setups)} setups")
+    _emit_lines([f"ok: {len(u.group_names())} groups, {len(u.homs)} homomorphisms, "
+                 f"{len(u.families)} families, {len(u.setups)} setups"])
     return 0
 
 

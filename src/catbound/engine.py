@@ -228,8 +228,9 @@ class BoundResult(_Frozen):
     def __hash__(self) -> int:
         return hash(self._fields())
 
-    def assumptions(self) -> List[str]:
-        return _assumptions(self.trace.nodes())
+    def assumptions(self, order: Optional[List[DerivationNode]] = None) -> List[str]:
+        'Sorted and distinct; `order` is `trace.nodes()`, if the caller has it.'
+        return _assumptions(self.trace.nodes() if order is None else order)
 
     def to_json(self) -> dict:
         order = self.trace.nodes()

@@ -2,6 +2,7 @@ import io
 import json
 import os
 import re
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -393,6 +394,50 @@ def test_load_errors_are_reported(capsys, tmp_path):
                        str(tmp_path / "missing.catb"))
     assert code == 1
     assert "error:" in err
+
+
+def test_model_that_is_not_utf8_is_a_positioned_diagnostic(capsys, tmp_path):
+    model = tmp_path / "bad.catb"
+    model.write_bytes(b"group A = Z;\n\xff\xfe bad\n")
+    where = f"{model}:2:1: not UTF-8 text (byte 0xff)"
+    code, out, err = run(capsys, "validate", str(model))
+    assert (code, out, err) == (1, "", where + "\n")
+    code, out, err = run(capsys, "validate", "--format", "json", str(model))
+    assert (code, err) == (1, "")
+    assert json.loads(out) == {"ok": False, "diagnostics": [
+        {"loc": "2:1", "message": "not UTF-8 text (byte 0xff)"}]}
+    for fmt in ("text", "json"):
+        code, out, err = run(capsys, "bound", "--target", "A", "--family", "Am",
+                             "--format", fmt, str(model))
+        assert (code, out, err) == (1, "", f"error: {where}\n")
+    # columns count characters, and line breaks are those of text mode
+    model.write_bytes(b"group \xc3\xa9A = Z;\r\nZ\r\xc3 ")
+    code, _, err = run(capsys, "validate", str(model))
+    assert (code, err) == (1, f"{model}:3:1: not UTF-8 text (byte 0xc3)\n")
+    model.write_bytes(b"group A = Z; group \xc3\xa9\xe9")
+    code, _, err = run(capsys, "validate", str(model))
+    assert (code, err) == (1, f"{model}:1:21: not UTF-8 text (byte 0xe9)\n")
+
+
+def test_crlf_model_positions_match_lf(capsys, tmp_path):
+    lf, crlf = tmp_path / "lf.catb", tmp_path / "crlf.catb"
+    lf.write_bytes(b"group A = Z;\n  group @;\n")
+    crlf.write_bytes(b"group A = Z;\r\n  group @;\r\n")
+    _, _, err_lf = run(capsys, "validate", str(lf))
+    _, _, err_crlf = run(capsys, "validate", str(crlf))
+    assert err_lf == f"{lf}:2:9: stray character '@'\n"
+    assert err_crlf == f"{crlf}:2:9: stray character '@'\n"
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "catbound", "validate", EXAMPLES],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("ok: ") and proc.stderr == ""
 
 
 # -- prelude control ------------------------------------------------------

@@ -1,0 +1,110 @@
+"""Fuzzing the CLI with mutated fixtures.
+
+Each example takes one scripts/run_fixtures.py invocation, mutates its
+fixture file token by token (deletion, duplication, swapping and
+replacement) and may splice in bytes that are not UTF-8, then runs the
+invocation in text and in JSON.  Whatever the model, the exit code is
+0, 1 or 2, no error is an internal one, and a JSON result has the
+layout of json.dumps(indent=2, ensure_ascii=False).
+
+Deep chain models stay out: evaluation still recurses once per link
+(see test_cli.test_unexpected_exception_is_a_diagnostic).
+"""
+
+import contextlib
+import importlib.util
+import io
+import json
+import re
+from pathlib import Path
+
+import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
+
+from catbound.cli import main
+
+HERE = Path(__file__).parent
+FIXTURES = HERE / "fixtures"
+
+
+def _invocations():
+    path = HERE.parent / "scripts" / "run_fixtures.py"
+    spec = importlib.util.spec_from_file_location("run_fixtures", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return [argv for _, argv in module.INVOCATIONS]
+
+
+INVOCATIONS = _invocations()
+# whitespace runs are kept as tokens so that joining restores the text
+_TOKEN = re.compile(r"\s+|\w+|[^\w\s]")
+TOKENS = {name: _TOKEN.findall((FIXTURES / name).read_text(encoding="utf-8"))
+          for name in {a for argv in INVOCATIONS for a in argv if a.endswith(".catb")}}
+VOCABULARY = sorted({t for toks in TOKENS.values() for t in toks if not t.isspace()}
+                    | {"0", "1", "-1", "99", "{", "}", ";", "=", "*", "x"})
+NOT_UTF8 = (b"\xff", b"\xfe", b"\xc3", b"\x80", b"\xe2\x82", b"\xed\xa0\x80")
+
+edits = st.one_of(
+    st.tuples(st.just("delete"), st.integers(0, 10**6)),
+    st.tuples(st.just("duplicate"), st.integers(0, 10**6)),
+    st.tuples(st.just("swap"), st.integers(0, 10**6), st.integers(0, 10**6)),
+    st.tuples(st.just("replace"), st.integers(0, 10**6), st.sampled_from(VOCABULARY)),
+    st.tuples(st.just("bytes"), st.integers(0, 10**6), st.sampled_from(NOT_UTF8)),
+)
+
+
+def mutate(tokens, ops) -> bytes:
+    tokens = list(tokens)
+    spliced = []
+    for op in ops:
+        words = [i for i, t in enumerate(tokens) if not t.isspace()]
+        if op[0] == "bytes":
+            spliced.append(op[1:])
+            continue
+        if not words:
+            continue
+        i = words[op[1] % len(words)]
+        if op[0] == "delete":
+            del tokens[i]
+        elif op[0] == "duplicate":
+            tokens[i:i] = [tokens[i], " "]
+        elif op[0] == "swap":
+            j = words[op[2] % len(words)]
+            tokens[i], tokens[j] = tokens[j], tokens[i]
+        else:
+            tokens[i] = op[2]
+    data = "".join(tokens).encode("utf-8")
+    for at, raw in spliced:
+        at %= len(data) + 1
+        data = data[:at] + raw + data[at:]
+    return data
+
+
+def run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@seed(20261018)
+@settings(max_examples=600, deadline=None, database=None)
+@given(argv=st.sampled_from(INVOCATIONS), ops=st.lists(edits, min_size=1, max_size=3))
+def test_mutated_fixtures_never_fail_internally(workdir, argv, ops):
+    name = next(a for a in argv if a.endswith(".catb"))
+    model = workdir / name
+    model.write_bytes(mutate(TOKENS[name], ops))
+    argv = [str(model) if a == name else a for a in argv]
+    for fmt in ("text", "json"):
+        code, out, err = run(argv + ["--format", fmt])
+        assert code in (0, 1, 2), (argv, fmt, err)
+        assert "error: internal" not in err, (argv, fmt, err)
+        if fmt == "json" and code in (0, 2):
+            assert out == json.dumps(json.loads(out), indent=2,
+                                     ensure_ascii=False) + "\n"
