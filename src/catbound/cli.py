@@ -108,7 +108,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("develop", help="finite ball of the dual development")
     p.add_argument("--target", required=True,
                    help="graph-of-groups or polygon name")
-    p.add_argument("--radius", type=int, default=2)
+    p.add_argument("--radius", type=int, default=None,
+                   help="ball radius (default 2 for a graph of groups, "
+                        "1 for a polygon)")
     common(p)
 
     p = sub.add_parser("check-curvature",

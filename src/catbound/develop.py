@@ -1,10 +1,11 @@
-"""Brute-force developments of concrete group data.
+"""Developments of concrete group data.
 
 Everything here works on multiplication tables: coset enumeration,
-normal forms for an amalgam of two concrete finite groups over a common
-concrete edge group, finite balls of the associated tree, the radius-1
-star of a polygon development, the link condition at polygon vertices,
-and stabilizer bookkeeping checks.
+the normal form of an amalgam of two concrete finite groups over a
+common concrete edge group (Serre, Trees, I.1), finite balls of its
+Bass-Serre tree at a cost of O(stabilizer order x level) per cell, the
+radius-1 star of a polygon development, the link condition at polygon
+vertices, and stabilizer bookkeeping checks.
 
 Scope restrictions (deliberate, desk scale):
 
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .model import (ConcreteFiniteGroup, GraphOfGroups, GroupExpr,
                     Homomorphism, PolygonOfGroups, Ref, Universe)
@@ -32,26 +33,36 @@ class DevelopLimits:
 
 # -- amalgam normal forms -------------------------------------------------
 
-@dataclass(frozen=True)
-class AmalgamElement:
-    """Normal form c · t_1 · t_2 ⋯ t_k in an amalgam over C.
+Syllable = Tuple[int, int]
+# AmalgamElement(c, word) runs a Python-level __new__; `step`, which
+# builds every element of a ball, calls the C constructor directly
+_new = tuple.__new__
 
-    c is an element of the edge group; the word holds (side, element)
-    syllables with alternating sides, each element a non-central coset
-    representative of its side group.
+
+class AmalgamElement(NamedTuple):
+    """Normal form t_1 ⋯ t_k · c in an amalgam over C (Serre, Trees, I.1).
+
+    The word holds (side, t) syllables with alternating sides, each t a
+    non-identity representative of a left coset t·im(C) in its side
+    group; c is an element of the edge group, carried on the right.
+    A named tuple, so the hashing and equality that coset keys and
+    stabilizer sets lean on make no Python-level call.
     """
 
     c: int
-    word: Tuple[Tuple[int, int], ...]
+    word: Tuple[Syllable, ...]
 
 
 class AmalgamContext:
     """Exact arithmetic in G_0 *_C G_1 from multiplication tables.
 
     Each side group comes with an injective homomorphism from the edge
-    group.  Elements are kept in a canonical form, so equality of group
-    elements is equality of values; that is what makes coset sets and
-    stabilizer sets of the tree ball exact.
+    group.  By the normal form theorem every element has exactly one
+    normal form, so equality of group elements is equality of values;
+    that is what keys the cosets and makes the stabilizer sets of the
+    tree ball exact.  All arithmetic folds `step`, the right
+    multiplication by one side element, which changes only the last
+    syllable.
     """
 
     def __init__(self, sides: Tuple[ConcreteFiniteGroup, ConcreteFiniteGroup],
@@ -65,97 +76,76 @@ class AmalgamContext:
         self.sides = sides
         self.edge = edge
         self.embeddings = embeddings
-        self._image: Tuple[FrozenSet[int], ...] = tuple(
-            frozenset(emb.images) for emb in embeddings)
-        self._preimage: Tuple[Dict[int, int], ...] = tuple(
-            {img: c for c, img in enumerate(emb.images)} for emb in embeddings)
-        # factor x = i(c)·t with t the representative of the coset im(C)·x;
-        # the image coset itself is represented by the identity
-        self._factor: List[Dict[int, Tuple[int, int]]] = []
+        self._tables = tuple(g.table for g in sides)
+        self._images = tuple(emb.images for emb in embeddings)
+        self._inverse = tuple(tuple(row.index(g.identity) for row in g.table)
+                              for g in sides)
+        self._edge_inverse = tuple(row.index(edge.identity) for row in edge.table)
+        # factor y = t·i(c) with t the representative of the coset y·im(C),
+        # stored as (c, (side, t)); the image coset itself, represented
+        # by the identity, stores (c, None)
+        self._factor: List[List[Tuple[int, Optional[Syllable]]]] = []
         for k, g in enumerate(sides):
-            table: Dict[int, Tuple[int, int]] = {}
+            table: List = [None] * g.order
             for x in range(g.order):
-                if x in table:
+                if table[x] is not None:
                     continue
-                coset = sorted(g.mul(emb_img, x) for emb_img in self._image[k])
+                coset = [g.mul(x, img) for img in self._images[k]]
                 rep = g.identity if g.identity in coset else min(coset)
+                syllable = None if rep == g.identity else (k, rep)
                 for y in coset:
-                    c_img = g.mul(y, g.inv(rep))
-                    table[y] = (self._preimage[k][c_img], rep)
+                    c = self._images[k].index(g.mul(self._inverse[k][rep], y))
+                    table[y] = (c, syllable)
             self._factor.append(table)
 
     @property
     def identity(self) -> AmalgamElement:
         return AmalgamElement(self.edge.identity, ())
 
+    def step(self, g: AmalgamElement, side: int, a: int) -> AmalgamElement:
+        'g · a for a in side group `side`: three table lookups at most.'
+        table = self._tables[side]
+        x = table[self._images[side][g.c]][a]
+        word = g.word
+        if word and word[-1][0] == side:
+            x = table[word[-1][1]][x]
+            word = word[:-1]
+        c, syllable = self._factor[side][x]
+        return _new(AmalgamElement, (c, word + (syllable,) if syllable else word))
+
     def embed_side(self, side: int, a: int) -> AmalgamElement:
-        return self._canonical([(side, a)])
+        return self.step(self.identity, side, a)
 
     def embed_edge(self, c: int) -> AmalgamElement:
         return AmalgamElement(c, ())
 
-    def _syllables(self, g: AmalgamElement) -> List[Tuple[int, int]]:
-        'Expand the normal form into raw (side, element) syllables.'
-        if not g.word:
-            if g.c == self.edge.identity:
-                return []
-            return [(0, self.embeddings[0].images[g.c])]
-        (s0, t0), rest = g.word[0], list(g.word[1:])
-        head = self.sides[s0].mul(self.embeddings[s0].images[g.c], t0)
-        return [(s0, head)] + rest
-
-    def _canonical(self, raw: Sequence[Tuple[int, int]]) -> AmalgamElement:
-        word = [list(t) for t in raw]
-        # reduce to a fixpoint: drop identities, merge same-side
-        # neighbours, transport interior edge-image syllables leftward
-        changed = True
-        while changed:
-            changed = False
-            j = 0
-            while j < len(word):
-                side, a = word[j]
-                g = self.sides[side]
-                if a == g.identity:
-                    del word[j]
-                    changed = True
-                    continue
-                if j > 0 and word[j - 1][0] == side:
-                    word[j - 1][1] = g.mul(word[j - 1][1], a)
-                    del word[j]
-                    # re-examine the merged syllable
-                    j -= 1
-                    changed = True
-                    continue
-                if j > 0 and a in self._image[side]:
-                    c = self._preimage[side][a]
-                    pside = word[j - 1][0]
-                    pg = self.sides[pside]
-                    word[j - 1][1] = pg.mul(word[j - 1][1],
-                                            self.embeddings[pside].images[c])
-                    del word[j]
-                    changed = True
-                    continue
-                j += 1
-        # leftward transport of the edge-group part of each syllable
-        carry = self.edge.identity
-        out: List[Tuple[int, int]] = []
-        for side, a in reversed(word):
-            g = self.sides[side]
-            x = g.mul(a, self.embeddings[side].images[carry])
-            carry, t = self._factor[side][x]
-            if t != g.identity:
-                out.insert(0, (side, t))
-        return AmalgamElement(carry, tuple(out))
-
     def mul(self, a: AmalgamElement, b: AmalgamElement) -> AmalgamElement:
-        return self._canonical(self._syllables(a) + self._syllables(b))
+        for side, t in b.word:
+            a = self.step(a, side, t)
+        return self.step(a, 0, self._images[0][b.c])
 
     def inv(self, a: AmalgamElement) -> AmalgamElement:
-        raw: List[Tuple[int, int]] = []
+        g = self.embed_edge(self._edge_inverse[a.c])
         for side, t in reversed(a.word):
-            raw.append((side, self.sides[side].inv(t)))
-        raw.append((0, self.embeddings[0].images[self.edge.inv(a.c)]))
-        return self._canonical(raw)
+            g = self.step(g, side, self._inverse[side][t])
+        return g
+
+    def conjugates(self, word: Tuple[Syllable, ...], side: int,
+                   members: Sequence[int]) -> FrozenSet[AmalgamElement]:
+        """w·m·w⁻¹ for the word w and each m of side group `side`.
+
+        Each conjugate costs len(word) + 1 steps.
+        """
+        step = self.step
+        w = AmalgamElement(self.edge.identity, word)
+        back = [(s, self._inverse[s][t]) for s, t in reversed(word)]
+        out = set()
+        for m in members:
+            g = step(w, side, m)
+            for s, t in back:
+                g = step(g, s, t)
+            out.add(g)
+        return frozenset(out)
 
 
 # -- development balls ----------------------------------------------------
@@ -233,43 +223,35 @@ def bass_serre_ball(u: Universe, graph: GraphOfGroups, radius: int,
     embeddings[order[edge.v]] = h_v
     embeddings[order[edge.w]] = h_w
     ctx = AmalgamContext(sides, eg, (embeddings[0], embeddings[1]))
+    step, conjugates = ctx.step, ctx.conjugates
 
     ball = DevelopmentBall(graph.name, radius)
     kind_of_side = ("vertex-left", "vertex-right")
-    seen_vertices: Dict[FrozenSet[AmalgamElement], int] = {}
-    seen_edges: Set[FrozenSet[AmalgamElement]] = set()
+    # by uniqueness of normal forms, g·G_s is keyed by s and the word of g
+    # without a trailing side-s syllable, and g·C by the word of g
+    seen_vertices: Dict[Tuple[int, Tuple[Syllable, ...]], int] = {}
+    seen_edges: Set[Tuple[Syllable, ...]] = set()
     cells = ball.cells
 
-    def vertex_coset(g: AmalgamElement, side: int) -> FrozenSet[AmalgamElement]:
-        return frozenset(ctx.mul(g, ctx.embed_side(side, a))
-                         for a in range(sides[side].order))
-
-    def edge_coset(g: AmalgamElement) -> FrozenSet[AmalgamElement]:
-        return frozenset(ctx.mul(g, ctx.embed_edge(c))
-                         for c in range(eg.order))
-
-    def stab_set(g: AmalgamElement, members) -> FrozenSet[AmalgamElement]:
-        gi = ctx.inv(g)
-        return frozenset(ctx.mul(ctx.mul(g, m), gi) for m in members)
-
-    def add_vertex(g: AmalgamElement, side: int, level: int) -> int:
-        coset = vertex_coset(g, side)
-        if coset in seen_vertices:
-            return seen_vertices[coset]
+    def add_vertex(word: Tuple[Syllable, ...], side: int, level: int) -> int:
+        if word and word[-1][0] == side:
+            word = word[:-1]
+        cid = seen_vertices.get((side, word))
+        if cid is not None:
+            return cid
         if len(cells) >= limits.cell_limit:
             raise ValueError(f"cell limit {limits.cell_limit} exceeded")
         cid = len(cells)
-        members = [ctx.embed_side(side, a) for a in range(sides[side].order)]
-        cells.append(BallCell(cid, 0, kind_of_side[side], level,
-                              sides[side].order, stab_set(g, members)))
-        seen_vertices[coset] = cid
+        n = sides[side].order
+        cells.append(BallCell(cid, 0, kind_of_side[side], level, n,
+                              conjugates(word, side, range(n))))
+        seen_vertices[(side, word)] = cid
         return cid
 
     queue: deque = deque()
     root = ctx.identity
-    rid = add_vertex(root, 0, 0)
-    queue.append((root, 0, rid, 0))
-    edge_members = [ctx.embed_edge(c) for c in range(eg.order)]
+    queue.append((root, 0, add_vertex(root.word, 0, 0), 0))
+    edge_members = embeddings[0].images
     while queue:
         g, side, cid, level = queue.popleft()
         if level == radius:
@@ -278,17 +260,16 @@ def bass_serre_ball(u: Universe, graph: GraphOfGroups, radius: int,
             continue
         other = 1 - side
         for a in range(sides[side].order):
-            ga = ctx.mul(g, ctx.embed_side(side, a))
-            ec = edge_coset(ga)
-            if ec in seen_edges:
+            ga = step(g, side, a)
+            if ga.word in seen_edges:
                 continue
-            seen_edges.add(ec)
-            wid = add_vertex(ga, other, level + 1)
+            seen_edges.add(ga.word)
+            wid = add_vertex(ga.word, other, level + 1)
             if len(cells) >= limits.cell_limit:
                 raise ValueError(f"cell limit {limits.cell_limit} exceeded")
             eid = len(cells)
             cells.append(BallCell(eid, 1, "edge", level, eg.order,
-                                  stab_set(ga, edge_members),
+                                  conjugates(ga.word, 0, edge_members),
                                   incident=(cid, wid)))
             queue.append((ga, other, wid, level + 1))
     return ball
@@ -521,14 +502,15 @@ def verify_stabilizers(ball: DevelopmentBall) -> StabilizerReport:
 
 # -- dispatch -------------------------------------------------------------
 
-def develop_target(u: Universe, name: str, radius: int,
+def develop_target(u: Universe, name: str, radius: Optional[int] = None,
                    limits: DevelopLimits = DevelopLimits()) -> DevelopmentBall:
+    'Radius None means 2 for a graph of groups and 1 for a polygon.'
     try:
         kind, payload = u.resolve(Ref(name))
     except (KeyError, ValueError) as exc:
         raise ValueError(str(exc)) from None
     if kind == "graph":
-        return bass_serre_ball(u, payload, radius, limits)
+        return bass_serre_ball(u, payload, 2 if radius is None else radius, limits)
     if kind == "polygon":
-        return polygon_ball(u, payload, radius, limits)
+        return polygon_ball(u, payload, 1 if radius is None else radius, limits)
     raise ValueError(f"{name!r} is not a graph or polygon of groups")

@@ -4,15 +4,16 @@ Each oracle computes its answer a second, slower way, reading only the
 public data of the model and sharing no helper with the code it checks.
 """
 
+from collections import deque
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from catbound.develop import CurvatureReport, DevelopmentBall
+from catbound.develop import BallCell, CurvatureReport, DevelopmentBall
 from catbound.engine import DerivationNode, Evaluator
 from catbound.extnat import ExtNat, ext_max, supremum
 from catbound.facts import FactSheet, Family, FamilyKind, Tri
-from catbound.model import (FreeProduct, GcwDescription, GroupExpr, PolygonOfGroups,
-                            Universe, expr_key)
+from catbound.model import (FreeProduct, GcwDescription, GraphOfGroups, GroupExpr,
+                            PolygonOfGroups, Universe, expr_key)
 
 
 def brute_force_curvature(u: Universe, p: PolygonOfGroups) -> CurvatureReport:
@@ -77,6 +78,187 @@ def tree_defect(ball: DevelopmentBall) -> int:
                 parent[ra] = rb
     components = len({find(v) for v in vertices})
     return edges - len(vertices) + components
+
+
+# -- the left-carry amalgam arithmetic that develop.AmalgamContext replaced
+
+
+@dataclass(frozen=True)
+class LeftCarryElement:
+    """Normal form c · t_1 ⋯ t_k in an amalgam over C: c in the edge
+    group, then alternating-side syllables, each a non-identity
+    representative of a right coset im(C)·x of its side group."""
+
+    c: int
+    word: Tuple[Tuple[int, int], ...]
+
+
+class LeftCarryAmalgam:
+    """G_0 *_C G_1 by rewriting raw syllable lists to a fixpoint, then
+    carrying the edge-group part of each syllable leftward."""
+
+    def __init__(self, sides, edge, embeddings) -> None:
+        self.sides = sides
+        self.edge = edge
+        self.embeddings = embeddings
+        self._image = tuple(frozenset(emb.images) for emb in embeddings)
+        self._preimage = tuple({img: c for c, img in enumerate(emb.images)}
+                               for emb in embeddings)
+        # factor x = i(c)·t with t the representative of the coset im(C)·x;
+        # the image coset itself is represented by the identity
+        self._factor: List[Dict[int, Tuple[int, int]]] = []
+        for k, g in enumerate(sides):
+            table: Dict[int, Tuple[int, int]] = {}
+            for x in range(g.order):
+                if x in table:
+                    continue
+                coset = sorted(g.mul(emb_img, x) for emb_img in self._image[k])
+                rep = g.identity if g.identity in coset else min(coset)
+                for y in coset:
+                    c_img = g.mul(y, g.inv(rep))
+                    table[y] = (self._preimage[k][c_img], rep)
+            self._factor.append(table)
+
+    @property
+    def identity(self) -> LeftCarryElement:
+        return LeftCarryElement(self.edge.identity, ())
+
+    def embed_side(self, side: int, a: int) -> LeftCarryElement:
+        return self._canonical([(side, a)])
+
+    def embed_edge(self, c: int) -> LeftCarryElement:
+        return LeftCarryElement(c, ())
+
+    def _syllables(self, g: LeftCarryElement) -> List[Tuple[int, int]]:
+        'Expand the normal form into raw (side, element) syllables.'
+        if not g.word:
+            if g.c == self.edge.identity:
+                return []
+            return [(0, self.embeddings[0].images[g.c])]
+        (s0, t0), rest = g.word[0], list(g.word[1:])
+        head = self.sides[s0].mul(self.embeddings[s0].images[g.c], t0)
+        return [(s0, head)] + rest
+
+    def _canonical(self, raw: Sequence[Tuple[int, int]]) -> LeftCarryElement:
+        word = [list(t) for t in raw]
+        # reduce to a fixpoint: drop identities, merge same-side
+        # neighbours, transport interior edge-image syllables leftward
+        changed = True
+        while changed:
+            changed = False
+            j = 0
+            while j < len(word):
+                side, a = word[j]
+                g = self.sides[side]
+                if a == g.identity:
+                    del word[j]
+                    changed = True
+                    continue
+                if j > 0 and word[j - 1][0] == side:
+                    word[j - 1][1] = g.mul(word[j - 1][1], a)
+                    del word[j]
+                    # re-examine the merged syllable
+                    j -= 1
+                    changed = True
+                    continue
+                if j > 0 and a in self._image[side]:
+                    c = self._preimage[side][a]
+                    pside = word[j - 1][0]
+                    pg = self.sides[pside]
+                    word[j - 1][1] = pg.mul(word[j - 1][1],
+                                            self.embeddings[pside].images[c])
+                    del word[j]
+                    changed = True
+                    continue
+                j += 1
+        # leftward transport of the edge-group part of each syllable
+        carry = self.edge.identity
+        out: List[Tuple[int, int]] = []
+        for side, a in reversed(word):
+            g = self.sides[side]
+            x = g.mul(a, self.embeddings[side].images[carry])
+            carry, t = self._factor[side][x]
+            if t != g.identity:
+                out.insert(0, (side, t))
+        return LeftCarryElement(carry, tuple(out))
+
+    def mul(self, a: LeftCarryElement, b: LeftCarryElement) -> LeftCarryElement:
+        return self._canonical(self._syllables(a) + self._syllables(b))
+
+    def inv(self, a: LeftCarryElement) -> LeftCarryElement:
+        raw: List[Tuple[int, int]] = []
+        for side, t in reversed(a.word):
+            raw.append((side, self.sides[side].inv(t)))
+        raw.append((0, self.embeddings[0].images[self.edge.inv(a.c)]))
+        return self._canonical(raw)
+
+
+def left_carry_context(u: Universe, graph: GraphOfGroups) -> LeftCarryAmalgam:
+    'The amalgam of a two-vertex, one-edge graph with concrete maps.'
+    (v0, e0), (v1, e1) = graph.vertices
+    (edge,) = graph.edges
+    embeddings = {edge.v: u.homs[edge.maps[0]], edge.w: u.homs[edge.maps[1]]}
+    return LeftCarryAmalgam(
+        (u.concretes[e0.name], u.concretes[e1.name]),
+        u.concretes[edge.group.name], (embeddings[v0], embeddings[v1]))
+
+
+def coset_set_ball(u: Universe, graph: GraphOfGroups,
+                   radius: int) -> DevelopmentBall:
+    """Ball of the Bass-Serre tree, each vertex g·G_s and edge g·C
+    deduplicated by its full coset, multiplied out as a set, and each
+    stabilizer the set g·G·g⁻¹ by two multiplications per member."""
+    ctx = left_carry_context(u, graph)
+    sides, eg = ctx.sides, ctx.edge
+    ball = DevelopmentBall(graph.name, radius)
+    kind_of_side = ("vertex-left", "vertex-right")
+    seen_vertices: Dict[frozenset, int] = {}
+    seen_edges: set = set()
+    cells = ball.cells
+
+    def vertex_coset(g: LeftCarryElement, side: int) -> frozenset:
+        return frozenset(ctx.mul(g, ctx.embed_side(side, a))
+                         for a in range(sides[side].order))
+
+    def edge_coset(g: LeftCarryElement) -> frozenset:
+        return frozenset(ctx.mul(g, ctx.embed_edge(c)) for c in range(eg.order))
+
+    def stab_set(g: LeftCarryElement, members) -> frozenset:
+        gi = ctx.inv(g)
+        return frozenset(ctx.mul(ctx.mul(g, m), gi) for m in members)
+
+    def add_vertex(g: LeftCarryElement, side: int, level: int) -> int:
+        coset = vertex_coset(g, side)
+        if coset in seen_vertices:
+            return seen_vertices[coset]
+        cid = len(cells)
+        members = [ctx.embed_side(side, a) for a in range(sides[side].order)]
+        cells.append(BallCell(cid, 0, kind_of_side[side], level,
+                              sides[side].order, stab_set(g, members)))
+        seen_vertices[coset] = cid
+        return cid
+
+    root = ctx.identity
+    queue = deque([(root, 0, add_vertex(root, 0, 0), 0)])
+    edge_members = [ctx.embed_edge(c) for c in range(eg.order)]
+    while queue:
+        g, side, cid, level = queue.popleft()
+        if level == radius:
+            ball.complete = False
+            continue
+        other = 1 - side
+        for a in range(sides[side].order):
+            ga = ctx.mul(g, ctx.embed_side(side, a))
+            ec = edge_coset(ga)
+            if ec in seen_edges:
+                continue
+            seen_edges.add(ec)
+            wid = add_vertex(ga, other, level + 1)
+            cells.append(BallCell(len(cells), 1, "edge", level, eg.order,
+                                  stab_set(ga, edge_members),
+                                  incident=(cid, wid)))
+            queue.append((ga, other, wid, level + 1))
+    return ball
 
 
 def max_combination(ev: Evaluator, x: GcwDescription, fam: Family) -> ExtNat:

@@ -172,6 +172,26 @@ def test_develop_json(capsys):
         {"vertex-left", "vertex-right", "edge"}
 
 
+def test_develop_polygon_default_radius(capsys):
+    # the default radius is 1 for a polygon (2 for a graph of groups,
+    # as test_develop_text pins); polygon stars exist only to radius 1
+    code, out, err = run(capsys, "develop", "--target", "SQ", SQUARE)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[:2] == [
+        "ball around the base cell of SQ, radius 1 (truncated at the frontier)",
+        "cells: dim 0: 4, dim 1: 12, dim 2: 9"]
+    code, out, err = run(capsys, "develop", "--target", "SQ",
+                         "--format", "json", SQUARE)
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["radius"] == 1
+    assert len(payload["cells"]) == 25
+    assert payload["stabilizers_consistent"] is True
+    explicit = run(capsys, "develop", "--target", "SQ", "--radius", "1",
+                   "--format", "json", SQUARE)
+    assert explicit == (0, out, "")
+
+
 def test_develop_radius_error(capsys):
     code, _, err = run(capsys, "develop", "--target", "Am46",
                        "--radius", "9", EXAMPLES)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -11,7 +12,9 @@ from catbound.model import (ConcreteFiniteGroup, Edge, GraphOfGroups,
                             Homomorphism, PolygonOfGroups, Ref, Universe,
                             cyclic_group, product_group)
 
-from oracles import brute_force_curvature, tree_defect
+from conftest import FIXTURES
+from oracles import (brute_force_curvature, coset_set_ball,
+                     left_carry_context, tree_defect)
 
 
 # -- oracles, written before the tests that lean on them ------------------
@@ -242,6 +245,145 @@ def test_ball_rejects_loops_and_big_graphs(example_universe):
                          (Edge("a", "b", Ref("Z2"), ("i24", "i26")),))
     with pytest.raises(ValueError):
         bass_serre_ball(example_universe, wide, 2)
+
+
+# -- the right-carry normal form against the left-carry oracle ------------
+
+
+def s3_table():
+    'S3 as permutations of 0..2, composed right to left; 1, 2, 5 are transpositions.'
+    perms = list(itertools.permutations(range(3)))
+    return [[perms.index(tuple(p[q[i]] for i in range(3))) for q in perms]
+            for p in perms]
+
+
+def amalgam_model(text, name):
+    u, diags = dsl.load_text(text, dsl.load_prelude())
+    assert not diags
+    kind, graph = u.resolve(Ref(name))
+    assert kind == "graph"
+    return u, graph
+
+
+def oracle_amalgams():
+    'Amalgams with normal and non-normal edge groups, and an index-1 side.'
+    s3 = f"group S3 = table {s3_table()};\n"
+    models = {
+        "Am46": ((FIXTURES / "examples.catb").read_text(encoding="utf-8"), "Am46"),
+        "S3-Z4": (s3 + "group Z4 = cyclic(4);\n"
+                  "hom s : Z2 -> S3 { 1 -> 1; }\nhom f : Z2 -> Z4 { 1 -> 2; }\n"
+                  "amalgam A = S3 *[Z2] Z4 with (s, f);\n", "A"),
+        "S3-S3": (s3 + "hom s : Z2 -> S3 { 1 -> 1; }\nhom t : Z2 -> S3 { 1 -> 5; }\n"
+                  "amalgam A = S3 *[Z2] S3 with (s, t);\n", "A"),
+        "Z2-Z6": ("group Z6 = cyclic(6);\nhom e : Z2 -> Z2 { 1 -> 1; }\n"
+                  "hom f : Z2 -> Z6 { 1 -> 3; }\n"
+                  "amalgam A = Z2 *[Z2] Z6 with (e, f);\n", "A"),
+    }
+    rng = random.Random(15)
+    while len(models) < 7:
+        a, b = rng.randint(1, 4), rng.randint(1, 4)
+        models[f"Z{2 * a}-Z{2 * b}"] = (
+            f"group L = cyclic({2 * a});\ngroup R = cyclic({2 * b});\n"
+            f"hom l : Z2 -> L {{ 1 -> {a}; }}\nhom r : Z2 -> R {{ 1 -> {b}; }}\n"
+            f"amalgam A = L *[Z2] R with (l, r);\n", "A")
+    return models
+
+
+ORACLE_AMALGAMS = oracle_amalgams()
+
+
+def ball_rows(ball):
+    return [(c.id, c.dim, c.kind, c.level, c.stab_order, c.incident)
+            for c in ball.cells]
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_AMALGAMS))
+def test_ball_matches_coset_set_oracle(name):
+    u, graph = amalgam_model(*ORACLE_AMALGAMS[name])
+    for radius in range(0, 5):
+        ball = bass_serre_ball(u, graph, radius)
+        oracle = coset_set_ball(u, graph, radius)
+        assert ball_rows(ball) == ball_rows(oracle)
+        assert ball.complete == oracle.complete
+        assert [len(c.stabilizer) for c in ball.cells] == \
+            [len(c.stabilizer) for c in oracle.cells]
+        report = verify_stabilizers(ball)
+        assert report.ok, report.problems
+    if name == "Z2-Z6":
+        # one coset of the edge group in Z2: the tree is a finite star
+        assert ball.complete and len(ball.of_dim(0)) == 4
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_AMALGAMS))
+def test_normal_forms_agree_with_oracle_on_equality(name):
+    u, graph = amalgam_model(*ORACLE_AMALGAMS[name])
+    oracle = left_carry_context(u, graph)
+    sides = oracle.sides
+    ctx = AmalgamContext(sides, oracle.edge, oracle.embeddings)
+    rng = random.Random(16)
+
+    def random_word():
+        return [(s, rng.randrange(sides[s].order))
+                for s in (rng.randint(0, 1) for _ in range(rng.randint(0, 5)))]
+
+    def rewritten(word):
+        'The same element: an x·x⁻¹ pair or an edge element moved across.'
+        word = list(word)
+        j = rng.randint(0, len(word))
+        s = rng.randint(0, 1)
+        if rng.random() < 0.5:
+            x = rng.randrange(sides[s].order)
+            word[j:j] = [(s, x), (s, sides[s].inv(x))]
+        else:
+            c = rng.randrange(oracle.edge.order)
+            word[j:j] = [(s, oracle.embeddings[s].images[c]),
+                         (1 - s, oracle.embeddings[1 - s].images[oracle.edge.inv(c)])]
+        return word
+
+    def value(arith, word):
+        g = arith.identity
+        for s, a in word:
+            g = arith.mul(g, arith.embed_side(s, a))
+        return g
+
+    words = []
+    for _ in range(60):
+        w = random_word()
+        words += [w, rewritten(w), rewritten(rewritten(w))]
+    new = [value(ctx, w) for w in words]
+    old = [value(oracle, w) for w in words]
+    equal_pairs = 0
+    for i, j in itertools.combinations(range(len(words)), 2):
+        assert (new[i] == new[j]) == (old[i] == old[j]), (words[i], words[j])
+        equal_pairs += new[i] == new[j]
+    assert equal_pairs >= len(words)
+    for g in new:
+        assert ctx.mul(g, ctx.inv(g)) == ctx.identity
+    for _ in range(100):
+        a, b, c = (rng.choice(new) for _ in range(3))
+        assert ctx.mul(ctx.mul(a, b), c) == ctx.mul(a, ctx.mul(b, c))
+
+
+@pytest.mark.parametrize("radius,size", [(2, 41), (3, 137), (4, 521)])
+def test_ball_costs_steps_linear_in_stabilizers(monkeypatch, radius, size):
+    u, graph = amalgam_model(
+        "group Z8 = cyclic(8);\ngroup Z10 = cyclic(10);\n"
+        "hom l : Z2 -> Z8 { 1 -> 4; }\nhom r : Z2 -> Z10 { 1 -> 5; }\n"
+        "amalgam A = Z8 *[Z2] Z10 with (l, r);\n", "A")
+    calls = 0
+    step = AmalgamContext.step
+
+    def counting_step(self, g, side, a):
+        nonlocal calls
+        calls += 1
+        return step(self, g, side, a)
+
+    monkeypatch.setattr(AmalgamContext, "step", counting_step)
+    ball = bass_serre_ball(u, graph, radius)
+    assert len(ball.cells) == size
+    # a conjugate of a level-L cell costs at most L + 2 steps, and an
+    # expanded vertex one step per element of its group
+    assert 0 < calls <= sum(c.stab_order * (c.level + 3) for c in ball.cells)
 
 
 # -- polygon stars --------------------------------------------------------
