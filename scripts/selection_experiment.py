@@ -1,22 +1,31 @@
 #!/usr/bin/env python3
-"""How much does optimizing the per-dimension rule choice buy?
+"""How much does the greedy arm choice of the complex rule buy?
 
 Generates random stratified complexes over palettes of opaque atoms
-with declared bounds, then compares three answers per instance: the
-all-max endpoint, the all-sum endpoint, and the optimized mixed
-selection.  Also times the ladder optimizer against a full scan of
-all 2^n selections to confirm they agree.
+with declared bounds (tests/gencw.py), then compares three answers per
+instance: the all-max endpoint, the all-sum endpoint, and the engine's
+bound, which takes the smaller arm at each dimension.  Also times the
+engine against a full scan of all 2^n arm choices, evaluated by the
+fixed-choice recursion in tests/oracles.py, to confirm they agree.
+
+Run from the root of a checkout: PYTHONPATH=src python
+scripts/selection_experiment.py.
 """
 
 import argparse
 import random
+import sys
 import time
 from dataclasses import dataclass
+from pathlib import Path
 
 from catbound.engine import Evaluator
-from catbound.extnat import INF, ExtNat
-from catbound.facts import AM, FactSheet
-from catbound.model import GcwDescription, Ref, Universe
+from catbound.facts import AM
+from catbound.model import Ref
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from gencw import random_instance  # noqa: E402
+from oracles import ladder_value  # noqa: E402
 
 
 @dataclass
@@ -25,30 +34,6 @@ class Config:
     max_n: int = 10
     max_orbits: int = 4
     seed: int = 7
-
-
-def random_instance(rng, cfg):
-    u = Universe()
-    names = []
-    for i in range(rng.randint(1, 5)):
-        name = f"A{i}"
-        s = FactSheet(name=name)
-        if rng.random() < 0.25:
-            s.gd_ub = INF
-            s.cat_ub["Am"] = INF if rng.random() < 0.5 \
-                else ExtNat(rng.randint(0, 4))
-        else:
-            gd = rng.randint(0, 6)
-            s.gd_ub = ExtNat(gd)
-            s.cat_ub["Am"] = ExtNat(rng.randint(0, gd))
-        u.sheets[name] = s
-        names.append(name)
-    n = rng.randint(1, cfg.max_n)
-    dims = tuple(
-        tuple(Ref(rng.choice(names))
-              for _ in range(rng.randint(0, cfg.max_orbits)))
-        for _ in range(n + 1))
-    return u, GcwDescription("X", dims, True)
 
 
 def main():
@@ -67,25 +52,24 @@ def main():
     mismatches = 0
 
     for _ in range(cfg.instances):
-        u, x = random_instance(rng, cfg)
+        u, x, _ = random_instance(rng, cfg.max_n, cfg.max_orbits)
         ev = Evaluator(u)
 
         t0 = time.perf_counter()
-        sel, best = ev.optimize_selection(x, AM)
+        best = ev.bound_cat(Ref(x.name), AM).value
         t_opt += time.perf_counter() - t0
 
         t0 = time.perf_counter()
         scan_best = min(
-            ev.eval_recursion(x, AM,
-                              frozenset(i + 1 for i in range(x.n)
-                                        if mask & (1 << i)))
+            ladder_value(ev, x, AM,
+                         frozenset(i + 1 for i in range(x.n) if mask & (1 << i)))
             for mask in range(1 << x.n))
         t_scan += time.perf_counter() - t0
         if scan_best != best:
             mismatches += 1
 
-        vmax = ev.eval_recursion(x, AM, range(1, x.n + 1))
-        vsum = ev.eval_recursion(x, AM, ())
+        vmax = ladder_value(ev, x, AM, frozenset(range(1, x.n + 1)))
+        vsum = ladder_value(ev, x, AM, frozenset())
         lo = min(vmax, vsum)
         if vmax == vsum == best:
             ties += 1
@@ -98,7 +82,7 @@ def main():
         if best.v is not None and lo.v is not None:
             gaps.append(lo.v - best.v)
         elif lo.v is None and best.v is not None:
-            gaps.append(None)       # mixed selection rescued a finite bound
+            gaps.append(None)       # a mixed choice rescued a finite bound
 
     print(f"instances          {cfg.instances}  (max n = {cfg.max_n}, "
           f"seed = {cfg.seed})")
@@ -112,8 +96,8 @@ def main():
         print(f"mean gap over best endpoint  "
               f"{sum(finite_gaps) / len(finite_gaps):.3f}")
     print(f"finite bound where both endpoints blow up  {rescued}")
-    print(f"optimizer {t_opt:.2f}s vs exhaustive scan {t_scan:.2f}s")
-    print(f"optimizer/scan disagreements  {mismatches}")
+    print(f"engine {t_opt:.2f}s vs exhaustive scan {t_scan:.2f}s")
+    print(f"engine/scan disagreements  {mismatches}")
     return 1 if mismatches else 0
 
 

@@ -13,10 +13,10 @@ nodes apart.
 An Evaluator memoizes twice, by key: bound results per (invariant,
 expression, family) in its MemoTable, and, in its own facts.FactMemo,
 membership and the provably_* questions per (question, family,
-expression) and the resolution of each expression.  Both last as long
-as the evaluator (the MemoTable longer, if it is shared), neither sees
-later changes to the universe, so the universe must not change while
-an evaluator uses it.
+expression), and the resolution and complex view of each expression.
+Both last as long as the evaluator (the MemoTable longer, if it is
+shared), neither sees later changes to the universe, so the universe
+must not change while an evaluator uses it.
 
 Rule inventory for cat, by rule id:
 
@@ -25,39 +25,46 @@ Rule inventory for cat, by rule id:
   cd-bound      cat is at most cohomological dimension (every family
                 contains the trivial subgroups)
   gd-bound      likewise via geometric dimension
-  gog-sum       graph of groups: vertex category plus shifted edge
-                category
-  gog-max       graph of groups: vertex category against shifted edge
-                dimension
-  one-step      a graph of groups whose vertex groups all lie in the
-                family has category at most 1
-  polygon-max   d-gon of groups, d >= 4, under the link condition
-                (edge groups around a vertex meet exactly in the face
-                group)
-  cw-greedy     per-dimension recursion over the cell stabilizers of a
-                contractible complex, with a greedily optimized choice
-                of arm at each dimension
+  one-step      a graph of groups or free product whose vertex groups
+                all lie in the family has category at most 1
+  rec-*         the complex rule: the per-dimension recursion over the
+                cell stabilizers of a contractible complex the group
+                acts on (rec-base, then rec-max or rec-sum per
+                dimension), with the greedy choice of arm
 
-The recursion behind cw-greedy: d_0 is the sup of the category of the
-0-cell stabilizers; at dimension i either
+The complex is FactMemo.complex_view of the expression, by carrier:
 
-    d_i = max(d_{i-1}, sup(gd(stab) + i))     "max arm", i in I
-    d_i = d_{i-1} + sup(cat(stab) + 1)        "sum arm", i not in I
+  graph of groups   the Bass-Serre tree: vertex groups in dim 0, edge
+                    groups in dim 1; no assumption
+  free product      the same, with trivial joins as the edge groups
+  d-gon, d >= 4     vertex, edge and face groups in dims 0, 1, 2.  Under
+                    the link condition the development is CAT(0), hence
+                    contractible (Gersten-Stallings; Bridson-Haefliger
+                    II.12).  Concrete maps must pass check_curvature;
+                    without maps, "link condition asserted"
+  gcw               itself, if contractible = assert; "contractibility
+                    asserted"
+
+gd-cells (gd) and tc-gcw (tc) read the same view.  The recursion: d_0
+is the sup of the category of the 0-cell stabilizers; at dimension i
+either
+
+    d_i = max(d_{i-1}, sup(gd(stab) + i))     "max arm"
+    d_i = d_{i-1} + sup(cat(stab) + 1)        "sum arm"
 
 and d_n bounds the category.  Both update maps are nondecreasing in
-d_{i-1}, which is why the greedy arm choice is globally optimal.
+d_{i-1}, which is why taking the smaller arm at each dimension is
+optimal over all 2^n arm choices.
 """
 
 from __future__ import annotations
 
 from dataclasses import FrozenInstanceError
-from typing import (Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence,
-                    Set, Tuple)
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from .extnat import INF, ZERO, ExtNat, supremum
 from .facts import TR, FactMemo, Family, MemoTable, Tri
-from .model import (DirectProduct, GcwDescription, GraphOfGroups, GroupExpr,
-                    PolygonOfGroups, TrivialGroup, Universe, expr_key)
+from .model import DirectProduct, GcwDescription, GroupExpr, Universe, expr_key
 
 _set = object.__setattr__
 
@@ -164,10 +171,8 @@ REPLAY: Dict[str, str] = {
     "cd-bound": "leaf", "gd-bound": "leaf", "tc-declared": "leaf",
     "trivial": "leaf", "const": "leaf", "no-rule": "leaf",
     "space-declared": "leaf",
-    "gog-max": "max", "gd-tree": "max", "polygon-max": "max",
-    "tc-gog": "max", "tc-gcw": "max", "cw-greedy": "max",
-    "cat-tr-as-cd": "max", "rec-max": "max",
-    "gog-sum": "sum", "product-gd": "sum", "cd-product": "sum",
+    "tc-gcw": "max", "cat-tr-as-cd": "max", "rec-max": "max",
+    "product-gd": "sum", "cd-product": "sum",
     "plus": "sum", "rec-sum": "sum", "gluing-sum": "sum",
     "sup": "sup", "rec-base": "sup", "gd-cells": "sup",
 }
@@ -263,6 +268,8 @@ def _sumnode(rule: str, cite: str, premises: Sequence[DerivationNode],
 
 
 def _shift(inner: DerivationNode, k: int, what: str) -> DerivationNode:
+    if k == 0:
+        return inner
     return _sumnode("plus", f"{what} shifted by its dimension",
                     [inner, _leaf("const", what, ExtNat(k))])
 
@@ -335,7 +342,7 @@ class Evaluator:
         verdict, reason = facts.membership_with_reason(e, fam)
         if verdict is Tri.YES:
             out.append(_leaf("member-zero", reason, ZERO))
-        kind, payload, chain = facts.resolve_chain(e)
+        kind, _, chain = facts.resolve_chain(e)
         for nm in chain:
             sheet = u.sheets.get(nm)
             if sheet is None:
@@ -353,84 +360,31 @@ class Evaluator:
                     "gd-bound",
                     "category never exceeds geometric dimension: " + sheet.cite("gd"),
                     sheet.gd_ub))
-        if kind in ("free", "graph"):
-            vertices, edges = _as_gog(kind, payload)
-            out.append(self._gog_sum(vertices, edges, fam))
-            out.append(self._gog_max(vertices, edges, fam))
-            if all(facts.membership(g, fam) is Tri.YES for _, g in vertices):
+        view = facts.complex_view(e)
+        if view is not None:
+            x, assumptions = view
+            out.append(self._cw_ladder(x, fam, assumptions))
+            # on a tree the edge groups embed in the vertex groups, so they
+            # lie in the (subgroup-closed) family too, derivable or not
+            if kind in ("free", "graph") and all(
+                    facts.membership(g, fam) is Tri.YES for g in x.dims[0]):
                 out.append(_leaf(
                     "one-step",
                     "fundamental group of a graph of groups with vertex groups "
                     "in the family", ExtNat(1)))
-        elif kind == "polygon":
-            node = self._polygon_rule(payload, fam)
-            if node is not None:
-                out.append(node)
-        elif kind == "gcw":
-            if payload.contractible:
-                _, _, ladder = self._cw_ladder(payload, fam, None)
-                out.append(_supnode(
-                    "cw-greedy",
-                    "recursion over cell stabilizers with optimized arm choice",
-                    [ladder],
-                    (f"contractibility asserted for {payload.name}",)))
         return out
 
     bound_cat = _memoized_bound("cat", cat_candidates)
 
-    def _gog_sum(self, vertices, edges, fam: Family) -> DerivationNode:
-        vnodes = [self.bound_cat(g, fam).trace for _, g in vertices]
-        enodes = [_shift(self.bound_cat(g, fam).trace, 1, f"edge {label}")
-                  for label, g in edges]
-        return _sumnode("gog-sum",
-                        "vertex category plus shifted edge category",
-                        [_supnode("sup", "over vertex groups", vnodes),
-                         _supnode("sup", "over edge groups", enodes)])
-
-    def _gog_max(self, vertices, edges, fam: Family) -> DerivationNode:
-        vnodes = [self.bound_cat(g, fam).trace for _, g in vertices]
-        enodes = [_shift(self.bound_gd(g).trace, 1, f"edge {label}")
-                  for label, g in edges]
-        return _supnode("gog-max",
-                        "vertex category against shifted edge dimension",
-                        [_supnode("sup", "over vertex groups", vnodes),
-                         _supnode("sup", "over edge groups", enodes)])
-
-    def _polygon_rule(self, p: PolygonOfGroups, fam: Family) -> Optional[DerivationNode]:
-        if p.d < 4:
-            return None
-        assumptions: Tuple[str, ...] = ()
-        if p.concrete_maps:
-            from .develop import check_curvature
-            if not check_curvature(self.universe, p).holds:
-                return None
-        else:
-            assumptions = (f"link condition asserted for {p.name}",)
-        vnodes = [self.bound_cat(g, fam).trace for g in p.vertex_groups]
-        enodes = [_shift(self.bound_gd(g).trace, 1, f"edge {i}")
-                  for i, g in enumerate(p.edge_groups)]
-        fnode = _shift(self.bound_gd(p.face_group).trace, 2, "face")
-        return _supnode(
-            "polygon-max",
-            f"{p.d}-gon of groups under the link condition",
-            [_supnode("sup", "over vertex groups", vnodes),
-             _supnode("sup", "over edge groups", enodes),
-             fnode],
-            assumptions)
-
-    # -- the per-dimension recursion --------------------------------------
-
     def _cw_ladder(self, x: GcwDescription, fam: Family,
-                   selection: Optional[FrozenSet[int]]
-                   ) -> Tuple[FrozenSet[int], ExtNat, DerivationNode]:
-        """Run the d_i ladder.  selection None means greedy arm choice.
+                   assumptions: Tuple[str, ...]) -> DerivationNode:
+        """The d_i recursion over the cell stabilizers of x, taking the
+        smaller arm at each dimension, ties to the max arm.
 
-        Ties go to the max arm, so the greedy selection set is the
-        largest one attaining the optimum.
+        Its start, rec-base, carries the assumptions.
         """
-        chosen: Set[int] = set()
         d = _supnode("rec-base", "category of 0-cell stabilizers",
-                     [self.bound_cat(g, fam).trace for g in x.dims[0]])
+                     [self.bound_cat(g, fam).trace for g in x.dims[0]], assumptions)
         for i in range(1, x.n + 1):
             row = x.dims[i]
             gd_sup = _supnode("sup", f"shifted dimension of {i}-cell stabilizers",
@@ -441,30 +395,8 @@ class Evaluator:
                                 for g in row])
             max_arm = _supnode("rec-max", f"dimension {i}, max arm", [d, gd_sup])
             sum_arm = _sumnode("rec-sum", f"dimension {i}, sum arm", [d, cat_sup])
-            if selection is not None:
-                take_max = i in selection
-            else:
-                take_max = max_arm.value <= sum_arm.value
-            if take_max:
-                chosen.add(i)
-                d = max_arm
-            else:
-                d = sum_arm
-        return frozenset(chosen), d.value, d
-
-    def eval_recursion(self, x: GcwDescription, fam: Family,
-                       selection: Iterable[int]) -> ExtNat:
-        sel = frozenset(selection)
-        bad = [i for i in sel if not 1 <= i <= x.n]
-        if bad:
-            raise ValueError(f"selection set must lie in 1..{x.n}, got {sorted(bad)}")
-        _, value, _ = self._cw_ladder(x, fam, sel)
-        return value
-
-    def optimize_selection(self, x: GcwDescription,
-                           fam: Family) -> Tuple[FrozenSet[int], ExtNat]:
-        chosen, value, _ = self._cw_ladder(x, fam, None)
-        return chosen, value
+            d = max_arm if max_arm.value <= sum_arm.value else sum_arm
+        return d
 
     # -- gd ---------------------------------------------------------------
 
@@ -485,20 +417,12 @@ class Evaluator:
             out.append(_sumnode("product-gd",
                                 "dimension is subadditive under direct products",
                                 factors))
-        elif kind in ("free", "graph"):
-            vertices, edges = _as_gog(kind, payload)
-            vnodes = [self.bound_gd(g).trace for _, g in vertices]
-            enodes = [_shift(self.bound_gd(g).trace, 1, f"edge {label}")
-                      for label, g in edges]
-            out.append(_supnode("gd-tree",
-                                "action on the associated tree",
-                                [_supnode("sup", "over vertex groups", vnodes),
-                                 _supnode("sup", "over edge groups", enodes)]))
-        elif kind == "gcw" and payload.contractible:
-            cells = [_shift(self.bound_gd(g).trace, d, f"{d}-cell")
-                     for d, g in payload.cells()]
+        view = self.facts.complex_view(e)
+        if view is not None:
+            x, assumptions = view
+            cells = [_shift(self.bound_gd(g).trace, d, f"{d}-cell") for d, g in x.cells()]
             out.append(_supnode("gd-cells", "dimension from cell stabilizers", cells,
-                                (f"contractibility asserted for {payload.name}",)))
+                                assumptions))
         return out
 
     bound_gd = _memoized_bound("gd", _gd_candidates)
@@ -551,11 +475,9 @@ class Evaluator:
         if kind == "trivial":
             out.append(_leaf("trivial", "one rule moves a point", ZERO))
             return out
-        if kind in ("free", "graph"):
-            vertices, edges = _as_gog(kind, payload)
-            out.append(self._tc_gog(vertices, edges))
-        elif kind == "gcw" and payload.contractible:
-            out.append(self._tc_gcw(payload))
+        view = self.facts.complex_view(e)
+        if view is not None:
+            out.append(self._tc_gcw(*view))
         return out
 
     bound_tc = _memoized_bound("tc", _tc_candidates)
@@ -563,28 +485,8 @@ class Evaluator:
     def _pair(self, a: GroupExpr, b: GroupExpr) -> GroupExpr:
         return DirectProduct((a, b))
 
-    def _tc_gog(self, vertices, edges) -> DerivationNode:
-        'Complexity of the square of the tree action, term by term.'
-        tc_nodes = [self.bound_tc(g).trace for _, g in vertices]
-        pair_nodes = [self.bound_cd(self._pair(vertices[i][1], vertices[j][1])).trace
-                      for i in range(len(vertices))
-                      for j in range(i + 1, len(vertices))]
-        ve_nodes = [_shift(self.bound_gd(self._pair(gv, ge)).trace, 1,
-                           f"vertex {vl} with edge {el}")
-                    for vl, gv in vertices for el, ge in edges]
-        ee_nodes = [_shift(self.bound_gd(self._pair(edges[i][1], edges[j][1])).trace, 2,
-                           f"edges {edges[i][0]} and {edges[j][0]}")
-                    for i in range(len(edges)) for j in range(i, len(edges))]
-        terms = [
-            _supnode("sup", "complexity over vertex groups", tc_nodes),
-            _supnode("sup", "dimension of distinct vertex group pairs", pair_nodes),
-            _supnode("sup", "vertex-edge pairs, shifted", ve_nodes),
-            _supnode("sup", "edge pairs, shifted", ee_nodes),
-        ]
-        return _supnode("tc-gog",
-                        "complexity bound from the square of the tree", terms)
-
-    def _tc_gcw(self, x: GcwDescription) -> DerivationNode:
+    def _tc_gcw(self, x: GcwDescription, assumptions: Tuple[str, ...]) -> DerivationNode:
+        'Complexity of the square of the complex, term by term.'
         cells = x.cells()
         zero = [(i, g) for i, (d, g) in enumerate(cells) if d == 0]
         tc_nodes = [self.bound_tc(g).trace for _, g in zero]
@@ -607,17 +509,4 @@ class Evaluator:
         ]
         return _supnode("tc-gcw",
                         "complexity bound from the square of the complex", terms,
-                        (f"contractibility asserted for {x.name}",))
-
-
-def _as_gog(kind: str, payload) -> Tuple[List[Tuple[str, GroupExpr]],
-                                         List[Tuple[str, GroupExpr]]]:
-    'Uniform (vertices, edges) view of free products and graphs of groups.'
-    if kind == "free":
-        vertices = [(f"factor{i}", g) for i, g in enumerate(payload.factors)]
-        edges = [(f"join{i}", TrivialGroup()) for i in range(len(payload.factors) - 1)]
-        return vertices, edges
-    graph: GraphOfGroups = payload
-    vertices = list(graph.vertices)
-    edges = [(f"edge{i}", e.group) for i, e in enumerate(graph.edges)]
-    return vertices, edges
+                        assumptions)

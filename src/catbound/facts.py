@@ -24,9 +24,10 @@ rules:
 unknown.  Inconsistent declarations are load-time errors.
 
 A FactMemo answers membership and the provably_* questions once per
-(question, family, expression key), and resolves each expression once,
-for as long as it lives; each Evaluator owns one for its own lifetime,
-and the universe must not change meanwhile.  The module functions
+(question, family, expression key), and resolves each expression and
+builds its complex view once, for as long as it lives; each Evaluator
+owns one for its own lifetime, and the universe must not change
+meanwhile.  The module functions
 membership(u, e, fam), membership_with_reason(u, e, fam) and
 provably_*(u, e) ask a fresh memo, so each call stands alone.
 """
@@ -38,7 +39,8 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
 from .extnat import INF, ZERO, ExtNat
-from .model import Diagnostic, FreeProduct, GroupExpr, Universe, expr_key
+from .model import (TRIVIAL, Diagnostic, FreeProduct, GcwDescription, GroupExpr,
+                    Universe, expr_key)
 
 
 class Tri(enum.Enum):
@@ -199,14 +201,45 @@ def _memoized(conservative):
     return decorate
 
 
+# a contractible complex as its cell stabilizers, and the assumptions
+# its contractibility rests on
+ComplexView = Tuple[GcwDescription, Tuple[str, ...]]
+
+
+def _complex_view(u: Universe, key: str, kind: str, payload) -> Optional[ComplexView]:
+    'FactMemo.complex_view of an expression with key `key` resolving to (kind, payload).'
+    if kind == "graph":
+        dims = (tuple(g for _, g in payload.vertices),
+                tuple(edge.group for edge in payload.edges))
+        return GcwDescription(payload.name, dims, True), ()
+    if kind == "free":
+        dims = (payload.factors, (TRIVIAL,) * (len(payload.factors) - 1))
+        return GcwDescription(key, dims, True), ()
+    if kind == "polygon":
+        if payload.d < 4:
+            return None
+        assumptions: Tuple[str, ...] = ()
+        if payload.concrete_maps:
+            from .develop import check_curvature
+            if not check_curvature(u, payload).holds:
+                return None
+        else:
+            assumptions = (f"link condition asserted for {payload.name}",)
+        dims = (payload.vertex_groups, payload.edge_groups, (payload.face_group,))
+        return GcwDescription(payload.name, dims, True), assumptions
+    if kind == "gcw" and payload.contractible:
+        return payload, (f"contractibility asserted for {payload.name}",)
+    return None
+
+
 class FactMemo:
     """The fact-layer questions about one universe, each answered once.
 
     membership_with_reason() and the provably_* chasers are answered
-    once per (chaser, family, expr_key) and resolve_chain() once per
-    expr_key, for as long as the memo lives; an Evaluator keeps one for
-    its own lifetime.  The universe must not change while a memo over
-    it is in use.
+    once per (chaser, family, expr_key), and resolve_chain() and
+    complex_view() once per expr_key, for as long as the memo lives;
+    an Evaluator keeps one for its own lifetime.  The universe must not
+    change while a memo over it is in use.
 
     A key whose answer is being computed reads as the conservative one
     (not provable; membership UNKNOWN by "circular definition").  So a
@@ -219,6 +252,7 @@ class FactMemo:
     def __init__(self, universe: Universe) -> None:
         self.universe = universe
         self._chains: Dict[str, Tuple[str, object, Tuple[str, ...]]] = {}
+        self._views: Dict[str, Optional[ComplexView]] = {}
         # (chaser, family name or None, expr_key) -> answer
         self._answers: Dict[Tuple[str, Optional[str], str], object] = {}
 
@@ -233,6 +267,21 @@ class FactMemo:
     def resolve(self, e: GroupExpr) -> Tuple[str, object]:
         kind, payload, _ = self.resolve_chain(e)
         return kind, payload
+
+    def complex_view(self, e: GroupExpr) -> Optional[ComplexView]:
+        """A contractible complex that e acts on, once per expr_key: its
+        cell stabilizers per dimension, one group per orbit of cells,
+        and the assumptions its contractibility rests on; None when the
+        model gives none.  The engine's rule inventory lists the
+        carriers: graphs of groups, free products, polygons with
+        d >= 4 and asserted gcws.
+        """
+        key = expr_key(e)
+        views = self._views
+        if key in views:
+            return views[key]
+        view = views[key] = _complex_view(self.universe, key, *self.resolve(e))
+        return view
 
     def _sheet(self, name) -> Optional[FactSheet]:
         return self.universe.sheets.get(name)

@@ -17,7 +17,9 @@ Val = Optional[int]          # None = unbounded
 
 def random_instance(rng: random.Random, max_n: int = 6, max_orbits: int = 4):
     """Universe of opaque atoms with declared bounds, one stratified
-    complex over them, and the (cat, gd) table the oracle reads."""
+    complex X over them, declared in the universe with its
+    contractibility asserted, and the (cat, gd) table the oracle
+    reads."""
     u = Universe()
     pool: List[Tuple[str, Val, Val]] = []
     for i in range(rng.randint(1, 5)):
@@ -38,7 +40,7 @@ def random_instance(rng: random.Random, max_n: int = 6, max_orbits: int = 4):
         tuple(Ref(rng.choice(pool)[0])
               for _ in range(rng.randint(0, max_orbits)))
         for _ in range(n + 1))
-    x = GcwDescription("X", dims, True)
+    x = u.gcws["X"] = GcwDescription("X", dims, True)
     values: Dict[str, Tuple[Val, Val]] = {nm: (c, g) for nm, c, g in pool}
     return u, x, values
 

@@ -6,14 +6,14 @@ public data of the model and sharing no helper with the code it checks.
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from catbound.develop import BallCell, CurvatureReport, DevelopmentBall
 from catbound.engine import DerivationNode, Evaluator
 from catbound.extnat import ExtNat, ext_max, supremum
 from catbound.facts import FactSheet, Family, FamilyKind, Tri
-from catbound.model import (FreeProduct, GcwDescription, GraphOfGroups, GroupExpr,
-                            PolygonOfGroups, Universe, expr_key)
+from catbound.model import (DirectProduct, FreeProduct, GcwDescription, GraphOfGroups,
+                            GroupExpr, PolygonOfGroups, TrivialGroup, Universe, expr_key)
 
 
 def brute_force_curvature(u: Universe, p: PolygonOfGroups) -> CurvatureReport:
@@ -259,6 +259,97 @@ def coset_set_ball(u: Universe, graph: GraphOfGroups,
                                   incident=(cid, wid)))
             queue.append((ga, other, wid, level + 1))
     return ball
+
+
+# -- the combination rules that the complex rule replaced ----------------
+#
+# Each takes its sub-bounds from the evaluator and recombines them by the
+# retired closed formula; the carriers are read off the model directly.
+
+
+def tree_groups(u: Universe, e: GroupExpr) -> Tuple[List[GroupExpr], List[GroupExpr]]:
+    'Vertex and edge groups of the tree a graph of groups or free product acts on.'
+    kind, payload = u.resolve(e)
+    if kind == "free":
+        return list(payload.factors), [TrivialGroup()] * (len(payload.factors) - 1)
+    if kind == "graph":
+        return [g for _, g in payload.vertices], [edge.group for edge in payload.edges]
+    raise ValueError(f"{expr_key(e)} is not a graph of groups or free product")
+
+
+def gog_sum(ev: Evaluator, e: GroupExpr, fam: Family) -> ExtNat:
+    'Vertex category plus shifted edge category.'
+    vertices, edges = tree_groups(ev.universe, e)
+    return (supremum(ev.bound_cat(g, fam).value for g in vertices)
+            + supremum(ev.bound_cat(g, fam).value + 1 for g in edges))
+
+
+def gog_max(ev: Evaluator, e: GroupExpr, fam: Family) -> ExtNat:
+    'Vertex category against shifted edge dimension.'
+    vertices, edges = tree_groups(ev.universe, e)
+    return ext_max(supremum(ev.bound_cat(g, fam).value for g in vertices),
+                   supremum(ev.bound_gd(g).value + 1 for g in edges))
+
+
+def gd_tree(ev: Evaluator, e: GroupExpr) -> ExtNat:
+    'Dimension from the action on the tree.'
+    vertices, edges = tree_groups(ev.universe, e)
+    return ext_max(supremum(ev.bound_gd(g).value for g in vertices),
+                   supremum(ev.bound_gd(g).value + 1 for g in edges))
+
+
+def tc_gog(ev: Evaluator, e: GroupExpr) -> ExtNat:
+    'Complexity from the square of the tree, term by term.'
+    vertices, edges = tree_groups(ev.universe, e)
+
+    def pair(a: GroupExpr, b: GroupExpr) -> GroupExpr:
+        return DirectProduct((a, b))
+
+    return supremum([
+        supremum(ev.bound_tc(g).value for g in vertices),
+        supremum(ev.bound_cd(pair(vertices[i], vertices[j])).value
+                 for i in range(len(vertices)) for j in range(i + 1, len(vertices))),
+        supremum(ev.bound_gd(pair(v, w)).value + 1 for v in vertices for w in edges),
+        supremum(ev.bound_gd(pair(edges[i], edges[j])).value + 2
+                 for i in range(len(edges)) for j in range(i, len(edges))),
+    ])
+
+
+def polygon_max(ev: Evaluator, p: PolygonOfGroups, fam: Family) -> ExtNat:
+    'Vertex category against shifted edge and face dimension.'
+    return supremum([
+        supremum(ev.bound_cat(g, fam).value for g in p.vertex_groups),
+        supremum(ev.bound_gd(g).value + 1 for g in p.edge_groups),
+        ev.bound_gd(p.face_group).value + 2,
+    ])
+
+
+# -- the per-dimension recursion with a fixed arm choice -------------------
+
+
+def ladder_value(ev: Evaluator, x: GcwDescription, fam: Family,
+                 selection: FrozenSet[int]) -> ExtNat:
+    'The d_i recursion taking the max arm at the dimensions in selection, the sum arm elsewhere.'
+    d = supremum(ev.bound_cat(g, fam).value for g in x.dims[0])
+    for i in range(1, len(x.dims)):
+        if i in selection:
+            d = ext_max(d, supremum(ev.bound_gd(g).value + i for g in x.dims[i]))
+        else:
+            d = d + supremum(ev.bound_cat(g, fam).value + 1 for g in x.dims[i])
+    return d
+
+
+def max_arm_dims(trace: DerivationNode) -> FrozenSet[int]:
+    """The dimensions at which a ladder trace took the max arm, read by
+    walking its d_i premises down to rec-base."""
+    arms: List[bool] = []
+    node = trace
+    while node.rule != "rec-base":
+        assert node.rule in ("rec-max", "rec-sum"), node.rule
+        arms.append(node.rule == "rec-max")
+        node = node.premises[0]
+    top = len(arms)
+    return frozenset(top - k for k, took_max in enumerate(arms) if took_max)
 
 
 def max_combination(ev: Evaluator, x: GcwDescription, fam: Family) -> ExtNat:

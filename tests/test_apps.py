@@ -32,7 +32,7 @@ def test_double_via_graph_route(fixture_texts):
     cert = certify_fixture(fixture_texts, "double_max", "DblMax")
     assert cert.conclusion == "volume_vanishes"
     assert cert.value == ExtNat(3)
-    assert cert.trace.rule == "gog-max"
+    assert cert.trace.rule == "rec-max"
     assert not cert.failed_items()
     items = [x.item for x in cert.ledger]
     assert "connectedness of the glued space" in items
@@ -57,7 +57,7 @@ def test_branched_pentagon(fixture_texts):
     cert = certify_fixture(fixture_texts, "branched_five", "BrFive")
     assert cert.conclusion == "volume_vanishes"
     assert cert.value == ExtNat(3)
-    assert cert.trace.rule == "polygon-max"
+    assert cert.trace.rule == "rec-max"
     statuses = {x.item.split(" ")[0]: x.status for x in cert.ledger}
     assert statuses == {"(i)": "asserted", "(ii)": "asserted",
                         "(iii)": "verified", "(iv)": "verified",

@@ -36,7 +36,7 @@ def test_bound_finite(capsys):
                          "--family", "Tr", EXAMPLES)
     assert code == 0 and not err
     assert out.splitlines()[0] == "cat[Tr] <= 1"
-    assert "trace:" in out and "gog-max" in out
+    assert "trace:" in out and "rec-max" in out
 
 
 def test_bound_family_case_insensitive(capsys):
@@ -83,7 +83,7 @@ def test_tc(capsys):
     code, out, _ = run(capsys, "tc", "--target", "ZZ", EXAMPLES)
     assert code == 0
     assert out.splitlines()[0] == "tc <= 2"
-    assert "tc-gog" in out
+    assert "tc-gcw" in out
 
 
 def test_json_outputs_are_reproducible(capsys):
@@ -96,7 +96,7 @@ def test_json_outputs_are_reproducible(capsys):
     payload = json.loads(out1)
     assert payload["value"] == 1
     trace = payload["trace"]
-    assert trace["nodes"][trace["root"]]["rule"] == "gog-sum"
+    assert trace["nodes"][trace["root"]]["rule"] == "rec-sum"
     assert trace["root"] == len(trace["nodes"]) - 1
 
 

@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import random
 
 import pytest
@@ -6,13 +7,14 @@ import pytest
 from catbound import dsl
 from catbound.engine import REPLAY, DerivationNode, Evaluator, replay
 from catbound.extnat import INF, ZERO, ExtNat
-from catbound.facts import AM, FIN, TR, MemoTable
+from catbound.facts import AM, FIN, TR, FactSheet, MemoTable, Tri
 from catbound.model import (DirectProduct, FreeProduct, Ref, TrivialGroup,
                             Universe, expr_key)
 
 from gencw import oracle_exhaustive, oracle_recursion, random_instance
-from genmodels import nested_text
-from oracles import dag_size, max_combination, sum_combination
+from genmodels import _Names, nested_text, random_expr, random_graph, random_polygon
+from oracles import (dag_size, gd_tree, gog_max, gog_sum, ladder_value, max_arm_dims,
+                     max_combination, polygon_max, sum_combination, tc_gog)
 
 
 @pytest.fixture(scope="module")
@@ -27,20 +29,28 @@ def ev(example_universe):
     return Evaluator(example_universe)
 
 
+# the rule ids of the complex rule's nodes
+LADDER = ("rec-base", "rec-max", "rec-sum")
+
+
+def rule_values(candidates, rules):
+    return [n.value for n in candidates if n.rule in rules]
+
+
 # -- headline values ------------------------------------------------------
 
 
 def test_cat_tr_of_free_square(ev):
     r = ev.bound_cat(Ref("ZZ"), TR)
     assert r.value == ExtNat(1)
-    assert r.trace.rule == "gog-max"
+    assert r.trace.rule == "rec-max"
 
 
 def test_cat_fin_of_finite_amalgam_uses_sum_rule(ev):
     r = ev.bound_cat(Ref("Am46"), FIN)
     assert r.value == ExtNat(1)
     assert r.value != INF
-    assert r.trace.rule == "gog-sum"
+    assert r.trace.rule == "rec-sum"
 
 
 def test_cat_am_of_free_amalgam(ev):
@@ -85,7 +95,7 @@ def test_declared_infinite_gd_keeps_provenance():
     assert "no finite model" in r.trace.cite
 
 
-# -- graph-of-groups rules ------------------------------------------------
+# -- graphs of groups and free products ----------------------------------
 
 
 def test_one_step_candidate_for_member_vertices(ev):
@@ -103,12 +113,18 @@ def test_gog_rules_absent_for_non_member_graph():
 
 
 def test_free_product_routes_through_graph_rules(ev):
-    sum_rule = [n for n in ev.cat_candidates(Ref("ZZ"), TR)
-                if n.rule == "gog-sum"]
-    assert sum_rule and sum_rule[0].value == ExtNat(2)
+    assert rule_values(ev.cat_candidates(Ref("ZZ"), TR), LADDER) == [ExtNat(1)]
+    assert gog_sum(ev, Ref("ZZ"), TR) == ExtNat(2)
+    assert gog_max(ev, Ref("ZZ"), TR) == ExtNat(1)
 
 
-# -- polygon rule ---------------------------------------------------------
+# -- polygons -------------------------------------------------------------
+
+def assert_no_complex_rule(ev, name):
+    for fam in (TR, FIN, AM):
+        assert not rule_values(ev.cat_candidates(Ref(name), fam), LADDER)
+    assert not rule_values(ev._gd_candidates(Ref(name)), ("gd-cells",))
+    assert not rule_values(ev._tc_candidates(Ref(name)), ("tc-gcw",))
 
 
 def polygon_universe(extra=""):
@@ -130,7 +146,7 @@ polygon PENT {
 def test_polygon_rule_with_asserted_links():
     r = Evaluator(polygon_universe()).bound_cat(Ref("PENT"), AM)
     assert r.value == ExtNat(3)
-    assert r.trace.rule == "polygon-max"
+    assert r.trace.rule == "rec-max"
     assert any("asserted" in a for a in r.assumptions())
 
 
@@ -143,6 +159,7 @@ def test_polygon_rule_needs_four_sides():
     r = Evaluator(u).bound_cat(Ref("TRI"), AM)
     assert r.value == INF
     assert r.trace.rule == "no-rule"
+    assert_no_complex_rule(Evaluator(u), "TRI")
 
 
 def test_polygon_rule_refuses_failed_concrete_links(fixture_texts):
@@ -152,18 +169,29 @@ def test_polygon_rule_refuses_failed_concrete_links(fixture_texts):
     assert r.value == INF
     assert r.trace.rule == "no-rule"
     assert not r.assumptions()
+    assert_no_complex_rule(Evaluator(u), "BAD")
 
 
 def test_polygon_rule_accepts_verified_concrete_links(fixture_texts):
     u, diags = dsl.load_text(fixture_texts["square_coxeter"],
                              dsl.load_prelude())
     assert not diags
-    r = Evaluator(u).bound_cat(Ref("SQ"), FIN)
-    # finite edge groups admit no finite-dimensional model, so the rule
-    # fires (links verified, no assumption) but the value is unbounded
-    assert r.trace.rule == "polygon-max"
-    assert r.value == INF
-    assert not r.assumptions()
+    ev = Evaluator(u)
+    for fam in (FIN, AM):
+        r = ev.bound_cat(Ref("SQ"), fam)
+        # the links are verified, so there is no assumption; the finite
+        # edge groups have gd inf, which the all-max formula cannot step
+        # over, but the sum arm can: d_0 = 0 at the corners, d_1 = 0 + 1,
+        # d_2 = max(1, gd(face) + 2) = 2
+        assert r.trace.rule == "rec-max"
+        assert r.value == ExtNat(2)
+        assert polygon_max(ev, u.polygons["SQ"], fam) == INF
+        assert not r.assumptions()
+        assert replay(r.trace) == r.value
+    assert len(rule_values(ev._gd_candidates(Ref("SQ")), ("gd-cells",))) == 1
+    assert len(rule_values(ev._tc_candidates(Ref("SQ")), ("tc-gcw",))) == 1
+    for r in (ev.bound_gd(Ref("SQ")), ev.bound_tc(Ref("SQ"))):
+        assert replay(r.trace) == r.value and not r.assumptions()
 
 
 # -- stratified complexes -------------------------------------------------
@@ -185,18 +213,10 @@ gcw X {
 def test_cw_greedy_bound_and_assumption():
     r = Evaluator(gcw_universe()).bound_cat(Ref("X"), AM)
     assert r.value == ExtNat(2)
-    assert r.trace.rule == "cw-greedy"
+    # sum arm at dimension 1 (the Z2 cells have gd inf), max arm at 2
+    assert r.trace.rule == "rec-max"
+    assert max_arm_dims(r.trace) == {2}
     assert any("contractibility" in a for a in r.assumptions())
-
-
-def test_recursion_rejects_bad_index():
-    u = gcw_universe()
-    ev2 = Evaluator(u)
-    x = u.gcws["X"]
-    with pytest.raises(ValueError):
-        ev2.eval_recursion(x, AM, frozenset({3}))
-    with pytest.raises(ValueError):
-        ev2.eval_recursion(x, AM, frozenset({0}))
 
 
 def test_endpoint_identities_random():
@@ -206,8 +226,8 @@ def test_endpoint_identities_random():
         ev2 = Evaluator(u)
         n = len(x.dims) - 1
         full = frozenset(range(1, n + 1))
-        got_full = ev2.eval_recursion(x, AM, full)
-        got_empty = ev2.eval_recursion(x, AM, frozenset())
+        got_full = ladder_value(ev2, x, AM, full)
+        got_empty = ladder_value(ev2, x, AM, frozenset())
         assert got_full == max_combination(ev2, x, AM)
         assert got_empty == sum_combination(ev2, x, AM)
         assert got_full.v == oracle_recursion(x, values, full)
@@ -221,7 +241,7 @@ def test_recursion_matches_oracle_on_random_selections():
         ev2 = Evaluator(u)
         n = len(x.dims) - 1
         sel = frozenset(i for i in range(1, n + 1) if rng.random() < 0.5)
-        assert ev2.eval_recursion(x, AM, sel).v == \
+        assert ladder_value(ev2, x, AM, sel).v == \
             oracle_recursion(x, values, sel)
 
 
@@ -230,9 +250,89 @@ def test_greedy_is_optimal_random():
     for _ in range(200):
         u, x, values = random_instance(rng, max_n=8)
         ev2 = Evaluator(u)
-        sel, value = ev2.optimize_selection(x, AM)
-        assert ev2.eval_recursion(x, AM, sel) == value
-        assert value.v == oracle_exhaustive(x, values)
+        r = ev2.bound_cat(Ref(x.name), AM)
+        sel = max_arm_dims(r.trace)
+        assert ladder_value(ev2, x, AM, sel) == r.value
+        assert r.value.v == oracle_recursion(x, values, sel)
+        assert r.value.v == oracle_exhaustive(x, values)
+        assert replay(r.trace) == r.value
+
+
+# -- the complex rule against the per-carrier formulas it replaced --------
+
+def random_atoms(rng: random.Random) -> Universe:
+    'Sheets with random bounds for the atom names genmodels.random_expr draws.'
+    u = Universe()
+    for name in ("A", "B", "C", "Zed", "Q9"):
+        s = FactSheet(name=name)
+        gd = None if rng.random() < 0.3 else rng.randint(0, 4)
+        s.gd_ub = INF if gd is None else ExtNat(gd)
+        s.cd_ub = s.gd_ub if rng.random() < 0.5 else INF
+        s.tc_ub = INF if gd is None or rng.random() < 0.3 else ExtNat(2 * gd)
+        for fam in ("Tr", "Fin", "Am"):
+            if rng.random() < 0.5:
+                s.cat_ub[fam] = ExtNat(rng.randint(0, 4))
+        s.amenable = rng.choice((Tri.YES, Tri.NO, Tri.UNKNOWN))
+        if s.amenable is Tri.YES and rng.random() < 0.5:
+            s.finite = Tri.YES
+        u.sheets[name] = s
+    return u
+
+
+def test_complex_rule_matches_the_retired_formulas_random():
+    rng = random.Random(2031)
+    kinds = collections.Counter()
+    for i in range(300):
+        u = random_atoms(rng)
+        names = _Names()
+        graph = random_graph(rng, names)
+        polygon = dataclasses.replace(random_polygon(rng, names),
+                                      edge_maps=None, face_maps=None)
+        u.graphs[graph.name] = graph
+        u.polygons[polygon.name] = polygon
+        free = FreeProduct(tuple(random_expr(rng, 1)
+                                 for _ in range(rng.randint(2, 3))))
+        ev = Evaluator(u)
+        for target, tree in ((Ref(graph.name), True), (free, True),
+                             (Ref(polygon.name), False)):
+            kinds["tree" if tree else f"polygon-{polygon.d >= 4}"] += 1
+            complex_view = tree or polygon.d >= 4
+            for fam in (TR, FIN, AM):
+                ladder = rule_values(ev.cat_candidates(target, fam), LADDER)
+                assert len(ladder) == complex_view, (i, target)
+                if tree:
+                    assert ladder[0] == min(gog_sum(ev, target, fam),
+                                            gog_max(ev, target, fam)), (i, target)
+                elif ladder:
+                    assert ladder[0] <= polygon_max(ev, polygon, fam), (i, target)
+                r = ev.bound_cat(target, fam)
+                assert replay(r.trace) == r.value, (i, target)
+            gd_cells = rule_values(ev._gd_candidates(target), ("gd-cells",))
+            tc_gcw = rule_values(ev._tc_candidates(target), ("tc-gcw",))
+            assert len(gd_cells) == len(tc_gcw) == complex_view, (i, target)
+            if tree:
+                assert gd_cells == [gd_tree(ev, target)], (i, target)
+                assert tc_gcw == [tc_gog(ev, target)], (i, target)
+            for r in (ev.bound_gd(target), ev.bound_cd(target), ev.bound_tc(target)):
+                assert replay(r.trace) == r.value, (i, target)
+    assert kinds["polygon-True"] > 50 and kinds["polygon-False"] > 10
+
+
+def test_link_condition_is_checked_once_per_evaluator(fixture_texts, monkeypatch):
+    from catbound import develop
+    calls = collections.Counter()
+    check = develop.check_curvature
+    monkeypatch.setattr(develop, "check_curvature", lambda u, p: (
+        calls.update([p.name]) or check(u, p)))
+    u, diags = dsl.load_text(fixture_texts["square_coxeter"], dsl.load_prelude())
+    assert not diags
+    for round_ in (1, 2):
+        ev = Evaluator(u)
+        for fam in (TR, FIN, AM):
+            ev.bound_cat(Ref("SQ"), fam)
+        ev.bound_gd(Ref("SQ"))
+        ev.bound_tc(Ref("SQ"))
+        assert calls == {"SQ": round_}
 
 
 # -- dimension and complexity ---------------------------------------------
@@ -244,7 +344,8 @@ def test_gd_of_free_products(ev):
     # amalgam over Z: the tree bound shifts the edge group by one
     r = ev.bound_gd(Ref("FC"))
     assert r.value == ExtNat(2)
-    assert r.trace.rule == "gd-tree"
+    assert r.trace.rule == "gd-cells"
+    assert gd_tree(ev, Ref("FC")) == ExtNat(2)
 
 
 def test_gd_of_products(ev):
@@ -299,9 +400,12 @@ def test_tc_declared(ev):
 def test_tc_of_free_square(ev):
     r = ev.bound_tc(Ref("ZZ"))
     assert r.value == ExtNat(2)
-    assert r.trace.rule == "tc-gog"
-    assert len(r.trace.premises) == 4
-    assert sorted(str(p.value) for p in r.trace.premises) == ["1", "2", "2", "2"]
+    assert r.trace.rule == "tc-gcw"
+    # tc of the factors, cd of the factor pair, and the pairs meeting
+    # the 1-cells (the vertex-edge and edge-edge terms of the tree rule)
+    assert len(r.trace.premises) == 3
+    assert sorted(str(p.value) for p in r.trace.premises) == ["1", "2", "2"]
+    assert tc_gog(ev, Ref("ZZ")) == ExtNat(2)
 
 
 def test_tc_of_contractible_complex():
@@ -435,8 +539,8 @@ def chain_text(n: int) -> str:
                    for i in range(1, n + 1))
 
 
-# N1 gets 1 from one-step, every later level 2 from gog-max (edge
-# groups Z, so gd + 1 = 2); each chain link gets 1 from gog-max
+# N1 gets 1 from one-step, every later level 2 from the max arm (edge
+# groups Z, so gd + 1 = 2); each chain link gets 1 from the max arm
 @pytest.mark.parametrize("text,target,size,value", [
     (nested_text(10, 3), "N10", 10, 2),
     (chain_text(200), "G200", 200, 1),
