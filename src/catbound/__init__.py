@@ -23,7 +23,7 @@ from .dsl import (ParseFailure, SourceModel, build_universe, load_prelude,
                   load_text, parse, serialize, try_parse)
 from .apps import (BranchedSetup, Certificate, DoubleSetup, GluingSetup,
                    PreconditionError, certify_branched, certify_double,
-                   certify_gluing, gluing_sum_bound, gluing_to_gog)
+                   certify_gluing, gluing_to_gog)
 
 __version__ = "0.1.0"
 
@@ -44,6 +44,6 @@ __all__ = [
     "load_text", "parse", "serialize", "try_parse",
     "BranchedSetup", "Certificate", "DoubleSetup", "GluingSetup",
     "PreconditionError", "certify_branched", "certify_double",
-    "certify_gluing", "gluing_sum_bound", "gluing_to_gog",
+    "certify_gluing", "gluing_to_gog",
     "__version__",
 ]

@@ -2,9 +2,11 @@
 
 Three kinds of setup are translated into group-level instances:
 
-  * gluing: pieces with boundary components, some paired off;
-  * double: two copies of one piece glued along every boundary
-    component;
+  * gluing: pieces with boundary components, some paired off, read
+    over the gluing's tree (pieces are 0-cells, paired interfaces
+    1-cells);
+  * double: the closed gluing of two copies of one piece along every
+    boundary component;
   * branched: d copies of one piece arranged cyclically around a
     common core, modeled as a d-gon of groups.
 
@@ -13,10 +15,10 @@ computable, recorded assertions otherwise), derives an amenable-category
 bound, and emits a Certificate.  Conclusions, strongest first:
 volume_vanishes, cat_bound, inconclusive.  A certificate never claims
 nonvanishing, and volume_vanishes requires a category bound strictly
-below the dimension with no failed hypothesis.
-
-The two vanishing scopes (paired interfaces only vs every boundary
-component) are checked and reported separately in the ledger.
+below the dimension with no failed hypothesis and no failed scope item.
+A gluing takes the better of the engine's bound on its graph of
+groups and the ladder's sum arm over its tree with space-level
+declarations (certify_gluing).
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
 
-from .engine import BoundResult, DerivationNode, Evaluator, _leaf, _sumnode, _supnode
+from .engine import DerivationNode, Evaluator, _leaf, _rec_base, _rec_sum
 from .extnat import ExtNat
 from .facts import AM
 from .model import (Diagnostic, Edge, GraphOfGroups, GroupExpr,
@@ -200,178 +202,168 @@ def _check_ids(ids: List[str], loc: str, what: str) -> List[Diagnostic]:
 
 def gluing_to_gog(s: GluingSetup) -> GraphOfGroups:
     'Pieces become vertices; each pairing an edge with the + side group.'
-    by_id = {p.id: p for p in s.pieces}
-    edges = []
-    for (pa, ba), (pb, bb) in s.pairings:
-        plus = by_id.get(pa)
-        if plus is None:
-            raise ValueError(f"pairing names unknown piece {pa!r}")
-        if pb not in by_id:
-            raise ValueError(f"pairing names unknown piece {pb!r}")
-        boundary = next((b for b in plus.boundaries if b.id == ba), None)
-        if boundary is None:
-            raise ValueError(f"pairing names unknown boundary {pa}.{ba}")
-        edges.append(Edge(pa, pb, boundary.group, None))
+    ends = _boundaries(s)
+    for pid, bid in (end for pairing in s.pairings for end in pairing):
+        if (pid, bid) not in ends:
+            raise ValueError(f"pairing names unknown boundary {pid}.{bid}")
     return GraphOfGroups(f"{s.name}@gog",
                          tuple((p.id, p.group) for p in s.pieces),
-                         tuple(edges))
+                         tuple(Edge(pa, pb, ends[pa, ba].group, None)
+                               for (pa, ba), (pb, _) in s.pairings))
+
+
+def _boundaries(s: GluingSetup) -> Dict[Tuple[str, str], BoundaryComponent]:
+    'Each boundary component by (piece id, boundary id).'
+    return {(p.id, b.id): b for p in s.pieces for b in p.boundaries}
 
 
 def double_to_gluing(s: DoubleSetup) -> GluingSetup:
-    left = Piece("copyA", s.piece.group, s.piece.cat_space, s.piece.boundaries)
-    right = Piece("copyB", s.piece.group, s.piece.cat_space, s.piece.boundaries)
+    copies = tuple(Piece(c, s.piece.group, s.piece.cat_space, s.piece.boundaries)
+                   for c in ("copyA", "copyB"))
     pairings = tuple((("copyA", b.id), ("copyB", b.id))
                      for b in s.piece.boundaries)
-    return GluingSetup(f"{s.name}@double", s.n, (left, right), pairings, True)
+    return GluingSetup(f"{s.name}@double", s.n, copies, pairings, True)
 
 
 # -- certificates ---------------------------------------------------------
 
 def certify_gluing(u: Universe, s: GluingSetup) -> Certificate:
-    """Category bound through the graph of groups, then the vanishing
-    criteria.  Paired-interface hypotheses and the all-boundary scope
-    are ledgered separately."""
-    n = s.n
+    """The better of two bounds over the gluing's tree, whose 0-cells
+    are the pieces and whose 1-cells are the paired interfaces.
+
+    The group-level bound is the engine's bound on the graph of groups:
+    it needs connectedness and (i)-(iii), and vanishing needs the
+    all-boundary scope.  The additive bound is the ladder's sum arm
+    with each cell read at the space level: it needs connectedness
+    only, and vanishing needs a closed gluing.  The higher conclusion
+    wins, then the smaller value, ties to the group-level bound, and
+    the ledger is the winner's.  When neither concludes, it lists the
+    items of both.
+    """
     gog = gluing_to_gog(s)
     with_gog = u.overlay()
     with_gog.graphs[gog.name] = gog
     ev = Evaluator(with_gog)
-    ledger: List[LedgerItem] = []
-    by_id = {p.id: p for p in s.pieces}
-
-    ledger.append(LedgerItem(
+    ends = _boundaries(s)
+    connected = LedgerItem(
         "connectedness of the glued space",
         "asserted" if s.connected else "failed",
-        "" if s.connected else "not asserted"))
+        "" if s.connected else "not asserted")
+    group = _group_bound(ev, s, gog.name, ends, connected)
+    additive = _additive_bound(ev, s, ends, connected)
+    if _RANK[additive.conclusion] > _RANK[group.conclusion] or (
+            additive.conclusion == group.conclusion != "inconclusive"
+            and additive.value < group.value):
+        return additive
+    if group.conclusion != "inconclusive":
+        return group
+    return Certificate("inconclusive", None, group.ledger + [
+        x for x in additive.ledger if x is not connected], group.trace)
+
+
+_RANK = {"volume_vanishes": 2, "cat_bound": 1, "inconclusive": 0}
+
+
+def certify_double(u: Universe, s: DoubleSetup) -> Certificate:
+    'The certificate of the closed two-copy gluing.'
+    return certify_gluing(u, double_to_gluing(s))
+
+
+def _group_bound(ev: Evaluator, s: GluingSetup, graph: str,
+                 ends: Dict[Tuple[str, str], BoundaryComponent],
+                 connected: LedgerItem) -> Certificate:
+    'The category bound of the graph of groups, under (i)-(iii).'
+    n = s.n
+    hypotheses = [connected]
     for j, ((pa, ba), (pb, bb)) in enumerate(s.pairings):
-        plus = _boundary(by_id, pa, ba)
-        minus = _boundary(by_id, pb, bb)
+        plus, minus = ends[pa, ba], ends[pb, bb]
         ok = plus.pi1_injective and minus.pi1_injective
-        ledger.append(LedgerItem(
+        hypotheses.append(LedgerItem(
             f"(i) pairing {j} [{pa}.{ba} ~ {pb}.{bb}]: interface "
             "pi1-injective on both sides",
             "asserted" if ok else "failed",
             "" if ok else "injectivity not asserted"))
         gd = ev.bound_gd(plus.group)
         good = gd.value <= ExtNat(n - 2)
-        ledger.append(LedgerItem(
+        hypotheses.append(LedgerItem(
             f"(ii) pairing {j}: gd of the interface group at most {n - 2}",
             "verified" if good else "failed",
             f"gd bound {gd.value}"))
     for p in s.pieces:
-        value, _, status = _space_cat(ev, p.group, p.cat_space)
-        good = value <= ExtNat(n - 1)
-        ledger.append(LedgerItem(
+        cell = _space_cat(ev, p.group, p.cat_space)
+        good = cell.value <= ExtNat(n - 1)
+        status = "asserted" if cell.rule == "space-declared" else "verified"
+        hypotheses.append(LedgerItem(
             f"(iii) piece {p.id}: amenable category at most {n - 1}",
             status if good else "failed",
-            f"category bound {value}"))
-
-    cat = ev.bound_cat(Ref(gog.name), AM)
-    established = (cat.value <= ExtNat(n - 1)
-                   and not any(x.status == "failed" for x in ledger))
+            f"category bound {cell.value}"))
 
     # the all-components scope: needed for vanishing, paired or not
-    scope_ok = True
+    scope: List[LedgerItem] = []
     for p in s.pieces:
         for b in p.boundaries:
             inj = b.pi1_injective
-            ledger.append(LedgerItem(
+            scope.append(LedgerItem(
                 f"boundary scope: {p.id}.{b.id} pi1-injective",
                 "asserted" if inj else "failed",
                 "" if inj else "injectivity not asserted"))
             gd = ev.bound_gd(b.group)
             good = gd.value <= ExtNat(n - 2)
-            ledger.append(LedgerItem(
+            scope.append(LedgerItem(
                 f"boundary scope: gd of {p.id}.{b.id} at most {n - 2}",
                 "verified" if good else "failed",
                 f"gd bound {gd.value}"))
-            scope_ok = scope_ok and inj and good
-
-    if established and scope_ok:
-        return Certificate("volume_vanishes", cat.value, ledger, cat.trace)
-    if established:
-        return Certificate("cat_bound", cat.value, ledger, cat.trace)
-    return Certificate("inconclusive", None, ledger, cat.trace)
+    return _conclude(n, hypotheses, scope, ev.bound_cat(Ref(graph), AM).trace)
 
 
-def _boundary(by_id: Dict[str, Piece], pid: str, bid: str) -> BoundaryComponent:
-    piece = by_id.get(pid)
-    if piece is None:
-        raise ValueError(f"pairing names unknown piece {pid!r}")
-    b = next((x for x in piece.boundaries if x.id == bid), None)
-    if b is None:
-        raise ValueError(f"pairing names unknown boundary {pid}.{bid}")
-    return b
+def _additive_bound(ev: Evaluator, s: GluingSetup,
+                    ends: Dict[Tuple[str, str], BoundaryComponent],
+                    connected: LedgerItem) -> Certificate:
+    """The sum arm of the ladder over the gluing's tree, each cell the
+    smaller of its engine bound and its space-level declaration.
+
+    With no pairings the 1-cell term is an empty supremum, 0.
+    """
+    n = s.n
+    base = _rec_base([_space_cat(ev, p.group, p.cat_space) for p in s.pieces])
+    root = _rec_sum(base, 1, [_space_cat(ev, ends[plus].group, ends[plus].cat_space)
+                              for plus, _ in s.pairings])
+    good = root.value <= ExtNat(n - 1)
+    paired = {end for pairing in s.pairings for end in pairing}
+    unpaired = [f"{pid}.{bid}" for pid, bid in ends if (pid, bid) not in paired]
+    hypotheses = [connected, LedgerItem(
+        f"additive bound at most {n - 1}",
+        "verified" if good else "failed", f"bound {root.value}")]
+    scope = [LedgerItem(
+        "boundary scope: every boundary component paired",
+        "failed" if unpaired else "verified",
+        f"unpaired: {', '.join(unpaired)}" if unpaired else "")]
+    return _conclude(n, hypotheses, scope, root)
 
 
-def _space_cat(ev: Evaluator, group: GroupExpr, declared: Optional[ExtNat]
-               ) -> Tuple[ExtNat, DerivationNode, str]:
+def _conclude(n: int, hypotheses: List[LedgerItem], scope: List[LedgerItem],
+              trace: DerivationNode) -> Certificate:
+    """A bound below n with no failed hypothesis is established: it
+    concludes volume_vanishes when no scope item failed either, and
+    cat_bound otherwise."""
+    ledger = hypotheses + scope
+    if not (trace.value <= ExtNat(n - 1)
+            and not any(x.status == "failed" for x in hypotheses)):
+        return Certificate("inconclusive", None, ledger, trace)
+    vanishes = not any(x.status == "failed" for x in scope)
+    return Certificate("volume_vanishes" if vanishes else "cat_bound",
+                       trace.value, ledger, trace)
+
+
+def _space_cat(ev: Evaluator, group: GroupExpr,
+               declared: Optional[ExtNat]) -> DerivationNode:
     """Space-level amenable category: a declared bound against the
     engine bound on the fundamental group, whichever is smaller."""
     r = ev.bound_cat(group, AM)
     if declared is not None and declared < r.value:
-        node = _leaf("space-declared", "declared space-level category bound",
+        return _leaf("space-declared", "declared space-level category bound",
                      declared)
-        return declared, node, "asserted"
-    return r.value, r.trace, "verified" if r.value.is_finite else "failed"
-
-
-def gluing_sum_bound(u: Universe, s: GluingSetup) -> BoundResult:
-    """Additive category bound: pieces plus shifted interfaces.
-
-    With no pairings the interface term is an empty supremum, 0.
-    """
-    ev = Evaluator(u)
-    by_id = {p.id: p for p in s.pieces}
-    piece_nodes = [_space_cat(ev, p.group, p.cat_space)[1] for p in s.pieces]
-    interface_nodes = []
-    for (pa, ba), _ in s.pairings:
-        b = _boundary(by_id, pa, ba)
-        value, node, _ = _space_cat(ev, b.group, b.cat_space)
-        interface_nodes.append(_sumnode(
-            "plus", "interface shifted by one",
-            [node, _leaf("const", "interface shift", ExtNat(1))]))
-    root = _sumnode("gluing-sum",
-                    "pieces plus shifted interfaces, tree of spaces",
-                    [_supnode("sup", "over pieces", piece_nodes),
-                     _supnode("sup", "over paired interfaces", interface_nodes)])
-    return BoundResult("cat", AM.name, root.value, root)
-
-
-def certify_double(u: Universe, s: DoubleSetup) -> Certificate:
-    """Both routes on the induced two-copy gluing; the better one wins.
-
-    When neither route concludes, both ledgers are merged with route
-    tags so the failing hypothesis is named.
-    """
-    glue = double_to_gluing(s)
-    max_route = certify_gluing(u, glue)
-
-    sum_bound = gluing_sum_bound(u, glue)
-    sum_ledger = [LedgerItem(
-        f"additive bound at most {s.n - 1}",
-        "verified" if sum_bound.value <= ExtNat(s.n - 1) else "failed",
-        f"bound {sum_bound.value}")]
-    if sum_bound.value <= ExtNat(s.n - 1):
-        # the double is closed, so a category bound below n suffices
-        sum_route = Certificate("volume_vanishes", sum_bound.value,
-                                sum_ledger, sum_bound.trace)
-    else:
-        sum_route = Certificate("inconclusive", None, sum_ledger,
-                                sum_bound.trace)
-
-    rank = {"volume_vanishes": 2, "cat_bound": 1, "inconclusive": 0}
-    if rank[max_route.conclusion] >= rank[sum_route.conclusion]:
-        best, other = max_route, sum_route
-    else:
-        best, other = sum_route, max_route
-    if best.conclusion != "inconclusive":
-        return best
-    merged = [LedgerItem(f"max route: {x.item}", x.status, x.detail)
-              for x in max_route.ledger]
-    merged += [LedgerItem(f"sum route: {x.item}", x.status, x.detail)
-               for x in sum_route.ledger]
-    return Certificate("inconclusive", None, merged, best.trace)
+    return r.trace
 
 
 def certify_branched(u: Universe, s: BranchedSetup) -> Certificate:
@@ -429,9 +421,4 @@ def certify_branched(u: Universe, s: BranchedSetup) -> Certificate:
         f"(v) amenable category of the piece group at most {n - 1}",
         "verified" if ok else "failed", f"category bound {cat_piece.value}"))
 
-    cat = ev.bound_cat(Ref(polygon.name), AM)
-    established = (cat.value <= ExtNat(n - 1)
-                   and not any(x.status == "failed" for x in ledger))
-    if established:
-        return Certificate("volume_vanishes", cat.value, ledger, cat.trace)
-    return Certificate("inconclusive", None, ledger, cat.trace)
+    return _conclude(n, ledger, [], ev.bound_cat(Ref(polygon.name), AM).trace)

@@ -55,6 +55,9 @@ either
 and d_n bounds the category.  Both update maps are nondecreasing in
 d_{i-1}, which is why taking the smaller arm at each dimension is
 optimal over all 2^n arm choices.
+
+apps.certify_gluing builds the same nodes, rec-base and one rec-sum,
+over a gluing's tree, where a cell may be a space-declared leaf.
 """
 
 from __future__ import annotations
@@ -173,7 +176,7 @@ REPLAY: Dict[str, str] = {
     "space-declared": "leaf",
     "tc-gcw": "max", "cat-tr-as-cd": "max", "rec-max": "max",
     "product-gd": "sum", "cd-product": "sum",
-    "plus": "sum", "rec-sum": "sum", "gluing-sum": "sum",
+    "plus": "sum", "rec-sum": "sum",
     "sup": "sup", "rec-base": "sup", "gd-cells": "sup",
 }
 
@@ -268,10 +271,24 @@ def _sumnode(rule: str, cite: str, premises: Sequence[DerivationNode],
 
 
 def _shift(inner: DerivationNode, k: int, what: str) -> DerivationNode:
+    'inner plus k, cited as "<what> shifted by <k>"; inner itself when k is 0.'
     if k == 0:
         return inner
-    return _sumnode("plus", f"{what} shifted by its dimension",
+    return _sumnode("plus", f"{what} shifted by {k}",
                     [inner, _leaf("const", what, ExtNat(k))])
+
+
+def _rec_base(cells: Sequence[DerivationNode],
+              assumptions: Tuple[str, ...] = ()) -> DerivationNode:
+    'd_0 of the complex rule: the sup over the 0-cell stabilizers.'
+    return _supnode("rec-base", "category of 0-cell stabilizers", cells, assumptions)
+
+
+def _rec_sum(d: DerivationNode, i: int, cells: Sequence[DerivationNode]) -> DerivationNode:
+    'The sum arm at dimension i: d_{i-1} plus the sup of the i-cells shifted by 1.'
+    shifted = _supnode("sup", f"shifted category of {i}-cell stabilizers",
+                       [_shift(c, 1, f"{i}-cell") for c in cells])
+    return _sumnode("rec-sum", f"dimension {i}, sum arm", [d, shifted])
 
 
 def _memoized_bound(invariant: str,
@@ -383,18 +400,14 @@ class Evaluator:
 
         Its start, rec-base, carries the assumptions.
         """
-        d = _supnode("rec-base", "category of 0-cell stabilizers",
-                     [self.bound_cat(g, fam).trace for g in x.dims[0]], assumptions)
+        d = _rec_base([self.bound_cat(g, fam).trace for g in x.dims[0]], assumptions)
         for i in range(1, x.n + 1):
             row = x.dims[i]
             gd_sup = _supnode("sup", f"shifted dimension of {i}-cell stabilizers",
                               [_shift(self.bound_gd(g).trace, i, f"{i}-cell")
                                for g in row])
-            cat_sup = _supnode("sup", f"shifted category of {i}-cell stabilizers",
-                               [_shift(self.bound_cat(g, fam).trace, 1, f"{i}-cell")
-                                for g in row])
             max_arm = _supnode("rec-max", f"dimension {i}, max arm", [d, gd_sup])
-            sum_arm = _sumnode("rec-sum", f"dimension {i}, sum arm", [d, cat_sup])
+            sum_arm = _rec_sum(d, i, [self.bound_cat(g, fam).trace for g in row])
             d = max_arm if max_arm.value <= sum_arm.value else sum_arm
         return d
 

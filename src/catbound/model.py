@@ -82,6 +82,9 @@ class ConcreteFiniteGroup:
             if e not in self.table[i]:
                 out.append(Diagnostic(loc, f"element {i} has no inverse"))
                 break
+        if not out and self._light_associative():
+            return out
+        # name the first failing triples, as a scan of every triple finds them
         checked = 0
         for a in range(n):
             for b in range(n):
@@ -93,6 +96,36 @@ class ConcreteFiniteGroup:
                         if checked >= 3:
                             return out
         return out
+
+    def _light_associative(self) -> bool:
+        """Light's test: (x s) y = x (s y) for every s of a generating set.
+
+        The elements s that pass are closed under multiplication, so a
+        passing generating set makes the whole table associative.  The
+        set is greedy: each element not yet reached from the identity by
+        right multiplication with the chosen ones joins it, so the
+        closure is the whole table.  Needs a two-sided identity and
+        entries in range.
+        """
+        t = self.table
+        gens: List[int] = []
+        reached = {self.identity}
+        for g in range(len(t)):
+            if g in reached:
+                continue
+            gens.append(g)
+            todo = [t[a][g] for a in reached]
+            while todo:
+                a = todo.pop()
+                if a not in reached:
+                    reached.add(a)
+                    todo.extend(t[a][s] for s in gens)
+        for s in gens:
+            right = t[s]
+            for row in t:
+                if t[row[s]] != tuple(map(row.__getitem__, right)):
+                    return False
+        return True
 
     def generated_subgroup(self, elems: Iterable[int]) -> frozenset:
         seen: Set[int] = {self.identity}

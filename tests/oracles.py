@@ -8,12 +8,14 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
+from catbound.apps import DoubleSetup, GluingSetup, Piece
 from catbound.develop import BallCell, CurvatureReport, DevelopmentBall
-from catbound.engine import DerivationNode, Evaluator
+from catbound.engine import BoundResult, DerivationNode, Evaluator
 from catbound.extnat import ExtNat, ext_max, supremum
-from catbound.facts import FactSheet, Family, FamilyKind, Tri
-from catbound.model import (DirectProduct, FreeProduct, GcwDescription, GraphOfGroups,
-                            GroupExpr, PolygonOfGroups, TrivialGroup, Universe, expr_key)
+from catbound.facts import AM, FactSheet, Family, FamilyKind, Tri
+from catbound.model import (ConcreteFiniteGroup, Diagnostic, DirectProduct, Edge,
+                            FreeProduct, GcwDescription, GraphOfGroups, GroupExpr,
+                            PolygonOfGroups, Ref, TrivialGroup, Universe, expr_key)
 
 
 def brute_force_curvature(u: Universe, p: PolygonOfGroups) -> CurvatureReport:
@@ -383,6 +385,146 @@ def dag_size(root: DerivationNode) -> Tuple[int, int]:
                 seen.add(id(p))
                 todo.append(p)
     return len(seen), edges
+
+
+# -- the two certificate routes that certify_gluing merged ---------------
+
+
+def _space_cell(ev: Evaluator, group: GroupExpr,
+                declared: Optional[ExtNat]) -> DerivationNode:
+    'The smaller of a space-level declaration and the engine bound.'
+    r = ev.bound_cat(group, AM)
+    if declared is not None and declared < r.value:
+        return DerivationNode("space-declared",
+                              "declared space-level category bound", declared)
+    return r.trace
+
+
+def _boundary_of(s: GluingSetup, pid: str, bid: str):
+    piece = next(p for p in s.pieces if p.id == pid)
+    return next(b for b in piece.boundaries if b.id == bid)
+
+
+def gluing_sum_bound(u: Universe, s: GluingSetup) -> BoundResult:
+    """The retired additive route's bound: the sup over the pieces plus
+    the sup over the paired interfaces, each shifted by one.
+
+    With no pairings the interface term is an empty supremum, 0.
+    """
+    ev = Evaluator(u)
+    pieces = [_space_cell(ev, p.group, p.cat_space) for p in s.pieces]
+    interfaces = []
+    for (pa, ba), _ in s.pairings:
+        b = _boundary_of(s, pa, ba)
+        node = _space_cell(ev, b.group, b.cat_space)
+        one = DerivationNode("const", "interface shift", ExtNat(1))
+        interfaces.append(DerivationNode("plus", "interface shifted by one",
+                                         node.value + 1, (), (node, one)))
+    over_pieces = DerivationNode("sup", "over pieces",
+                                 supremum(n.value for n in pieces), (),
+                                 tuple(pieces))
+    over_interfaces = DerivationNode("sup", "over paired interfaces",
+                                     supremum(n.value for n in interfaces), (),
+                                     tuple(interfaces))
+    root = DerivationNode("gluing-sum",
+                          "pieces plus shifted interfaces, tree of spaces",
+                          over_pieces.value + over_interfaces.value, (),
+                          (over_pieces, over_interfaces))
+    return BoundResult("cat", AM.name, root.value, root)
+
+
+def additive_route(u: Universe, s: GluingSetup) -> Tuple[str, Optional[ExtNat]]:
+    """The retired additive route: connectedness and gluing_sum_bound at
+    most n - 1; vanishing for a closed gluing, a bound otherwise."""
+    value = gluing_sum_bound(u, s).value
+    if not (s.connected and value <= ExtNat(s.n - 1)):
+        return "inconclusive", None
+    paired = {end for pairing in s.pairings for end in pairing}
+    closed = all((p.id, b.id) in paired for p in s.pieces for b in p.boundaries)
+    return ("volume_vanishes" if closed else "cat_bound"), value
+
+
+def graph_route(u: Universe, s: GluingSetup) -> Tuple[str, Optional[ExtNat]]:
+    """certify_gluing before it took the additive bound too: the bound
+    on the graph of groups under connectedness and (i)-(iii), vanishing
+    under the all-boundary scope."""
+    n = s.n
+    graph = GraphOfGroups(
+        f"{s.name}@oracle", tuple((p.id, p.group) for p in s.pieces),
+        tuple(Edge(pa, pb, _boundary_of(s, pa, ba).group, None)
+              for (pa, ba), (pb, _) in s.pairings))
+    with_graph = u.overlay()
+    with_graph.graphs[graph.name] = graph
+    ev = Evaluator(with_graph)
+    ok = s.connected
+    for (pa, ba), (pb, bb) in s.pairings:
+        plus, minus = _boundary_of(s, pa, ba), _boundary_of(s, pb, bb)
+        ok = (ok and plus.pi1_injective and minus.pi1_injective
+              and ev.bound_gd(plus.group).value <= ExtNat(n - 2))
+    ok = ok and all(_space_cell(ev, p.group, p.cat_space).value <= ExtNat(n - 1)
+                    for p in s.pieces)
+    cat = ev.bound_cat(Ref(graph.name), AM).value
+    if not (ok and cat <= ExtNat(n - 1)):
+        return "inconclusive", None
+    scope = all(b.pi1_injective and ev.bound_gd(b.group).value <= ExtNat(n - 2)
+                for p in s.pieces for b in p.boundaries)
+    return ("volume_vanishes" if scope else "cat_bound"), cat
+
+
+def best_old_route(u: Universe, s) -> Tuple[str, Optional[ExtNat]]:
+    """The better of graph_route and additive_route on a gluing, or on a
+    double's two-copy gluing: the higher conclusion, then the smaller
+    value, ties to graph_route."""
+    if isinstance(s, DoubleSetup):
+        copies = tuple(Piece(c, s.piece.group, s.piece.cat_space, s.piece.boundaries)
+                       for c in ("copyA", "copyB"))
+        s = GluingSetup(s.name, s.n, copies,
+                        tuple((("copyA", b.id), ("copyB", b.id))
+                              for b in s.piece.boundaries), True)
+    rank = {"volume_vanishes": 2, "cat_bound": 1, "inconclusive": 0}
+    graph, additive = graph_route(u, s), additive_route(u, s)
+    if rank[additive[0]] > rank[graph[0]] or (
+            additive[0] == graph[0] != "inconclusive" and additive[1] < graph[1]):
+        return additive
+    return graph
+
+
+# -- the cubic associativity scan that Light's test fronts -----------------
+
+
+def full_scan_verify(g: ConcreteFiniteGroup, loc: str = "table") -> List[Diagnostic]:
+    'ConcreteFiniteGroup.verify with associativity checked on every triple.'
+    out: List[Diagnostic] = []
+    n = g.order
+    for i, row in enumerate(g.table):
+        if len(row) != n:
+            out.append(Diagnostic(loc, f"row {i} has length {len(row)}, expected {n}"))
+            return out
+        for j, v in enumerate(row):
+            if not 0 <= v < n:
+                out.append(Diagnostic(loc, f"entry ({i},{j}) = {v} out of range"))
+                return out
+    e = g.identity
+    if not 0 <= e < n:
+        return [Diagnostic(loc, f"identity index {e} out of range")]
+    for i in range(n):
+        if g.table[e][i] != i or g.table[i][e] != i:
+            out.append(Diagnostic(loc, f"index {e} is not an identity (fails at {i})"))
+            break
+    for i in range(n):
+        if e not in g.table[i]:
+            out.append(Diagnostic(loc, f"element {i} has no inverse"))
+            break
+    checked = 0
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                if g.table[g.table[a][b]][c] != g.table[a][g.table[b][c]]:
+                    out.append(Diagnostic(loc, f"associativity fails at ({a},{b},{c})"))
+                    checked += 1
+                    if checked >= 3:
+                        return out
+    return out
 
 
 # -- the character-by-character tokenizer that dsl.tokenize replaced ------

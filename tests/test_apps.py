@@ -1,14 +1,19 @@
 import dataclasses
+import random
+from collections import Counter
 
 import pytest
 
 from catbound import dsl
 from catbound.apps import (BoundaryComponent, GluingSetup, Piece,
                            PreconditionError, build_setup, certify_branched,
-                           certify_double, certify_gluing, gluing_sum_bound,
-                           gluing_to_gog)
+                           certify_double, certify_gluing, gluing_to_gog)
+from catbound.engine import replay
 from catbound.extnat import ZERO, ExtNat
 from catbound.model import Ref
+
+from genmodels import _Names, random_double, random_gluing
+from oracles import best_old_route, graph_route, gluing_sum_bound
 
 
 def load(text):
@@ -47,10 +52,12 @@ def test_double_via_additive_route(fixture_texts):
     cert = certify_fixture(fixture_texts, "double_sum", "DblSum")
     assert cert.conclusion == "volume_vanishes"
     assert cert.value == ExtNat(3)
-    assert cert.trace.rule == "gluing-sum"
-    # the winning route's ledger only carries the additive hypothesis
-    assert [x.item for x in cert.ledger] == ["additive bound at most 3"]
-    assert cert.ledger[0].status == "verified"
+    assert cert.trace.rule == "rec-sum"
+    # the winning bound's ledger carries only the additive hypotheses
+    assert [x.item for x in cert.ledger] == [
+        "connectedness of the glued space", "additive bound at most 3",
+        "boundary scope: every boundary component paired"]
+    assert cert.ledger[1].status == "verified"
 
 
 def test_branched_pentagon(fixture_texts):
@@ -87,9 +94,8 @@ def test_double_max_mutations(fixture_texts, old, new, marker):
     assert cert.value is None
     failed = [x.item for x in cert.failed_items()]
     assert any(marker in i for i in failed), failed
-    # both routes are reported once neither concludes
-    assert any(i.startswith("max route:") for i in failed)
-    assert any(i.startswith("sum route:") for i in failed)
+    # both bounds are reported once neither concludes
+    assert any(i.startswith("additive bound") for i in failed)
 
 
 def test_double_sum_mutation(fixture_texts):
@@ -188,7 +194,7 @@ double DS {
     cert = certify_double(u, u.setups["DS"])
     assert cert.conclusion == "volume_vanishes"
     assert cert.value == ExtNat(2)
-    assert cert.trace.rule == "gluing-sum"
+    assert cert.trace.rule == "rec-sum"
     assert any(node.rule == "space-declared" for node in cert.trace.nodes())
 
 
@@ -201,6 +207,105 @@ def test_sum_bound_with_no_pairings():
     assert r.trace.rule == "gluing-sum"
     interfaces = r.trace.premises[1]
     assert interfaces.value == ZERO and interfaces.premises == ()
+
+
+def test_sum_arm_with_no_pairings():
+    u = load('group PA { cat[Am] <= 2 by "piece estimate"; }')
+    s = GluingSetup("lonely", 4, (Piece("A", Ref("PA"), ExtNat(1)),), (), True)
+    cert = certify_gluing(u, s)
+    assert (cert.conclusion, cert.value) == ("volume_vanishes", ExtNat(1))
+    assert cert.trace.rule == "rec-sum"
+    base, interfaces = cert.trace.premises
+    assert base.rule == "rec-base" and base.premises[0].rule == "space-declared"
+    assert interfaces.value == ZERO and interfaces.premises == ()
+
+
+TWO_PIECES = """
+group FZ { cat[Am] <= 1 by "free times abelian estimate"; }
+group FY { cat[Am] <= 1 by "another estimate"; }
+group T3 = Z x Z x Z;
+
+gluing GS {
+  n = 4;
+  piece A { group = FZ * FZ; boundary t : T3 * T3 { pi1_injective = assert; } }
+  piece B { group = FY; boundary u : T3 * T3 { pi1_injective = assert; } %s}
+  pair A.t - B.u;
+  connected = assert;
+}
+"""
+
+
+def test_closed_gluing_vanishes_through_the_sum_arm():
+    # (ii) fails, since gd(T3 * T3) = 3, but the sum arm lands on n - 1:
+    # the pieces give 1 and the shifted interface 2
+    u = load(TWO_PIECES % "")
+    s = u.setups["GS"]
+    assert graph_route(u, s) == ("inconclusive", None)
+    cert = certify_gluing(u, s)
+    assert (cert.conclusion, cert.value) == ("volume_vanishes", ExtNat(3))
+    assert cert.trace.rule == "rec-sum"
+    assert not cert.failed_items()
+    assert [x.item for x in cert.ledger] == [
+        "connectedness of the glued space", "additive bound at most 3",
+        "boundary scope: every boundary component paired"]
+
+
+def test_open_gluing_gets_only_a_bound_from_the_sum_arm():
+    u = load(TWO_PIECES % "boundary c : Z; ")
+    cert = certify_gluing(u, u.setups["GS"])
+    assert (cert.conclusion, cert.value) == ("cat_bound", ExtNat(3))
+    assert [(x.item, x.detail) for x in cert.failed_items()] == [
+        ("boundary scope: every boundary component paired", "unpaired: B.c")]
+
+
+def test_inconclusive_gluing_lists_both_bounds():
+    u = load((TWO_PIECES % "").replace("connected = assert;", ""))
+    cert = certify_gluing(u, u.setups["GS"])
+    assert cert.conclusion == "inconclusive" and cert.value is None
+    failed = [x.item for x in cert.failed_items()]
+    assert failed == ["connectedness of the glued space",
+                      "(ii) pairing 0: gd of the interface group at most 2",
+                      "boundary scope: gd of A.t at most 2",
+                      "boundary scope: gd of B.u at most 2"]
+    items = [x.item for x in cert.ledger]
+    assert items.count("connectedness of the glued space") == 1
+    assert "additive bound at most 3" in items
+
+
+_BASE_DEFS = ("Z", "Z x Z", "Z x Z x Z", "F2", "Z2", "One", "Z * Z2", "F2 x Z")
+
+
+def random_base(rng):
+    'Declarations for the names genmodels.random_expr draws from.'
+    lines = []
+    for name in ("A", "B", "C", "Zed", "Q9"):
+        if rng.random() < 0.5:
+            lines.append(f"group {name} = {rng.choice(_BASE_DEFS)};")
+            continue
+        facts = [f"cat[Am] <= {rng.randint(0, 4)};" if rng.random() < 0.7 else "",
+                 f"gd <= {rng.randint(0, 4)};" if rng.random() < 0.6 else "",
+                 "amenable = yes;" if rng.random() < 0.2 else ""]
+        lines.append(f"group {name} {{ {' '.join(facts)} }}")
+    return "\n".join(lines)
+
+
+def test_one_route_is_the_better_of_the_two_old_ones():
+    seen = Counter()
+    for seed in range(400):
+        rng = random.Random(seed)
+        u = load(random_base(rng))
+        maker = random_gluing if seed % 2 else random_double
+        s = maker(rng, _Names())
+        cert = (certify_gluing if seed % 2 else certify_double)(u, s)
+        assert (cert.conclusion, cert.value) == best_old_route(u, s), seed
+        if cert.value is not None:
+            assert replay(cert.trace) == cert.value, seed
+        assert all(n.rule != "gluing-sum" for n in cert.trace.nodes()), seed
+        seen[cert.conclusion, cert.trace.rule == "rec-sum"] += 1
+    # every conclusion is reached, by either bound where it can be
+    assert set(seen) >= {("volume_vanishes", True), ("volume_vanishes", False),
+                         ("cat_bound", True), ("cat_bound", False),
+                         ("inconclusive", False)}, seen
 
 
 # -- construction errors --------------------------------------------------

@@ -113,6 +113,21 @@ def test_plus_one_shifts_only_the_top_value(capsys):
     assert text.splitlines()[0] == "cat[Fin] <= 2  (+1 convention)"
 
 
+def test_shift_cites_the_amount_it_adds(capsys, tmp_path):
+    model = tmp_path / "x.catb"
+    model.write_text("gcw X { contractible = assert; dim 0 : [Z4, Z]; "
+                     "dim 1 : [Z2]; dim 2 : [Z]; }\n", encoding="utf-8")
+    code, out, _ = run(capsys, "bound", "--target", "X", "--family", "Am",
+                       str(model))
+    assert code == 0
+    # both dimensions take the sum arm, which shifts by 1, not by i
+    assert [line.strip() for line in out.splitlines() if "plus =" in line] == [
+        "plus = 1  (1-cell shifted by 1)", "plus = 1  (2-cell shifted by 1)"]
+    code, out, _ = run(capsys, "bound", "--target", "X", "--invariant", "gd",
+                       str(model))
+    assert "plus = 3  (2-cell shifted by 2)" in out
+
+
 def test_shared_nodes_print_once(capsys, tmp_path):
     model = tmp_path / "nested.catb"
     model.write_text(nested_text(12, 3), encoding="utf-8")

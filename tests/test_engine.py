@@ -1,9 +1,12 @@
+import ast
 import collections
 import dataclasses
 import random
+from pathlib import Path
 
 import pytest
 
+import catbound
 from catbound import dsl
 from catbound.engine import REPLAY, DerivationNode, Evaluator, replay
 from catbound.extnat import INF, ZERO, ExtNat
@@ -435,6 +438,19 @@ def test_replay_reproduces_values(example_universe):
         assert replay(r.trace) == r.value
         for node in r.trace.nodes():
             assert node.rule in REPLAY
+
+
+def test_replay_lists_exactly_the_emitted_rule_ids():
+    builders = {"_leaf", "_supnode", "_sumnode", "DerivationNode"}
+    emitted = set()
+    for path in sorted(Path(catbound.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Call) and node.args
+                    and isinstance(node.args[0], ast.Constant)
+                    and getattr(node.func, "id", getattr(node.func, "attr", None))
+                    in builders):
+                emitted.add(node.args[0].value)
+    assert emitted == set(REPLAY)
 
 
 def test_nodes_are_distinct_in_post_order():

@@ -1,5 +1,7 @@
+import itertools
+
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from catbound.model import (ConcreteFiniteGroup, Diagnostic, DirectProduct,
@@ -9,6 +11,8 @@ from catbound.model import (ConcreteFiniteGroup, Diagnostic, DirectProduct,
                             hom_from_generator_images, product_group,
                             table_group, validate)
 from catbound.facts import FactSheet
+
+from oracles import full_scan_verify
 
 # -- concrete groups ------------------------------------------------------
 
@@ -70,6 +74,46 @@ def test_table_group_rejects_non_associative():
             [4, 3, 1, 2, 0]]
     with pytest.raises(ValueError):
         table_group(rows)
+
+
+def _symmetric_3():
+    perms = list(itertools.permutations(range(3)))
+    index = {p: i for i, p in enumerate(perms)}
+    return [[index[tuple(p[q[k]] for k in range(3))] for q in perms] for p in perms]
+
+
+NOT_ASSOCIATIVE = ((0, 1, 2, 3, 4), (1, 0, 3, 4, 2), (2, 4, 0, 1, 3),
+                   (3, 2, 4, 0, 1), (4, 3, 1, 2, 0))
+
+
+@st.composite
+def group_tables(draw):
+    'A relabelled group table, with up to three entries then overwritten.'
+    if draw(st.booleans()):
+        rows = [list(row) for row in _symmetric_3()]
+    else:
+        orders = draw(st.lists(st.integers(1, 5), min_size=1, max_size=2))
+        rows = [list(row) for row in
+                product_group([cyclic_group(k) for k in orders]).table]
+    n = len(rows)
+    relabel = draw(st.permutations(range(n)))
+    table = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            table[relabel[a]][relabel[b]] = relabel[rows[a][b]]
+    for _ in range(draw(st.integers(0, 3))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        table[i][j] = draw(st.integers(0, n))
+    return tuple(map(tuple, table)), relabel[0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(group_tables())
+@example((NOT_ASSOCIATIVE, 0))
+def test_verify_matches_the_full_scan(case):
+    table, identity = case
+    g = ConcreteFiniteGroup(table, identity, tuple(map(str, range(len(table)))))
+    assert g.verify("t") == full_scan_verify(g, "t")
 
 
 def test_table_group_rejects_missing_identity():
