@@ -30,7 +30,7 @@ from .engine import DerivationNode, Evaluator, _leaf, _rec_base, _rec_sum
 from .extnat import ExtNat
 from .facts import AM
 from .model import (Diagnostic, Edge, GraphOfGroups, GroupExpr,
-                    PolygonOfGroups, Ref, Universe)
+                    PolygonOfGroups, Ref, Universe, expr_key, polygon_charts)
 
 
 @dataclass(frozen=True)
@@ -154,12 +154,24 @@ def build_setup(u: Universe, setup: Setup) -> Tuple[Optional[Setup], List[Diagno
             diags.append(Diagnostic(setup.loc, "branched setups need n >= 3"))
         if setup.d < 1:
             diags.append(Diagnostic(setup.loc, "the number of copies d must be at least 1"))
-        for hname in (setup.wall_embeds or ()) + ((setup.core_embeds,) if setup.core_embeds else ()):
-            if hname not in u.homs:
-                diags.append(Diagnostic(setup.loc, f"unknown homomorphism {hname!r}"))
+        embeds = (setup.wall_embeds or ()) + ((setup.core_embeds,) if setup.core_embeds else ())
+        unknown = [hname for hname in embeds if hname not in u.homs]
+        diags += [Diagnostic(setup.loc, f"unknown homomorphism {hname!r}") for hname in unknown]
+        if setup.wall_embeds and setup.core_embeds and not unknown:
+            # every copy has the same maps, so the one-copy polygon checks them
+            _, problems = polygon_charts(u, _branched_polygon(setup, 1))
+            diags += [Diagnostic(setup.loc, f"embed: {m}") for m in problems]
     else:
         raise TypeError(f"not a setup: {setup!r}")
     return (None if diags else setup), diags
+
+
+def _branched_polygon(s: BranchedSetup, d: int) -> PolygonOfGroups:
+    'd copies of the piece around the core; the maps only when both are given.'
+    maps = (((s.wall_embeds,) * d, (s.core_embeds,) * d)
+            if s.wall_embeds and s.core_embeds else (None, None))
+    return PolygonOfGroups(f"{s.name}@polygon", d, (s.piece,) * d, (s.wall,) * d,
+                           s.core, *maps)
 
 
 def _gluing_diagnostics(s: GluingSetup) -> List[Diagnostic]:
@@ -169,15 +181,15 @@ def _gluing_diagnostics(s: GluingSetup) -> List[Diagnostic]:
                                 f"boundary of {p.id}"))
     if s.n < 1:
         diags.append(Diagnostic(s.loc, "dimension n must be at least 1"))
-    by_id = {p.id: p for p in s.pieces}
+    pieces = {p.id for p in s.pieces}
+    bounds = {(p.id, b.id): b.group for p in s.pieces for b in p.boundaries}
     used: set = set()
     for (pa, ba), (pb, bb) in s.pairings:
         for pid, bid in ((pa, ba), (pb, bb)):
-            piece = by_id.get(pid)
-            if piece is None:
+            if pid not in pieces:
                 diags.append(Diagnostic(s.loc, f"pairing names unknown piece {pid!r}"))
                 continue
-            if all(b.id != bid for b in piece.boundaries):
+            if (pid, bid) not in bounds:
                 diags.append(Diagnostic(
                     s.loc, f"pairing names unknown boundary {pid}.{bid}"))
                 continue
@@ -185,6 +197,9 @@ def _gluing_diagnostics(s: GluingSetup) -> List[Diagnostic]:
                 diags.append(Diagnostic(
                     s.loc, f"boundary {pid}.{bid} used in more than one pairing"))
             used.add((pid, bid))
+        if len({expr_key(bounds[end]) for end in ((pa, ba), (pb, bb)) if end in bounds}) == 2:
+            diags.append(Diagnostic(s.loc, f"pairing {pa}.{ba} - {pb}.{bb} joins "
+                                    "boundaries with different groups"))
     return diags
 
 
@@ -377,13 +392,7 @@ def certify_branched(u: Universe, s: BranchedSetup) -> Certificate:
             f"branched setup {s.name!r} has d = {s.d}; the polygon bound "
             "requires d >= 4")
     n = s.n
-    concrete_check = s.wall_embeds is not None and s.core_embeds is not None
-    edge_maps = tuple(s.wall_embeds for _ in range(s.d)) if concrete_check else None
-    face_maps = tuple(s.core_embeds for _ in range(s.d)) if concrete_check else None
-    polygon = PolygonOfGroups(f"{s.name}@polygon", s.d,
-                              tuple(s.piece for _ in range(s.d)),
-                              tuple(s.wall for _ in range(s.d)),
-                              s.core, edge_maps, face_maps)
+    polygon = _branched_polygon(s, s.d)
     with_polygon = u.overlay()
     with_polygon.polygons[polygon.name] = polygon
     ev = Evaluator(with_polygon)
@@ -393,7 +402,7 @@ def certify_branched(u: Universe, s: BranchedSetup) -> Certificate:
         "(i) wall pi1-injective in the adjacent pieces",
         "asserted" if s.assume_pi1 else "failed",
         "" if s.assume_pi1 else "not asserted"))
-    if concrete_check:
+    if polygon.concrete_maps:
         from .develop import check_curvature
         report = check_curvature(ev.universe, polygon)
         ledger.append(LedgerItem(

@@ -5,7 +5,9 @@ the normal form of an amalgam of two concrete finite groups over a
 common concrete edge group (Serre, Trees, I.1), finite balls of its
 Bass-Serre tree at a cost of O(stabilizer order x level) per cell, the
 radius-1 star of a polygon development, the link condition at polygon
-vertices, and stabilizer bookkeeping checks.
+vertices, and stabilizer bookkeeping checks.  The injections come from
+model.edge_injections and model.polygon_charts, the checks validate()
+runs; a problem they report is a ValueError here.
 
 Scope restrictions (deliberate, desk scale):
 
@@ -21,8 +23,9 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Set, Tuple
 
-from .model import (ConcreteFiniteGroup, GraphOfGroups, GroupExpr,
-                    Homomorphism, PolygonOfGroups, Ref, Universe)
+from .model import (ConcreteFiniteGroup, GraphOfGroups, Homomorphism,
+                    PolygonCharts, PolygonOfGroups, Ref, Universe,
+                    edge_injections, polygon_charts)
 
 
 @dataclass(frozen=True)
@@ -175,19 +178,6 @@ class DevelopmentBall:
         return [c for c in self.cells if c.dim == d]
 
 
-def _concrete_of(u: Universe, e: GroupExpr, what: str) -> ConcreteFiniteGroup:
-    if isinstance(e, Ref) and e.name in u.concretes:
-        return u.concretes[e.name]
-    raise ValueError(f"{what} must name a concrete finite group, got {e!r}")
-
-
-def _hom_of(u: Universe, name: str) -> Homomorphism:
-    h = u.homs.get(name)
-    if h is None:
-        raise ValueError(f"unknown homomorphism {name!r}")
-    return h
-
-
 def bass_serre_ball(u: Universe, graph: GraphOfGroups, radius: int,
                     limits: DevelopLimits = DevelopLimits()) -> DevelopmentBall:
     """Ball of the tree acted on by the fundamental group of `graph`.
@@ -199,7 +189,9 @@ def bass_serre_ball(u: Universe, graph: GraphOfGroups, radius: int,
         raise ValueError(f"radius must lie in 0..{limits.radius_limit}")
     if len(graph.edges) == 0 and len(graph.vertices) == 1:
         vid, ve = graph.vertices[0]
-        g = _concrete_of(u, ve, f"vertex {vid}")
+        g = u.concretes.get(ve.name) if isinstance(ve, Ref) else None
+        if g is None:
+            raise ValueError(f"graph {graph.name}: vertex {vid} must name a concrete group")
         ball = DevelopmentBall(graph.name, radius)
         ball.cells.append(BallCell(0, 0, "vertex-left", 0, g.order,
                                    frozenset(range(g.order))))
@@ -213,16 +205,14 @@ def bass_serre_ball(u: Universe, graph: GraphOfGroups, radius: int,
         raise ValueError("concrete development needs concrete edge injections")
     if edge.v == edge.w:
         raise ValueError("concrete development does not handle loop edges")
-    order = {vid: k for k, (vid, _) in enumerate(graph.vertices)}
-    sides = (_concrete_of(u, graph.vertices[0][1], "left vertex"),
-             _concrete_of(u, graph.vertices[1][1], "right vertex"))
-    eg = _concrete_of(u, edge.group, "edge group")
-    h_v, h_w = (_hom_of(u, edge.maps[0]), _hom_of(u, edge.maps[1]))
-    # maps are written in edge declaration order (v end first)
-    embeddings = [None, None]
-    embeddings[order[edge.v]] = h_v
-    embeddings[order[edge.w]] = h_w
-    ctx = AmalgamContext(sides, eg, (embeddings[0], embeddings[1]))
+    embeddings, problems = edge_injections(u, graph, edge)
+    if problems:
+        raise ValueError(f"graph {graph.name} edge 0: " + "; ".join(problems))
+    if edge.v != graph.vertices[0][0]:
+        embeddings.reverse()        # the root, on side 0, is the first vertex
+    sides = tuple(u.concretes[h.target] for h in embeddings)
+    eg = u.concretes[embeddings[0].source]
+    ctx = AmalgamContext(sides, eg, tuple(embeddings))
     step, conjugates = ctx.step, ctx.conjugates
 
     ball = DevelopmentBall(graph.name, radius)
@@ -277,47 +267,11 @@ def bass_serre_ball(u: Universe, graph: GraphOfGroups, radius: int,
 
 # -- polygon development, radius 1 ----------------------------------------
 
-@dataclass
-class PolygonCharts:
-    """Concrete images of the polygon's groups inside each vertex group.
-
-    Chart i holds, inside vertex group G_i: the image of the incoming
-    edge group E_{i-1}, the image of the outgoing edge group E_i, and
-    the image of the face group (through either adjacent edge; the
-    polygon validation guarantees the two routes agree).
-    """
-
-    groups: Tuple[ConcreteFiniteGroup, ...]
-    edge_groups: Tuple[ConcreteFiniteGroup, ...]
-    face_group: ConcreteFiniteGroup
-    incoming: Tuple[FrozenSet[int], ...]
-    outgoing: Tuple[FrozenSet[int], ...]
-    face_image: Tuple[FrozenSet[int], ...]
-
-
-def polygon_charts(u: Universe, p: PolygonOfGroups) -> PolygonCharts:
-    if not p.concrete_maps:
-        raise ValueError(f"polygon {p.name!r} has no concrete maps")
-    groups = tuple(_concrete_of(u, g, f"vertex {i} of {p.name}")
-                   for i, g in enumerate(p.vertex_groups))
-    edge_groups = tuple(_concrete_of(u, g, f"edge {i} of {p.name}")
-                        for i, g in enumerate(p.edge_groups))
-    face_group = _concrete_of(u, p.face_group, f"face of {p.name}")
-    incoming: List[FrozenSet[int]] = []
-    outgoing: List[FrozenSet[int]] = []
-    face_image: List[FrozenSet[int]] = []
-    d = p.d
-    for i in range(d):
-        prev_maps = _hom_of(u, p.edge_maps[(i - 1) % d][1])
-        next_maps = _hom_of(u, p.edge_maps[i][0])
-        face_to_edge = _hom_of(u, p.face_maps[i])
-        incoming.append(prev_maps.image_set())
-        outgoing.append(next_maps.image_set())
-        face_image.append(frozenset(
-            next_maps.images[face_to_edge.images[z]]
-            for z in range(face_group.order)))
-    return PolygonCharts(groups, edge_groups, face_group,
-                         tuple(incoming), tuple(outgoing), tuple(face_image))
+def _charts(u: Universe, p: PolygonOfGroups) -> PolygonCharts:
+    charts, problems = polygon_charts(u, p)
+    if charts is None:
+        raise ValueError(f"polygon {p.name}: " + "; ".join(problems))
+    return charts
 
 
 def polygon_ball(u: Universe, p: PolygonOfGroups, radius: int = 1,
@@ -330,7 +284,7 @@ def polygon_ball(u: Universe, p: PolygonOfGroups, radius: int = 1,
     """
     if radius not in (0, 1):
         raise ValueError("polygon developments are built to radius 1 only")
-    charts = polygon_charts(u, p)
+    charts = _charts(u, p)
     d = p.d
     ball = DevelopmentBall(p.name, radius)
     cells = ball.cells
@@ -433,7 +387,7 @@ def check_curvature(u: Universe, p: PolygonOfGroups) -> CurvatureReport:
     """At each vertex: the two adjacent edge images must meet exactly in
     the face image.  Fails with the offending vertex and the actual
     intersection as witness."""
-    charts = polygon_charts(u, p)
+    charts = _charts(u, p)
     for i in range(p.d):
         inter = charts.incoming[i] & charts.outgoing[i]
         if inter != charts.face_image[i]:

@@ -6,7 +6,9 @@ as a combination of other groups: direct product, free product, graph of
 groups, polygon of groups, or a cell-complex description listing orbit
 stabilizers per dimension.  Everything is referenced by name inside a
 Universe, and validate() reports structural defects as diagnostics
-instead of raising.
+instead of raising.  Concrete incidence maps (a graph edge's, a
+polygon's) are checked in one place, resolve_maps(): validate() reports
+its problems, and the developments read the homs and charts it returns.
 """
 
 from __future__ import annotations
@@ -413,8 +415,6 @@ class GcwDescription:
 # ---------------------------------------------------------------------------
 # the universe of declarations
 
-GROUP_KINDS = ("atom", "def", "concrete", "graph", "polygon", "gcw")
-
 # the tables of a Universe; validate() reads the group tables and homs
 GROUP_TABLES = ("sheets", "defs", "concretes", "graphs", "polygons", "gcws")
 TABLES = GROUP_TABLES + ("homs", "families", "setups")
@@ -570,6 +570,102 @@ class Validated:
         return self._users
 
 
+# ---------------------------------------------------------------------------
+# concrete incidence maps
+
+def resolve_maps(u: Universe, cells: Sequence[Tuple[str, Optional[GroupExpr]]],
+                 maps: Sequence[Tuple[str, int, int]]
+                 ) -> Tuple[List[Optional[Homomorphism]], List[str]]:
+    """The homs a carrier's incidence maps name, checked against its cells.
+
+    A cell is (what it is, its group), a map (hom name, source cell,
+    target cell).  Every cell must name a concrete group, or no hom is
+    looked up and every hom reads None.  Each hom must exist, map the
+    source cell's group to the target cell's, and be injective.
+    Returns the homs, None for one that is missing or joins the wrong
+    groups, and the problems.
+    """
+    names = [e.name if isinstance(e, Ref) and e.name in u.concretes else None
+             for _, e in cells]
+    problems = [f"{what} must name a concrete group when maps are given"
+                for (what, _), name in zip(cells, names) if name is None]
+    if problems:
+        return [None] * len(maps), problems
+    homs: List[Optional[Homomorphism]] = []
+    for hname, s, t in maps:
+        h = u.homs.get(hname)
+        if h is None:
+            problems.append(f"unknown hom {hname!r}")
+        elif (h.source, h.target) != (names[s], names[t]):
+            problems.append(f"hom {hname!r} should map {names[s]} -> {names[t]}")
+            h = None
+        elif not h.injective:
+            problems.append(f"hom {hname!r} must be injective")
+        homs.append(h)
+    return homs, problems
+
+
+def edge_injections(u: Universe, g: GraphOfGroups, e: Edge
+                    ) -> Tuple[List[Optional[Homomorphism]], List[str]]:
+    'resolve_maps for the maps of edge e of g, into the groups at e.v and at e.w.'
+    ends = dict(g.vertices)
+    return resolve_maps(u, [("edge group", e.group), (f"vertex {e.v}", ends.get(e.v)),
+                            (f"vertex {e.w}", ends.get(e.w))],
+                        [(e.maps[0], 0, 1), (e.maps[1], 0, 2)])
+
+
+@dataclass(frozen=True)
+class PolygonCharts:
+    """Concrete images of a polygon's groups inside each vertex group:
+    chart i holds, inside G_i, the images of the incoming edge group
+    E_{i-1}, of the outgoing edge group E_i and of the face group."""
+
+    groups: Tuple[ConcreteFiniteGroup, ...]
+    edge_groups: Tuple[ConcreteFiniteGroup, ...]
+    face_group: ConcreteFiniteGroup
+    incoming: Tuple[frozenset, ...]
+    outgoing: Tuple[frozenset, ...]
+    face_image: Tuple[frozenset, ...]
+
+
+def polygon_charts(u: Universe, p: PolygonOfGroups
+                   ) -> Tuple[Optional[PolygonCharts], List[str]]:
+    """The charts of a polygon with concrete maps, or None and the
+    problems: those of resolve_maps, and each vertex the face reaches
+    one way through the incoming edge, another through the outgoing one."""
+    if not p.concrete_maps:
+        return None, ["no concrete maps are given"]
+    if len(p.edge_maps) != p.d or len(p.face_maps) != p.d:
+        return None, ["map lists must have length d"]
+    d = p.d
+    cells = ([(f"vertex {i}", g) for i, g in enumerate(p.vertex_groups)]
+             + [(f"edge {i}", g) for i, g in enumerate(p.edge_groups)]
+             + [("face", p.face_group)])
+    # per edge i: its maps into vertices i and i + 1, then the face's into it
+    homs, problems = resolve_maps(u, cells, [
+        m for i, (into_v, into_w) in enumerate(p.edge_maps)
+        for m in ((into_v, d + i, i), (into_w, d + i, (i + 1) % d),
+                  (p.face_maps[i], 2 * d, d + i))])
+    face_image = []
+    for i in range(d):
+        j = (i - 1) % d
+        routes = (homs[3 * j + 1], homs[3 * j + 2]), (homs[3 * i], homs[3 * i + 2])
+        if None not in routes[0] + routes[1]:
+            via_in, via_out = (tuple(to_v.images[x] for x in face.images)
+                               for to_v, face in routes)
+            if via_in != via_out:
+                problems.append(f"face maps do not commute with incidence at vertex {i}")
+            face_image.append(frozenset(via_out))
+    if problems:
+        return None, problems
+    c = u.concretes
+    return PolygonCharts(
+        tuple(c[g.name] for g in p.vertex_groups),
+        tuple(c[g.name] for g in p.edge_groups), c[p.face_group.name],
+        tuple(homs[3 * ((i - 1) % d) + 1].image_set() for i in range(d)),
+        tuple(homs[3 * i].image_set() for i in range(d)), tuple(face_image)), []
+
+
 def _connected(vertex_ids: List[str], edges: Sequence[Edge]) -> bool:
     if not vertex_ids:
         return False
@@ -652,14 +748,11 @@ def validate(u: Universe) -> List[Diagnostic]:
             check_expr(ge, loc)
         for i, e in enumerate(g.edges):
             eloc = f"{loc} edge {i}"
-            for end in (e.v, e.w):
-                if end not in ids:
-                    out.append(Diagnostic(eloc, f"unknown endpoint {end!r}"))
+            unknown = [end for end in (e.v, e.w) if end not in ids]
+            out.extend(Diagnostic(eloc, f"unknown endpoint {end!r}") for end in unknown)
             check_expr(e.group, eloc)
-            if e.maps is not None:
-                for hname in e.maps:
-                    if hname not in u.homs:
-                        out.append(Diagnostic(eloc, f"unknown hom {hname!r}"))
+            if e.maps is not None and not unknown:
+                out.extend(Diagnostic(eloc, m) for m in edge_injections(u, g, e)[1])
         if ids and not _connected(ids, g.edges):
             out.append(Diagnostic(loc, "underlying graph is not connected"))
 
@@ -675,11 +768,8 @@ def validate(u: Universe) -> List[Diagnostic]:
             check_expr(ge, loc)
         if (p.edge_maps is None) != (p.face_maps is None):
             out.append(Diagnostic(loc, "give all incidence maps or none"))
-        if p.edge_maps is not None and p.face_maps is not None:
-            if len(p.edge_maps) != p.d or len(p.face_maps) != p.d:
-                out.append(Diagnostic(loc, "map lists must have length d"))
-            else:
-                out.extend(_check_polygon_maps(u, p, loc))
+        elif p.concrete_maps:
+            out.extend(Diagnostic(loc, m) for m in polygon_charts(u, p)[1])
 
     for name in picked(u.gcws, names):
         x = u.gcws[name]
@@ -746,62 +836,6 @@ def _add_replaced(into: Set[str], table: Dict[str, object],
     for name in before:
         if name not in table:
             into.add(name)
-
-
-def _check_polygon_maps(u: Universe, p: PolygonOfGroups, loc: str) -> List[Diagnostic]:
-    out: List[Diagnostic] = []
-
-    def concrete_of(e: GroupExpr, what: str) -> Optional[str]:
-        if isinstance(e, Ref) and e.name in u.concretes:
-            return e.name
-        out.append(Diagnostic(loc, f"{what} must name a concrete group when maps are given"))
-        return None
-
-    vnames = [concrete_of(g, f"vertex {i}") for i, g in enumerate(p.vertex_groups)]
-    enames = [concrete_of(g, f"edge {i}") for i, g in enumerate(p.edge_groups)]
-    fname = concrete_of(p.face_group, "face")
-    if None in vnames or None in enames or fname is None:
-        return out
-
-    homs: Dict[Tuple[int, int], Optional[Homomorphism]] = {}
-    for i in range(p.d):
-        for side, hname in enumerate(p.edge_maps[i]):
-            h = u.homs.get(hname)
-            tgt = vnames[(i + side) % p.d]
-            if h is None:
-                out.append(Diagnostic(loc, f"unknown hom {hname!r}"))
-            elif h.source != enames[i] or h.target != tgt:
-                out.append(Diagnostic(
-                    loc, f"hom {hname!r} should map {enames[i]} -> {tgt}"))
-                h = None
-            elif not h.injective:
-                out.append(Diagnostic(loc, f"hom {hname!r} must be injective"))
-            homs[(i, side)] = h
-        h = u.homs.get(p.face_maps[i])
-        if h is None:
-            out.append(Diagnostic(loc, f"unknown hom {p.face_maps[i]!r}"))
-        elif h.source != fname or h.target != enames[i]:
-            out.append(Diagnostic(
-                loc, f"hom {p.face_maps[i]!r} should map {fname} -> {enames[i]}"))
-            h = None
-        elif not h.injective:
-            out.append(Diagnostic(loc, f"hom {p.face_maps[i]!r} must be injective"))
-        homs[(i, 2)] = h
-
-    # the face must reach each vertex the same way through both adjacent edges
-    for i in range(p.d):
-        left = homs.get(((i - 1) % p.d, 1)), homs.get(((i - 1) % p.d, 2))
-        right = homs.get((i, 0)), homs.get((i, 2))
-        if None in left or None in right:
-            continue
-        by_left = tuple(left[0].images[left[1].images[x]]
-                        for x in range(len(left[1].images)))
-        by_right = tuple(right[0].images[right[1].images[x]]
-                         for x in range(len(right[1].images)))
-        if by_left != by_right:
-            out.append(Diagnostic(
-                loc, f"face maps do not commute with incidence at vertex {i}"))
-    return out
 
 
 def _cycle_diagnostics(u: Universe, names: Set[str]) -> List[Diagnostic]:

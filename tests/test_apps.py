@@ -341,6 +341,48 @@ double D3 { n = 4; group = Nope; boundary s : Missing { pi1_injective = assert; 
     assert u.setups["B"].core_embeds == "h"
 
 
+BRANCHED_DATA = """
+group V = product(Z2, Z2);
+group C1 = cyclic(1);
+hom a : Z2 -> V { 1 -> 1; }
+hom b : Z2 -> V { 1 -> 2; }
+hom z : Z2 -> V { 1 -> 0; }
+hom t : C1 -> Z2 { 0 -> 0; }
+hom s : Z2 -> Z2 { 1 -> 1; }
+hom i24 : Z2 -> Z4 { 1 -> 2; }
+"""
+
+
+def branched_with(core, embeds):
+    return BRANCHED_DATA + (
+        f"branched B {{ n = 4; d = 5; piece = V; wall = Z2; core = {core}; "
+        f"assume pi1_injective; assume intersection; {embeds} }}\n")
+
+
+def test_branched_embeddings_are_checked_at_load():
+    # the walls of adjacent copies are the two coordinate axes of Z2 x Z2
+    u = load(branched_with("C1", "embed wall = (a, b); embed core = t;"))
+    cert = certify_branched(u, u.setups["B"])
+    assert ("(ii) adjacent copies meet exactly in the core", "verified") in \
+        [(item.item, item.status) for item in cert.ledger]
+    cases = {
+        ("C1", "embed wall = (a, i24); embed core = t;"):
+            "embed: hom 'i24' should map Z2 -> V",
+        ("C1", "embed wall = (a, b); embed core = a;"):
+            "embed: hom 'a' should map C1 -> Z2",
+        ("C1", "embed wall = (a, z); embed core = t;"):
+            "embed: hom 'z' must be injective",
+        ("Z2", "embed wall = (a, b); embed core = s;"):
+            "embed: face maps do not commute with incidence at vertex 0",
+        ("One", "embed wall = (a, b); embed core = t;"):
+            "embed: face must name a concrete group when maps are given",
+    }
+    for (core, embeds), message in cases.items():
+        u, diags = dsl.load_text(branched_with(core, embeds), dsl.load_prelude())
+        assert [d.message for d in diags] == [message], embeds
+        assert "B" not in u.setups
+
+
 def test_build_setup_rejects_foreign_declarations():
     u = load("")
     with pytest.raises(TypeError):

@@ -214,6 +214,14 @@ def test_develop_radius_error(capsys):
     assert "radius" in err
 
 
+def test_develop_errors_show_no_python_objects(capsys, tmp_path):
+    model = tmp_path / "lone.catb"
+    model.write_text("graph G { vertex v = Z x Z; }\n", encoding="utf-8")
+    code, out, err = run(capsys, "develop", "--target", "G", str(model))
+    assert (code, out) == (1, "")
+    assert err == "error: graph G: vertex v must name a concrete group\n"
+
+
 def test_check_curvature_holds(capsys):
     code, out, _ = run(capsys, "check-curvature", "--target", "SQ", SQUARE)
     assert code == 0
@@ -315,6 +323,28 @@ def test_certify_inconclusive_exits_two(capsys, tmp_path):
     assert code == 2
     assert out.splitlines()[0] == "conclusion: inconclusive"
     assert "[failed] (i) wall pi1-injective" in out
+
+
+GLUING_MISMATCH = """\
+gluing GL { n = 4;
+  piece A { group = F2; cat_am <= 2; boundary a : Z { pi1_injective = assert; } }
+  piece B { group = F2; cat_am <= 2; boundary b : F2 x F2 { pi1_injective = assert; } }
+  pair A.a - B.b; connected = assert; }
+"""
+
+
+def test_pairing_boundaries_with_different_groups_is_refused(capsys, tmp_path):
+    model = tmp_path / "gluing.catb"
+    model.write_text(GLUING_MISMATCH, encoding="utf-8")
+    message = "pairing A.a - B.b joins boundaries with different groups"
+    code, out, err = run(capsys, "validate", str(model))
+    assert (code, out, err) == (1, "", f"{model}:1:1: {message}\n")
+    code, out, err = run(capsys, "certify", "--target", "GL", str(model))
+    assert (code, out, err) == (1, "", f"error: {model}:1:1: {message}\n")
+    model.write_text(GLUING_MISMATCH.replace("F2 x F2", "Z"), encoding="utf-8")
+    code, out, err = run(capsys, "certify", "--target", "GL", str(model))
+    assert (code, err) == (0, "")
+    assert out.startswith("conclusion: volume_vanishes\n")
 
 
 def test_certify_json(capsys):

@@ -7,6 +7,11 @@ invocation in text and in JSON.  Whatever the model, the exit code is
 0, 1 or 2, no error is an internal one, and a JSON result has the
 layout of json.dumps(indent=2, ensure_ascii=False).
 
+A second test draws amalgams and polygons of cyclic groups whose maps
+often join the wrong groups: validate refuses such a model with a
+diagnostic, and develop and check-curvature work on any model it
+accepts.
+
 Deep chain models stay out: evaluation still recurses once per link
 (see test_cli.test_unexpected_exception_is_a_diagnostic).
 """
@@ -15,6 +20,7 @@ import contextlib
 import importlib.util
 import io
 import json
+import math
 import re
 from pathlib import Path
 
@@ -108,3 +114,80 @@ def test_mutated_fixtures_never_fail_internally(workdir, argv, ops):
         if fmt == "json" and code in (0, 2):
             assert out == json.dumps(json.loads(out), indent=2,
                                      ensure_ascii=False) + "\n"
+
+
+# -- concrete maps --------------------------------------------------------
+
+
+@st.composite
+def concrete_models(draw):
+    """Cyclic groups C0.., and an amalgam A or a polygon P over them.
+
+    In a careful draw each incidence map names one of at most two homs
+    declared between its groups: a homomorphism, injective or not.  In
+    a careless one a map may also name any declared hom or an unknown
+    name.  A group is now and then a product or the atom Z, which is not
+    concrete, and a map from or to it is an unknown name."""
+    orders = draw(st.lists(st.sampled_from([2, 4, 6, 1, 3]), min_size=2, max_size=4))
+    lines = [f"group C{i} = cyclic({n});" for i, n in enumerate(orders)]
+    group = st.sampled_from(range(len(orders)))
+    exotic = st.sampled_from(["Z", "(C0 x C1)"])
+    careful = draw(st.booleans())
+    homs = []
+    pools = {}
+
+    def name(g):
+        return f"C{g}" if isinstance(g, int) else g
+
+    def hom(source, target):
+        kind = "fit" if careful else draw(st.sampled_from(["fit", "other", "unknown"]))
+        if kind == "fit" and isinstance(source, int) and isinstance(target, int):
+            pool = pools.setdefault((source, target), [])
+            if not pool or (len(pool) < 2 and draw(st.booleans())):
+                m, n = orders[source], orders[target]
+                image = draw(st.sampled_from([1, 1, 5, 0])) * (n // math.gcd(m, n)) % n
+                homs.append(f"h{len(homs)}")
+                pool.append(homs[-1])
+                lines.append(f"hom {homs[-1]} : C{source} -> C{target} "
+                             f"{{ {'0 -> 0' if m == 1 else f'1 -> {image}'}; }}")
+            return draw(st.sampled_from(pool))
+        return draw(st.sampled_from(homs)) if homs and kind == "other" else "nope"
+
+    def some_group():
+        return draw(exotic) if draw(st.sampled_from([False] * 9 + [True])) else draw(group)
+
+    if draw(st.booleans()):
+        left, edge, right = some_group(), some_group(), some_group()
+        maps = hom(edge, left), hom(edge, right)
+        lines.append(f"amalgam A = {name(left)} *[{name(edge)}] {name(right)} "
+                     f"with ({maps[0]}, {maps[1]});")
+        return "A", "\n".join(lines) + "\n"
+    d = draw(st.integers(3, 5))
+    vertex, edge, face = some_group(), some_group(), some_group()
+    pairs = ", ".join(f"({hom(edge, vertex)}, {hom(edge, vertex)})" for _ in range(d))
+    faces = ", ".join(hom(face, edge) for _ in range(d))
+    lines.append(f"polygon P {{ d = {d}; vertex = {name(vertex)}; edge = {name(edge)}; "
+                 f"face = {name(face)}; edge_maps = [{pairs}]; face_maps = [{faces}]; }}")
+    return "P", "\n".join(lines) + "\n"
+
+
+@seed(20261019)
+@settings(max_examples=300, deadline=None, database=None)
+@given(drawn=concrete_models())
+def test_concrete_maps_are_refused_or_developed(workdir, drawn):
+    target, text = drawn
+    model = workdir / "maps.catb"
+    model.write_text(text, encoding="utf-8")
+    code, _, err = run(["validate", str(model)])
+    errs = [err]
+    if code == 0:
+        commands = [["develop"]] + ([["check-curvature"]] if target == "P" else [])
+        for argv in commands:
+            code, _, err = run(argv + ["--target", target, str(model)])
+            assert code == 0, (text, argv, err)
+            errs.append(err)
+    else:
+        assert code == 1 and err.strip(), text
+    for err in errs:
+        assert not any(bad in err for bad in ("error: internal", "Ref(", "tuple.index")), \
+            (text, err)

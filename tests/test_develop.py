@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import random
@@ -245,6 +246,36 @@ def test_ball_rejects_loops_and_big_graphs(example_universe):
                          (Edge("a", "b", Ref("Z2"), ("i24", "i26")),))
     with pytest.raises(ValueError):
         bass_serre_ball(example_universe, wide, 2)
+
+
+def test_ball_roots_at_the_first_vertex_whatever_the_edge_direction(
+        example_universe, amalgam_graph):
+    flipped = GraphOfGroups("flipped", (("left", Ref("Z4")), ("right", Ref("Z6"))),
+                            (Edge("right", "left", Ref("Z2"), ("i26", "i24")),))
+    for radius in range(4):
+        assert ball_rows(bass_serre_ball(example_universe, flipped, radius)) == \
+            ball_rows(bass_serre_ball(example_universe, amalgam_graph, radius))
+
+
+def test_developments_refuse_maps_that_validate_refuses(example_universe,
+                                                        square_universe):
+    swapped = GraphOfGroups("A", (("left", Ref("Z4")), ("right", Ref("Z6"))),
+                            (Edge("left", "right", Ref("Z2"), ("i26", "i24")),))
+    with pytest.raises(ValueError) as err:
+        bass_serre_ball(example_universe, swapped, 2)
+    assert str(err.value) == ("graph A edge 0: hom 'i26' should map Z2 -> Z4; "
+                              "hom 'i24' should map Z2 -> Z6")
+    _, sq = square_universe.resolve(Ref("SQ"))
+    # the face reaches corner 0 through a4 on one side and b4 on the other
+    u = square_universe.overlay()
+    u.homs["t2"] = Homomorphism("t2", "Z2", "Z2", (0, 1))
+    odd = dataclasses.replace(sq, name="ODD", face_group=Ref("Z2"),
+                              face_maps=("t2",) * 4)
+    for call in (polygon_ball, check_curvature):
+        with pytest.raises(ValueError) as err:
+            call(u, odd)
+        assert str(err.value).startswith(
+            "polygon ODD: face maps do not commute with incidence at vertex 0")
 
 
 # -- the right-carry normal form against the left-carry oracle ------------

@@ -463,6 +463,27 @@ HAND_CASES = {
         "group A: circular definition: A -> B -> A",
         "group C: circular definition: C -> D -> C",
         "group A: circular definition: A -> C -> A"],
+    # graph edge maps: each must map the edge group into the group at its end
+    "hom h : Z2 -> Z4 { 1 -> 2; }\nhom k : Z2 -> Z6 { 1 -> 3; }\n"
+    "amalgam A = Z4 *[Z2] Z6 with (k, h);": [
+        "graph A edge 0: hom 'k' should map Z2 -> Z4",
+        "graph A edge 0: hom 'h' should map Z2 -> Z6"],
+    "hom h : Z2 -> Z4 { 1 -> 2; }\nhom k : Z2 -> Z6 { 1 -> 3; }\n"
+    "amalgam A = Z4 *[Z2] (Z6 x Z2) with (h, k);": [
+        "graph A edge 0: vertex right must name a concrete group when maps are given"],
+    "hom h : Z2 -> Z4 { 1 -> 2; }\nhom z : Z2 -> Z6 { 1 -> 0; }\n"
+    "amalgam A = Z4 *[Z2] Z6 with (h, z);": [
+        "graph A edge 0: hom 'z' must be injective"],
+    "hom h : Z2 -> Z4 { 1 -> 2; }\n"
+    "graph G { vertex a = Z4; vertex b = Z4; edge a - b : Z2; edge b - a : Z2 with (h, k); }": [
+        "graph G edge 1: unknown hom 'k'"],
+    # maps on a loop of non-concrete groups; an edge with an unknown end
+    # gets no map check
+    "graph G { vertex a = F2; edge a - a : Z with (h, k); edge a - c : Z with (h, k); }": [
+        "graph G edge 0: edge group must name a concrete group when maps are given",
+        *["graph G edge 0: vertex a must name a concrete group when maps are given"] * 2,
+        "graph G edge 1: unknown endpoint 'c'",
+        "graph G: underlying graph is not connected"],
 }
 
 
@@ -494,6 +515,32 @@ def test_changed_homs_and_their_groups_are_checked(checked_loads, tmp_path):
         assert [str(d) for d in diags] == expected, text
     assert len(checked_loads) == 3     # the prelude, then the two models
     assert all(got == full for _, got, full in checked_loads)
+
+
+def test_changed_homs_and_groups_of_graph_edges_are_checked(checked_loads, tmp_path):
+    # a prelude with an amalgam of concrete groups and maps; each model
+    # changes a hom or a vertex group it relies on
+    prelude = tmp_path / "prelude.catb"
+    prelude.write_text(dsl.prelude_path().read_text(encoding="utf-8")
+                       + (FIXTURES / "examples.catb").read_text(encoding="utf-8"),
+                       encoding="utf-8")
+    cases = {
+        "hom i24 : Z2 -> Z6 { 1 -> 3; }":
+            ["graph Am46 edge 0: hom 'i24' should map Z2 -> Z4"],
+        "hom i26 : Z2 -> Z6 { 1 -> 0; }":
+            ["graph Am46 edge 0: hom 'i26' must be injective"],
+        "group Z6 = cyclic(3);":
+            ["hom i26: image 3 out of range for target"],
+        "group Z4;":
+            ["hom i24: target 'Z4' is not a concrete group",
+             "graph Am46 edge 0: vertex left must name a concrete group when maps "
+             "are given"],
+    }
+    for text, expected in cases.items():
+        _, diags = load_text(text, load_prelude(prelude))
+        assert [str(d) for d in diags] == expected, text
+    assert len(checked_loads) == 5     # the prelude, then the four models
+    assert all(kept and got == full for kept, got, full in checked_loads[1:])
 
 
 def test_a_table_registered_over_a_validated_universe_is_checked(checked_loads):
