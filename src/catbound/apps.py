@@ -30,7 +30,8 @@ from .engine import DerivationNode, Evaluator, _leaf, _rec_base, _rec_sum
 from .extnat import ExtNat
 from .facts import AM
 from .model import (Diagnostic, Edge, GraphOfGroups, GroupExpr,
-                    PolygonOfGroups, Ref, Universe, expr_key, polygon_charts)
+                    PolygonOfGroups, Ref, Universe, expr_key, expr_refs,
+                    polygon_charts)
 
 
 @dataclass(frozen=True)
@@ -133,12 +134,10 @@ class PreconditionError(ValueError):
 Setup = Union[GluingSetup, DoubleSetup, BranchedSetup]
 
 
-def build_setup(u: Universe, setup: Setup) -> Tuple[Optional[Setup], List[Diagnostic]]:
-    """Check a parsed setup against the preconditions of its kind.
-
-    Returns the setup, or None when it has problems, with the
-    diagnostics.  Group names are checked by the caller, once every
-    declaration is registered.
+def build_setup(u: Universe, setup: Setup) -> List[Diagnostic]:
+    """The problems of a registered setup: the preconditions of its
+    kind, its embeddings and its unresolved group names.  model.validate
+    runs it on each setup that is new or replaced, or uses a changed name.
     """
     if isinstance(setup, GluingSetup):
         diags = _gluing_diagnostics(setup)
@@ -154,8 +153,7 @@ def build_setup(u: Universe, setup: Setup) -> Tuple[Optional[Setup], List[Diagno
             diags.append(Diagnostic(setup.loc, "branched setups need n >= 3"))
         if setup.d < 1:
             diags.append(Diagnostic(setup.loc, "the number of copies d must be at least 1"))
-        embeds = (setup.wall_embeds or ()) + ((setup.core_embeds,) if setup.core_embeds else ())
-        unknown = [hname for hname in embeds if hname not in u.homs]
+        unknown = [hname for hname in setup_homs(setup) if hname not in u.homs]
         diags += [Diagnostic(setup.loc, f"unknown homomorphism {hname!r}") for hname in unknown]
         if setup.wall_embeds and setup.core_embeds and not unknown:
             # every copy has the same maps, so the one-copy polygon checks them
@@ -163,7 +161,31 @@ def build_setup(u: Universe, setup: Setup) -> Tuple[Optional[Setup], List[Diagno
             diags += [Diagnostic(setup.loc, f"embed: {m}") for m in problems]
     else:
         raise TypeError(f"not a setup: {setup!r}")
-    return (None if diags else setup), diags
+    for what, e in setup_groups(setup):
+        diags += [Diagnostic(setup.loc, f"{what}: unresolved group name {name!r}")
+                  for name in expr_refs(e) if u.kind_of(name) is None]
+    return diags
+
+
+def setup_groups(s: Setup) -> List[Tuple[str, GroupExpr]]:
+    'The group expressions a setup names, each with its role.'
+    if isinstance(s, GluingSetup):
+        out: List[Tuple[str, GroupExpr]] = []
+        for p in s.pieces:
+            out.append((f"piece {p.id}", p.group))
+            out += [(f"boundary {p.id}.{b.id}", b.group) for b in p.boundaries]
+        return out
+    if isinstance(s, DoubleSetup):
+        return [("group", s.piece.group)] + [(f"boundary {b.id}", b.group)
+                                             for b in s.piece.boundaries]
+    return [("piece", s.piece), ("wall", s.wall), ("core", s.core)]
+
+
+def setup_homs(s: Setup) -> Tuple[str, ...]:
+    'The homs a branched setup embeds its wall and core by; none for other kinds.'
+    if not isinstance(s, BranchedSetup):
+        return ()
+    return (s.wall_embeds or ()) + ((s.core_embeds,) if s.core_embeds else ())
 
 
 def _branched_polygon(s: BranchedSetup, d: int) -> PolygonOfGroups:

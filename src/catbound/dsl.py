@@ -49,16 +49,15 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple, TypeVar, Union
 
-from . import apps
 from .apps import (BoundaryComponent, BranchedSetup, DoubleSetup, GluingSetup,
                    Pairing, Piece)
 from .extnat import FINITE_MAX, INF, ExtNat
 from .facts import FactSheet, Family, FamilyKind, Tri, builtin_families
 from .model import (Diagnostic, DirectProduct, Edge, FreeProduct,
                     GcwDescription, GraphOfGroups, GroupExpr, PolygonOfGroups,
-                    Ref, TrivialGroup, Universe, cyclic_group, expr_refs,
-                    free_group_expr, hom_from_generator_images, product_group,
-                    table_group, validate)
+                    Ref, TrivialGroup, Universe, cyclic_group, free_group_expr,
+                    hom_from_generator_images, product_group, table_group,
+                    validate)
 
 # -- tokens ---------------------------------------------------------------
 
@@ -216,7 +215,10 @@ Decl = Union[GroupDecl, AmalgamDecl, HomDecl, Family, GraphOfGroups,
 
 _GROUP_DECLS = (GroupDecl, AmalgamDecl, GraphOfGroups, PolygonOfGroups,
                 GcwDescription)
-_SETUPS = (GluingSetup, DoubleSetup, BranchedSetup)
+# the table of each kind of declaration the build registers as parsed
+_TABLES = {Family: "families", GraphOfGroups: "graphs", PolygonOfGroups: "polygons",
+           GcwDescription: "gcws", GluingSetup: "setups", DoubleSetup: "setups",
+           BranchedSetup: "setups"}
 
 
 @dataclass(frozen=True)
@@ -980,15 +982,16 @@ def _piece_body_lines(p: Piece, pad: str) -> List[str]:
 def build_universe(model: SourceModel,
                    base: Optional[Universe] = None
                    ) -> Tuple[Universe, List[Diagnostic]]:
-    """Register declarations over a copy of `base` (usually the prelude).
+    """Register declarations over a copy of `base` (usually the prelude),
+    then check them with model.validate.
 
-    Declarations shadow same-named prelude groups.  Returns the universe
-    together with all build and validation diagnostics; a universe with
-    diagnostics should not be evaluated.  The copy keeps `base`'s
-    record of its nearest validated ancestor, so model.validate
-    re-checks only what the declarations (and anything registered into
-    `base` since that ancestor passed) changed, and the kept prelude of
-    load_prelude() is not verified again.
+    Declarations shadow same-named prelude groups.  Building reports
+    only what cannot be registered without building (a bad table, a
+    product factor or hom group that is not concrete, cyclic(0), a hom
+    whose images do not extend); setups and all else are registered as
+    parsed.  The copy keeps `base`'s record of its nearest validated
+    ancestor, so validate re-checks only what the declarations changed.
+    A universe with diagnostics should not be evaluated.
     """
     u = base.overlay() if base is not None else Universe()
     if not u.families:
@@ -999,59 +1002,16 @@ def build_universe(model: SourceModel,
             u.drop_group(d.name)
         if isinstance(d, GroupDecl):
             _build_group(u, d, diags)
-        elif isinstance(d, AmalgamDecl):
-            u.graphs[d.name] = GraphOfGroups(
-                d.name,
-                (("left", d.left), ("right", d.right)),
-                (Edge("left", "right", d.edge, d.maps),), d.loc)
-        elif isinstance(d, Family):
-            u.families[d.name] = d
         elif isinstance(d, HomDecl):
             _build_hom(u, d, diags)
-        elif isinstance(d, GraphOfGroups):
-            u.graphs[d.name] = d
-        elif isinstance(d, PolygonOfGroups):
-            problem = _polygon_arity(d)
-            if problem:
-                diags.append(Diagnostic(d.loc, problem))
-            else:
-                u.polygons[d.name] = d
-        elif isinstance(d, GcwDescription):
-            u.gcws[d.name] = d
-    # checked once everything is registered: a fact may name a family,
-    # and a setup a group or homomorphism, declared further down
-    known = u.group_names()
-    for d in model.decls:
-        if isinstance(d, GroupDecl):
-            for f in d.facts:
-                if f.kind in ("cat", "member") and f.slot not in u.families:
-                    diags.append(Diagnostic(d.loc, f"unknown family {f.slot!r}"))
-        elif isinstance(d, _SETUPS):
-            setup, setup_diags = apps.build_setup(u, d)
-            diags.extend(setup_diags)
-            if setup is not None:
-                u.setups[d.name] = setup
-            for what, e in _setup_groups(d):
-                for name in expr_refs(e):
-                    if name not in known:
-                        diags.append(Diagnostic(
-                            d.loc, f"{what}: unresolved group name {name!r}"))
+        elif isinstance(d, AmalgamDecl):
+            u.graphs[d.name] = GraphOfGroups(
+                d.name, (("left", d.left), ("right", d.right)),
+                (Edge("left", "right", d.edge, d.maps),), d.loc)
+        else:
+            getattr(u, _TABLES[type(d)])[d.name] = d
     diags.extend(validate(u))
     return u, diags
-
-
-def _setup_groups(d: apps.Setup) -> List[Tuple[str, GroupExpr]]:
-    'The group expressions a setup names, each with its role.'
-    if isinstance(d, GluingSetup):
-        out: List[Tuple[str, GroupExpr]] = []
-        for p in d.pieces:
-            out.append((f"piece {p.id}", p.group))
-            out += [(f"boundary {p.id}.{b.id}", b.group) for b in p.boundaries]
-        return out
-    if isinstance(d, DoubleSetup):
-        return [("group", d.piece.group)] + [(f"boundary {b.id}", b.group)
-                                             for b in d.piece.boundaries]
-    return [("piece", d.piece), ("wall", d.wall), ("core", d.core)]
 
 
 def _build_group(u: Universe, d: GroupDecl, diags: List[Diagnostic]) -> None:
@@ -1110,17 +1070,6 @@ def _build_hom(u: Universe, d: HomDecl, diags: List[Diagnostic]) -> None:
         diags.append(built)
     else:
         u.homs[d.name] = built
-
-
-def _polygon_arity(p: PolygonOfGroups) -> Optional[str]:
-    'A polygon with a list of the wrong length is reported and not registered.'
-    if len(p.vertex_groups) != p.d or len(p.edge_groups) != p.d:
-        return f"polygon {p.name!r} needs exactly {p.d} vertex and edge entries"
-    if p.edge_maps is not None and len(p.edge_maps) != p.d:
-        return f"polygon {p.name!r} needs {p.d} edge map pairs"
-    if p.face_maps is not None and len(p.face_maps) != p.d:
-        return f"polygon {p.name!r} needs {p.d} face maps"
-    return None
 
 
 # -- prelude and file loading ---------------------------------------------

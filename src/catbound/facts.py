@@ -153,7 +153,8 @@ def close_sheet(sheet: FactSheet, order: Optional[int]) -> List[str]:
 
 
 def sheet_diagnostics(u: Universe, name: str) -> List[Diagnostic]:
-    """Close one sheet; each problem is reported at its declaration.
+    """Check the families one sheet names, and close it; each problem is
+    reported at its declaration.
 
     A sheet that `u.validated` also holds is shared with the universe
     that passed, such as the kept prelude, which must not see this
@@ -166,7 +167,9 @@ def sheet_diagnostics(u: Universe, name: str) -> List[Diagnostic]:
                                          provenance=dict(sheet.provenance))
     order = u.concretes[name].order if name in u.concretes else None
     loc = sheet.loc or f"group {name}"
-    return [Diagnostic(loc, msg) for msg in close_sheet(sheet, order)]
+    unknown = [f"unknown family {fam!r}" for fam in (*sheet.cat_ub, *sheet.member)
+               if fam not in u.families]
+    return [Diagnostic(loc, msg) for msg in unknown + close_sheet(sheet, order)]
 
 
 # ---------------------------------------------------------------------------

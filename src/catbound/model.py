@@ -415,7 +415,7 @@ class GcwDescription:
 # ---------------------------------------------------------------------------
 # the universe of declarations
 
-# the tables of a Universe; validate() reads the group tables and homs
+# the tables of a Universe; validate() reads all but the families
 GROUP_TABLES = ("sheets", "defs", "concretes", "graphs", "polygons", "gcws")
 TABLES = GROUP_TABLES + ("homs", "families", "setups")
 
@@ -551,12 +551,12 @@ class Universe:
 
 
 class Validated:
-    """The group tables and homs of a universe as they stood when it
-    passed validate(), and who names whom among them."""
+    """The group tables, homs and setups of a universe as they stood
+    when it passed validate(), and who names whom among the groups."""
 
     def __init__(self, u: Universe) -> None:
         self.tables = Universe()
-        for attr in GROUP_TABLES + ("homs",):
+        for attr in GROUP_TABLES + ("homs", "setups"):
             getattr(self.tables, attr).update(getattr(u, attr))
         self._users: Optional[Dict[str, List[str]]] = None
 
@@ -581,9 +581,9 @@ def resolve_maps(u: Universe, cells: Sequence[Tuple[str, Optional[GroupExpr]]],
     A cell is (what it is, its group), a map (hom name, source cell,
     target cell).  Every cell must name a concrete group, or no hom is
     looked up and every hom reads None.  Each hom must exist, map the
-    source cell's group to the target cell's, and be injective.
-    Returns the homs, None for one that is missing or joins the wrong
-    groups, and the problems.
+    source cell's group to the target cell's, fit them (one image per
+    source element, each in the target) and be injective.  Returns the
+    homs, None for one that fails before injectivity, and the problems.
     """
     names = [e.name if isinstance(e, Ref) and e.name in u.concretes else None
              for _, e in cells]
@@ -591,6 +591,7 @@ def resolve_maps(u: Universe, cells: Sequence[Tuple[str, Optional[GroupExpr]]],
                 for (what, _), name in zip(cells, names) if name is None]
     if problems:
         return [None] * len(maps), problems
+    groups = [u.concretes[name] for name in names]
     homs: List[Optional[Homomorphism]] = []
     for hname, s, t in maps:
         h = u.homs.get(hname)
@@ -598,6 +599,11 @@ def resolve_maps(u: Universe, cells: Sequence[Tuple[str, Optional[GroupExpr]]],
             problems.append(f"unknown hom {hname!r}")
         elif (h.source, h.target) != (names[s], names[t]):
             problems.append(f"hom {hname!r} should map {names[s]} -> {names[t]}")
+            h = None
+        elif h.verified_on != (groups[s], groups[t]) and (
+                len(h.images) != groups[s].order
+                or not all(0 <= v < groups[t].order for v in h.images)):
+            problems.append(f"hom {hname!r} does not fit {names[s]} -> {names[t]}")
             h = None
         elif not h.injective:
             problems.append(f"hom {hname!r} must be injective")
@@ -635,8 +641,6 @@ def polygon_charts(u: Universe, p: PolygonOfGroups
     one way through the incoming edge, another through the outgoing one."""
     if not p.concrete_maps:
         return None, ["no concrete maps are given"]
-    if len(p.edge_maps) != p.d or len(p.face_maps) != p.d:
-        return None, ["map lists must have length d"]
     d = p.d
     cells = ([(f"vertex {i}", g) for i, g in enumerate(p.vertex_groups)]
              + [(f"edge {i}", g) for i, g in enumerate(p.edge_groups)]
@@ -666,6 +670,17 @@ def polygon_charts(u: Universe, p: PolygonOfGroups
         tuple(homs[3 * i].image_set() for i in range(d)), tuple(face_image)), []
 
 
+def _polygon_arity(p: PolygonOfGroups) -> Optional[str]:
+    'A list of the wrong length, or None; validate() checks nothing else of such a polygon.'
+    if len(p.vertex_groups) != p.d or len(p.edge_groups) != p.d:
+        return f"polygon {p.name!r} needs exactly {p.d} vertex and edge entries"
+    if p.edge_maps is not None and len(p.edge_maps) != p.d:
+        return f"polygon {p.name!r} needs {p.d} edge map pairs"
+    if p.face_maps is not None and len(p.face_maps) != p.d:
+        return f"polygon {p.name!r} needs {p.d} face maps"
+    return None
+
+
 def _connected(vertex_ids: List[str], edges: Sequence[Edge]) -> bool:
     if not vertex_ids:
         return False
@@ -682,15 +697,16 @@ def _connected(vertex_ids: List[str], edges: Sequence[Edge]) -> bool:
 
 
 def validate(u: Universe) -> List[Diagnostic]:
-    """All structural and declaration-level checks, as a diagnostic list.
+    """Every check of the declarations, as a diagnostic list; fact
+    sheets are checked in the facts module and setups by
+    apps.build_setup.  dsl.build_universe only builds.
 
-    Includes fact-sheet consistency, pulled in from the facts module.
-
-    Only what can differ from `u.validated` is checked: every group or
-    hom entry that is not the very same object as there, or that is
-    gone; every name that reaches such a name through
+    Only what can differ from `u.validated` is checked: every group,
+    hom or setup entry that is not the very same object as there, or
+    that is gone; every name that reaches such a name through
     Universe.dependencies; every graph or polygon naming a changed hom;
-    and every hom whose source or target is such a name.  Declared
+    every hom whose source or target is such a name; and every setup
+    that names such a name or embeds such a hom.  Declared
     objects are frozen, and fact sheets are closed once (a checked
     sheet shared with `u.validated` is replaced in `u` by a closed
     copy), so an entry kept from a universe that passed yields no
@@ -701,7 +717,7 @@ def validate(u: Universe) -> List[Diagnostic]:
     `u.validated` is None everything is checked.  A universe that
     passes records its tables there.
     """
-    names, hom_names = _unchecked(u)
+    names, hom_names, setup_names = _unchecked(u)
     out: List[Diagnostic] = []
 
     def picked(table: Dict[str, object], among: Set[str]) -> List[str]:
@@ -759,11 +775,12 @@ def validate(u: Universe) -> List[Diagnostic]:
     for name in picked(u.polygons, names):
         p = u.polygons[name]
         loc = f"polygon {name}"
+        problem = _polygon_arity(p)
+        if problem:
+            out.append(Diagnostic(p.loc or loc, problem))
+            continue
         if p.d < 3:
             out.append(Diagnostic(loc, f"d = {p.d}, but a polygon needs d >= 3"))
-        if len(p.vertex_groups) != p.d or len(p.edge_groups) != p.d:
-            out.append(Diagnostic(loc, "vertex/edge group lists must have length d"))
-            continue
         for ge in p.vertex_groups + p.edge_groups + (p.face_group,):
             check_expr(ge, loc)
         if (p.edge_maps is None) != (p.face_maps is None):
@@ -789,15 +806,20 @@ def validate(u: Universe) -> List[Diagnostic]:
     for name in picked(u.sheets, names):
         out.extend(sheet_diagnostics(u, name))
 
+    from .apps import build_setup
+    for name in sorted(setup_names):
+        out.extend(build_setup(u, u.setups[name]))
+
     if not out:
         u.validated = Validated(u)
     return out
 
 
-def _unchecked(u: Universe) -> Tuple[Set[str], Set[str]]:
-    'The group names and hom names validate() checks; see there.'
+def _unchecked(u: Universe) -> Tuple[Set[str], Set[str], Set[str]]:
+    'The group names, hom names and setup names validate() checks; see there.'
     if u.validated is None:
-        return u.group_names(), set(u.homs)
+        return u.group_names(), set(u.homs), set(u.setups)
+    from .apps import setup_groups, setup_homs
     old = u.validated.tables
     changed: Set[str] = set()
     for attr in GROUP_TABLES:
@@ -822,9 +844,12 @@ def _unchecked(u: Universe) -> Tuple[Set[str], Set[str]]:
             if user not in names:
                 names.add(user)
                 todo.append(user)
+    setups = {name for name, s in u.setups.items()
+              if old.setups.get(name) is not s or not homs.isdisjoint(setup_homs(s))
+              or any(not names.isdisjoint(expr_refs(e)) for _, e in setup_groups(s))}
     homs.update(name for name, h in u.homs.items()
                 if h.source in names or h.target in names)
-    return names, homs
+    return names, homs, setups
 
 
 def _add_replaced(into: Set[str], table: Dict[str, object],

@@ -5,6 +5,7 @@ from collections import Counter
 import pytest
 
 from catbound import dsl
+from catbound.cli import main
 from catbound.apps import (BoundaryComponent, GluingSetup, Piece,
                            PreconditionError, build_setup, certify_branched,
                            certify_double, certify_gluing, gluing_to_gog)
@@ -359,7 +360,7 @@ def branched_with(core, embeds):
         f"assume pi1_injective; assume intersection; {embeds} }}\n")
 
 
-def test_branched_embeddings_are_checked_at_load():
+def test_branched_embeddings_are_checked_at_load(tmp_path, capsys):
     # the walls of adjacent copies are the two coordinate axes of Z2 x Z2
     u = load(branched_with("C1", "embed wall = (a, b); embed core = t;"))
     cert = certify_branched(u, u.setups["B"])
@@ -377,10 +378,15 @@ def test_branched_embeddings_are_checked_at_load():
         ("One", "embed wall = (a, b); embed core = t;"):
             "embed: face must name a concrete group when maps are given",
     }
+    model = tmp_path / "branched.catb"
     for (core, embeds), message in cases.items():
         u, diags = dsl.load_text(branched_with(core, embeds), dsl.load_prelude())
         assert [d.message for d in diags] == [message], embeds
-        assert "B" not in u.setups
+        # the setup is registered, as a graph with problems is, and
+        # certify refuses the model
+        model.write_text(branched_with(core, embeds), encoding="utf-8")
+        assert main(["certify", "--target", "B", str(model)]) == 1
+        assert capsys.readouterr() == ("", f"error: {model}:10:1: {message}\n"), embeds
 
 
 def test_build_setup_rejects_foreign_declarations():

@@ -557,6 +557,70 @@ def test_broken_prelude_fails_every_call(capsys, tmp_path):
     assert run(capsys, "validate")[0] == 0
 
 
+def test_prelude_setup_is_checked_again_when_a_model_redeclares_its_hom(
+        capsys, tmp_path):
+    prelude = tmp_path / "prelude.catb"
+    prelude.write_text("""
+group One { trivial = yes; }
+group Z2 = cyclic(2);
+group Z4 = cyclic(4);
+group V = product(Z2, Z2);
+group C1 = cyclic(1);
+hom a : Z2 -> V { 1 -> 1; }
+hom b : Z2 -> V { 1 -> 2; }
+hom t : C1 -> Z2 { 0 -> 0; }
+branched B { n = 4; d = 5; piece = V; wall = Z2; core = C1;
+  assume pi1_injective; assume intersection;
+  embed wall = (a, b); embed core = t; }
+""", encoding="utf-8")
+    model = tmp_path / "model.catb"
+    model.write_text("hom b : Z2 -> Z4 { 1 -> 2; }\n", encoding="utf-8")
+    common = ("--prelude", str(prelude), str(model))
+    where = f"{model}:10:1: embed: hom 'b' should map Z2 -> V"
+    assert run(capsys, "validate", *common) == (1, "", where + "\n")
+    code, out, err = run(capsys, "validate", "--format", "json", *common)
+    assert (code, err) == (1, "")
+    assert json.loads(out) == {"ok": False, "diagnostics": [
+        {"loc": "10:1", "message": "embed: hom 'b' should map Z2 -> V"}]}
+    for fmt in ("text", "json"):
+        assert run(capsys, "certify", "--target", "B", "--format", fmt, *common) == (
+            1, "", f"error: {where}\n")
+    # over the prelude alone the embeddings are checked and hold
+    code, out, _ = run(capsys, "certify", "--target", "B", "--prelude", str(prelude))
+    assert code == 2 and "[verified] (ii) adjacent copies meet exactly" in out
+
+
+def test_face_hom_that_no_longer_fits_its_edge_group_is_a_diagnostic(
+        capsys, tmp_path):
+    # the face hom f was built into E = cyclic(4); the model shrinks E,
+    # so f's images 2 and 3 lie outside it
+    prelude = tmp_path / "prelude.catb"
+    prelude.write_text(dsl.prelude_path().read_text(encoding="utf-8") + """
+group E = cyclic(4);
+group V = cyclic(8);
+group F = cyclic(4);
+hom f : F -> E { 1 -> 1; }
+""", encoding="utf-8")
+    model = tmp_path / "model.catb"
+    model.write_text("""group E = cyclic(2);
+hom o : E -> V { 1 -> 4; }
+polygon P { d = 4; vertex = V; edge = E; face = F;
+  edge_maps = [(o, o), (o, o), (o, o), (o, o)]; face_maps = [f, f, f, f]; }
+""", encoding="utf-8")
+    common = ("--prelude", str(prelude), str(model))
+    problems = ([("hom f", "image 2 out of range for target")]
+                + [("polygon P", "hom 'f' does not fit F -> E")] * 4)
+    lines = "".join(f"{model}:{loc}: {message}\n" for loc, message in problems)
+    assert run(capsys, "validate", *common) == (1, "", lines)
+    code, out, err = run(capsys, "validate", "--format", "json", *common)
+    assert (code, err) == (1, "")
+    assert json.loads(out)["diagnostics"] == [
+        {"loc": loc, "message": message} for loc, message in problems]
+    for fmt in ("text", "json"):
+        assert run(capsys, "check-curvature", "--target", "P", "--format", fmt,
+                   *common) == (1, "", "error: " + lines)
+
+
 # -- argument handling ----------------------------------------------------
 
 

@@ -12,6 +12,11 @@ often join the wrong groups: validate refuses such a model with a
 diagnostic, and develop and check-curvature work on any model it
 accepts.
 
+A third test loads the standard prelude plus one fixture as --prelude,
+and a model that redeclares some of that fixture's groups or homs with
+other cyclic orders or generator images; every invocation of the
+fixture still exits 0, 1 or 2 with no internal error.
+
 Deep chain models stay out: evaluation still recurses once per link
 (see test_cli.test_unexpected_exception_is_a_diagnostic).
 """
@@ -28,6 +33,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from catbound import dsl
 from catbound.cli import main
 
 HERE = Path(__file__).parent
@@ -191,3 +197,69 @@ def test_concrete_maps_are_refused_or_developed(workdir, drawn):
     for err in errs:
         assert not any(bad in err for bad in ("error: internal", "Ref(", "tuple.index")), \
             (text, err)
+
+
+# -- redeclaring what a prelude declares ----------------------------------
+
+
+def _declared(name):
+    """The orders of the concrete groups a fixture declares or maps
+    between, and its homs with their ends."""
+    text = (FIXTURES / name).read_text(encoding="utf-8")
+    u, _ = dsl.load_text(text, dsl.load_prelude())
+    homs = {h: (s, t) for h, s, t in re.findall(r"^hom (\w+) : (\w+) -> (\w+)", text, re.M)}
+    groups = set(re.findall(r"^group (\w+)", text, re.M))
+    groups.update(g for ends in homs.values() for g in ends)
+    return {g: u.concretes[g].order if g in u.concretes else None
+            for g in sorted(groups)}, homs
+
+
+DECLARED = {name: _declared(name) for name in sorted(TOKENS)}
+
+
+@st.composite
+def redeclarations(draw):
+    """A fixture and a model that redeclares some of its groups as
+    cyclic groups of other orders, and some of its homs, between the
+    same names, with a generator image that most often fits the orders
+    the names then denote."""
+    name = draw(st.sampled_from(sorted(DECLARED)))
+    orders, homs = DECLARED[name]
+    orders = dict(orders)
+    lines = []
+    for g in orders:
+        n = draw(st.sampled_from([None, None, 1, 2, 3, 4, 6, 8]))
+        if n is not None:
+            orders[g] = n
+            lines.append(f"group {g} = cyclic({n});")
+    for h, (source, target) in homs.items():
+        if not draw(st.booleans()):
+            continue
+        m, n = orders[source] or 1, orders[target] or 1
+        if draw(st.sampled_from([True, True, False])):
+            image = draw(st.integers(0, n - 1)) * (n // math.gcd(m, n)) % n
+        else:
+            image = draw(st.integers(0, 7))
+        pair = "0 -> 0" if m == 1 else f"1 -> {image}"
+        lines.append(f"hom {h} : {source} -> {target} {{ {pair}; }}")
+    return name, "\n".join(lines) + "\n"
+
+
+@seed(20261020)
+@settings(max_examples=250, deadline=None, database=None)
+@given(drawn=redeclarations())
+def test_redeclaring_prelude_names_never_fails_internally(workdir, drawn):
+    name, text = drawn
+    prelude = workdir / f"prelude-{name}"
+    prelude.write_text(dsl.prelude_path().read_text(encoding="utf-8")
+                       + (FIXTURES / name).read_text(encoding="utf-8"), encoding="utf-8")
+    model = workdir / "redeclared.catb"
+    model.write_text(text, encoding="utf-8")
+    for argv in INVOCATIONS:
+        if name not in argv:
+            continue
+        argv = [str(model) if a == name else a for a in argv] + ["--prelude", str(prelude)]
+        for fmt in ("text", "json"):
+            code, _, err = run(argv + ["--format", fmt])
+            assert code in (0, 1, 2), (text, argv, fmt, err)
+            assert "error: internal" not in err, (text, argv, fmt, err)
