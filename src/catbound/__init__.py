@@ -16,9 +16,9 @@ from .model import (ConcreteFiniteGroup, Diagnostic, DirectProduct, Edge,
 from .facts import (AM, FIN, TR, Family, FamilyKind, FactSheet, MemoTable,
                     Tri, builtin_families, membership, membership_with_reason)
 from .engine import BoundResult, DerivationNode, Evaluator, replay
-from .develop import (AmalgamContext, DevelopLimits, DevelopmentBall,
-                      bass_serre_ball, check_curvature, develop_target,
-                      polygon_ball, verify_stabilizers)
+from .develop import (AmalgamContext, DevelopmentBall, bass_serre_ball,
+                      check_curvature, develop_target, polygon_ball,
+                      verify_stabilizers)
 from .dsl import (ParseFailure, SourceModel, build_universe, load_prelude,
                   load_text, parse, serialize, try_parse)
 from .apps import (BranchedSetup, Certificate, DoubleSetup, GluingSetup,
@@ -37,7 +37,7 @@ __all__ = [
     "AM", "FIN", "TR", "Family", "FamilyKind", "FactSheet", "MemoTable",
     "Tri", "builtin_families", "membership", "membership_with_reason",
     "BoundResult", "DerivationNode", "Evaluator", "replay",
-    "AmalgamContext", "DevelopLimits", "DevelopmentBall",
+    "AmalgamContext", "DevelopmentBall",
     "bass_serre_ball", "check_curvature", "develop_target", "polygon_ball",
     "verify_stabilizers",
     "ParseFailure", "SourceModel", "build_universe", "load_prelude",

@@ -8,10 +8,15 @@
     catbound validate model.catb
 
 Every subcommand accepts an optional .catb file (queries run against
-the standard prelude alone when it is omitted), `--format text|json`,
-`--prelude PATH` to replace the standard prelude (env CATBOUND_PRELUDE
-works too), and `--plus-one` to print finite values in the convention
-that counts sets rather than the normalized count.
+the standard prelude alone when it is omitted), `--format text|json`
+and `--prelude PATH` to replace the standard prelude (env
+CATBOUND_PRELUDE works too).  Only `bound` and `tc` take `--plus-one`,
+which prints finite values in the convention that counts sets rather
+than the normalized count; `bound` takes `--family` only with
+`--invariant cat`, the default.  A subcommand accepts only the options
+it reads.  `bound`, `tc`, `develop` and `check-curvature`
+resolve `--target` before any other work; a name that resolves to
+nothing is `error: unresolved target: unresolved group name 'X'`.
 
 Repeated main() calls in one process share what does not depend on the
 query: the argument parser is built once, and a prelude text is parsed
@@ -57,7 +62,7 @@ from pathlib import Path
 from typing import List, Optional, Tuple
 
 from . import apps, develop, dsl
-from .engine import BoundResult, DerivationNode, Evaluator
+from .engine import DerivationNode, Evaluator
 from .extnat import ExtNat
 from .facts import Family
 from .model import Diagnostic, Ref, Universe
@@ -91,6 +96,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--prelude", default=None, metavar="PATH",
                        help="replace the standard prelude")
+
+    def plus_one(p: argparse.ArgumentParser) -> None:
         p.add_argument("--plus-one", action="store_true", dest="plus_one",
                        help="print finite values shifted up by one")
 
@@ -100,10 +107,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", default=None,
                    help="family name for cat (case-insensitive)")
     common(p)
+    plus_one(p)
 
+    # bound's handler serves tc too, as the invariant "tc" with no family
     p = sub.add_parser("tc", help="topological complexity upper bound")
     p.add_argument("--target", required=True, help="group name")
     common(p)
+    plus_one(p)
+    p.set_defaults(invariant="tc", family=None)
 
     p = sub.add_parser("develop", help="finite ball of the dual development")
     p.add_argument("--target", required=True,
@@ -176,6 +187,14 @@ def _load(args) -> Universe:
     if u is None:
         raise CliError(f"{args.file}: no model loaded")
     return u
+
+
+def _resolve_target(u: Universe, name: str) -> Tuple[str, object]:
+    'The (kind, payload) that `--target NAME` denotes in u.'
+    try:
+        return u.resolve(Ref(name))
+    except KeyError as exc:
+        raise CliError(f"unresolved target: {exc.args[0]}")
 
 
 def _family(u: Universe, name: Optional[str]) -> Family:
@@ -257,12 +276,6 @@ def _emit_lines(lines: List[str]) -> None:
     sys.stdout.write("\n".join(lines) + "\n")
 
 
-def _shown_value(v: ExtNat, plus_one: bool) -> str:
-    if plus_one and v.is_finite:
-        return str(v + ExtNat(1))
-    return str(v)
-
-
 def _trace_lines(root: DerivationNode, order: List[DerivationNode]) -> List[str]:
     """The derivation in pre-order, one indented line per node; `order`
     is `root.nodes()`.
@@ -291,16 +304,26 @@ def _trace_lines(root: DerivationNode, order: List[DerivationNode]) -> List[str]
     return out
 
 
-def _print_bound(r: BoundResult, args) -> int:
+# -- subcommands ----------------------------------------------------------
+
+def _cmd_bound(args) -> int:
+    'bound, and tc as the bound of invariant "tc": the value with its trace.'
+    if args.family is not None and args.invariant != "cat":
+        raise CliError("--family applies only to cat bounds")
+    u = _load(args)
+    _resolve_target(u, args.target)
+    fam = (_family(u, args.family),) if args.invariant == "cat" else ()
+    r = getattr(Evaluator(u), f"bound_{args.invariant}")(Ref(args.target), *fam)
+    shift = args.plus_one and r.value.is_finite
     if args.format == "json":
         payload = r.to_json()
-        if args.plus_one and r.value.is_finite:
+        if shift:
             payload["value"] = (r.value + ExtNat(1)).to_json()
         _emit_json(payload)
     else:
         label = (f"cat[{r.family}]" if r.invariant == "cat" else r.invariant)
-        suffix = "  (+1 convention)" if args.plus_one and r.value.is_finite else ""
-        lines = [f"{label} <= {_shown_value(r.value, args.plus_one)}{suffix}"]
+        shown = f"{r.value + ExtNat(1)}  (+1 convention)" if shift else str(r.value)
+        lines = [f"{label} <= {shown}"]
         order = r.trace.nodes()
         assumed = r.assumptions(order)
         if assumed:
@@ -312,35 +335,9 @@ def _print_bound(r: BoundResult, args) -> int:
     return 0 if r.value.is_finite else 2
 
 
-# -- subcommands ----------------------------------------------------------
-
-def _cmd_bound(args) -> int:
-    u = _load(args)
-    ev = Evaluator(u)
-    target = Ref(args.target)
-    try:
-        if args.invariant == "cat":
-            r = ev.bound_cat(target, _family(u, args.family))
-        elif args.invariant == "gd":
-            r = ev.bound_gd(target)
-        else:
-            r = ev.bound_cd(target)
-    except KeyError as exc:
-        raise CliError(f"unresolved target: {exc.args[0]}")
-    return _print_bound(r, args)
-
-
-def _cmd_tc(args) -> int:
-    u = _load(args)
-    try:
-        r = Evaluator(u).bound_tc(Ref(args.target))
-    except KeyError as exc:
-        raise CliError(f"unresolved target: {exc.args[0]}")
-    return _print_bound(r, args)
-
-
 def _cmd_develop(args) -> int:
     u = _load(args)
+    _resolve_target(u, args.target)
     try:
         ball = develop.develop_target(u, args.target, args.radius)
     except ValueError as exc:
@@ -375,10 +372,7 @@ def _cmd_develop(args) -> int:
 
 def _cmd_check_curvature(args) -> int:
     u = _load(args)
-    try:
-        kind, payload = u.resolve(Ref(args.target))
-    except (KeyError, ValueError) as exc:
-        raise CliError(str(exc))
+    kind, payload = _resolve_target(u, args.target)
     if kind != "polygon":
         raise CliError(f"{args.target!r} is not a polygon of groups")
     try:
@@ -469,7 +463,7 @@ def _cmd_validate(args) -> int:
 
 _COMMANDS = {
     "bound": _cmd_bound,
-    "tc": _cmd_tc,
+    "tc": _cmd_bound,
     "develop": _cmd_develop,
     "check-curvature": _cmd_check_curvature,
     "certify": _cmd_certify,

@@ -14,7 +14,9 @@ Scope restrictions (deliberate, desk scale):
   * balls of the tree are built only for single-vertex graphs and for
     two-vertex one-edge graphs with concrete groups and maps;
   * polygon developments are built only out to radius 1 (the closed
-    star of the base face), with frontier cells recorded partially.
+    star of the base face), with frontier cells recorded partially;
+  * a tree ball's radius is at most RADIUS_LIMIT, and no ball holds
+    more than CELL_LIMIT cells.
 """
 
 from __future__ import annotations
@@ -28,10 +30,9 @@ from .model import (ConcreteFiniteGroup, GraphOfGroups, Homomorphism,
                     edge_injections, polygon_charts)
 
 
-@dataclass(frozen=True)
-class DevelopLimits:
-    radius_limit: int = 4
-    cell_limit: int = 10_000
+# guards against oversized input
+RADIUS_LIMIT = 4
+CELL_LIMIT = 10_000
 
 
 # -- amalgam normal forms -------------------------------------------------
@@ -178,15 +179,14 @@ class DevelopmentBall:
         return [c for c in self.cells if c.dim == d]
 
 
-def bass_serre_ball(u: Universe, graph: GraphOfGroups, radius: int,
-                    limits: DevelopLimits = DevelopLimits()) -> DevelopmentBall:
+def bass_serre_ball(u: Universe, graph: GraphOfGroups, radius: int) -> DevelopmentBall:
     """Ball of the tree acted on by the fundamental group of `graph`.
 
     Handles a single vertex with no edges, or exactly two vertices
     joined by one edge with concrete groups and concrete injections.
     """
-    if radius < 0 or radius > limits.radius_limit:
-        raise ValueError(f"radius must lie in 0..{limits.radius_limit}")
+    if radius < 0 or radius > RADIUS_LIMIT:
+        raise ValueError(f"radius must lie in 0..{RADIUS_LIMIT}")
     if len(graph.edges) == 0 and len(graph.vertices) == 1:
         vid, ve = graph.vertices[0]
         g = u.concretes.get(ve.name) if isinstance(ve, Ref) else None
@@ -229,8 +229,8 @@ def bass_serre_ball(u: Universe, graph: GraphOfGroups, radius: int,
         cid = seen_vertices.get((side, word))
         if cid is not None:
             return cid
-        if len(cells) >= limits.cell_limit:
-            raise ValueError(f"cell limit {limits.cell_limit} exceeded")
+        if len(cells) >= CELL_LIMIT:
+            raise ValueError(f"cell limit {CELL_LIMIT} exceeded")
         cid = len(cells)
         n = sides[side].order
         cells.append(BallCell(cid, 0, kind_of_side[side], level, n,
@@ -255,8 +255,8 @@ def bass_serre_ball(u: Universe, graph: GraphOfGroups, radius: int,
                 continue
             seen_edges.add(ga.word)
             wid = add_vertex(ga.word, other, level + 1)
-            if len(cells) >= limits.cell_limit:
-                raise ValueError(f"cell limit {limits.cell_limit} exceeded")
+            if len(cells) >= CELL_LIMIT:
+                raise ValueError(f"cell limit {CELL_LIMIT} exceeded")
             eid = len(cells)
             cells.append(BallCell(eid, 1, "edge", level, eg.order,
                                   conjugates(ga.word, 0, edge_members),
@@ -274,8 +274,7 @@ def _charts(u: Universe, p: PolygonOfGroups) -> PolygonCharts:
     return charts
 
 
-def polygon_ball(u: Universe, p: PolygonOfGroups, radius: int = 1,
-                 limits: DevelopLimits = DevelopLimits()) -> DevelopmentBall:
+def polygon_ball(u: Universe, p: PolygonOfGroups, radius: int = 1) -> DevelopmentBall:
     """The closed star of the base face in the development.
 
     Radius 0 lists just the base face with its boundary; radius 1 adds
@@ -312,8 +311,8 @@ def polygon_ball(u: Universe, p: PolygonOfGroups, radius: int = 1,
         return ball
 
     def check_limit() -> None:
-        if len(cells) >= limits.cell_limit:
-            raise ValueError(f"cell limit {limits.cell_limit} exceeded")
+        if len(cells) >= CELL_LIMIT:
+            raise ValueError(f"cell limit {CELL_LIMIT} exceeded")
 
     frontier = False
     # faces sharing a base edge: one per nontrivial coset of the face
@@ -456,15 +455,14 @@ def verify_stabilizers(ball: DevelopmentBall) -> StabilizerReport:
 
 # -- dispatch -------------------------------------------------------------
 
-def develop_target(u: Universe, name: str, radius: Optional[int] = None,
-                   limits: DevelopLimits = DevelopLimits()) -> DevelopmentBall:
+def develop_target(u: Universe, name: str, radius: Optional[int] = None) -> DevelopmentBall:
     'Radius None means 2 for a graph of groups and 1 for a polygon.'
     try:
         kind, payload = u.resolve(Ref(name))
     except (KeyError, ValueError) as exc:
-        raise ValueError(str(exc)) from None
+        raise ValueError(exc.args[0]) from None
     if kind == "graph":
-        return bass_serre_ball(u, payload, 2 if radius is None else radius, limits)
+        return bass_serre_ball(u, payload, 2 if radius is None else radius)
     if kind == "polygon":
-        return polygon_ball(u, payload, 1 if radius is None else radius, limits)
+        return polygon_ball(u, payload, 1 if radius is None else radius)
     raise ValueError(f"{name!r} is not a graph or polygon of groups")

@@ -10,13 +10,13 @@ to_json(), replay(), BoundResult.assumptions()) visits each distinct
 node once.  Node equality is identity, which is how they tell shared
 nodes apart.
 
-An Evaluator memoizes twice, by key: bound results per (invariant,
-expression, family) in its MemoTable, and, in its own facts.FactMemo,
-membership and the provably_* questions per (question, family,
-expression), and the resolution and complex view of each expression.
-Both last as long as the evaluator (the MemoTable longer, if it is
-shared), neither sees later changes to the universe, so the universe
-must not change while an evaluator uses it.
+An Evaluator memoizes twice, by key, in tables of its own: bound
+results per (invariant, expression, family) in its MemoTable, and, in
+its facts.FactMemo, membership and the provably_* questions per
+(question, family, expression), and the resolution and complex view of
+each expression.  Both last as long as the evaluator and neither sees
+later changes to the universe, so the universe must not change while
+an evaluator uses it.
 
 Rule inventory for cat, by rule id:
 
@@ -62,34 +62,13 @@ over a gluing's tree, where a cell may be a space-declared leaf.
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from .extnat import INF, ZERO, ExtNat, supremum
+from .extnat import INF, ZERO, ExtNat, _Frozen, supremum
 from .facts import TR, FactMemo, Family, MemoTable, Tri
 from .model import DirectProduct, GcwDescription, GroupExpr, Universe, expr_key
 
 _set = object.__setattr__
-
-
-class _Frozen:
-    """Fields in __slots__ that cannot be reassigned, with the repr, copy
-    and pickle behaviour of a frozen dataclass."""
-
-    __slots__ = ()
-
-    def __setattr__(self, name: str, value) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return type(self), tuple(getattr(self, f) for f in self.__slots__)
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
-        return f"{type(self).__qualname__}({fields})"
 
 
 class DerivationNode(_Frozen):
@@ -209,7 +188,11 @@ def _replay_step(node: DerivationNode, vals: List[ExtNat]) -> ExtNat:
 
 
 class BoundResult(_Frozen):
-    'A bound with the derivation of the rule instance that attains it.'
+    """A bound with the derivation of the rule instance that attains it.
+
+    Equality is identity: memoized results, like their trace nodes, are
+    shared, never compared by value.
+    """
 
     __slots__ = ("invariant", "family", "value", "trace")
 
@@ -224,17 +207,6 @@ class BoundResult(_Frozen):
         _set(self, "family", family)
         _set(self, "value", value)
         _set(self, "trace", trace)
-
-    def _fields(self) -> tuple:
-        return (self.invariant, self.family, self.value, self.trace)
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is self.__class__:
-            return self._fields() == other._fields()
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
 
     def assumptions(self, order: Optional[List[DerivationNode]] = None) -> List[str]:
         'Sorted and distinct; `order` is `trace.nodes()`, if the caller has it.'
@@ -328,24 +300,24 @@ def _memoized_bound(invariant: str,
 
 
 class Evaluator:
-    """Bound computation against one universe, with a shared memo table.
+    """Bound computation against one universe, memoized for its lifetime.
 
     The entry points are bound_cat(e, fam), bound_gd(e), bound_cd(e)
     and bound_tc(e), each returning a BoundResult.  Results are
-    memoized by (invariant, expression, family) in `memo`, which may be
-    shared with other evaluators over the same universe and is written
-    only by them.  `facts` is this evaluator's own FactMemo: membership
-    and the provably_* questions it asks, and the resolution of each
-    expression, are answered once per key for the evaluator's
-    lifetime.  Neither memo notices a change to the universe, so the
-    universe must not change while an evaluator uses it.  Evaluation
-    is deterministic: rules are tried in a fixed order and the first
-    rule attaining the minimum supplies the reported derivation.
+    memoized by (invariant, expression, family) in this evaluator's own
+    MemoTable `memo`, so a repeated query returns the same object.
+    `facts` is its own FactMemo: membership and the provably_*
+    questions it asks, and the resolution of each expression, are
+    answered once per key.  Neither memo notices a change to the
+    universe, so the universe must not change while an evaluator uses
+    it.  Evaluation is deterministic: rules are tried in a fixed order
+    and the first rule attaining the minimum supplies the reported
+    derivation.
     """
 
-    def __init__(self, universe: Universe, memo: Optional[MemoTable] = None) -> None:
+    def __init__(self, universe: Universe) -> None:
         self.universe = universe
-        self.memo = memo if memo is not None else MemoTable()
+        self.memo = MemoTable()
         self.facts = FactMemo(universe)
         self._active: Set[Tuple[str, str, Optional[str]]] = set()
 

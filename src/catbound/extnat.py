@@ -25,7 +25,27 @@ _set = object.__setattr__
 _new = object.__new__
 
 
-class ExtNat:
+class _Frozen:
+    """Fields in __slots__ that cannot be reassigned, with the repr, copy
+    and pickle behaviour of a frozen dataclass."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self.__slots__)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class ExtNat(_Frozen):
     'A natural number or None for infinity.  Immutable.'
 
     __slots__ = ("v",)
@@ -42,15 +62,6 @@ class ExtNat:
             if v > FINITE_MAX:
                 raise OverflowError(f"finite value {v} exceeds {FINITE_MAX}")
         _set(self, "v", v)
-
-    def __setattr__(self, name: str, value) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return ExtNat, (self.v,)
 
     def __eq__(self, other) -> bool:
         if other.__class__ is self.__class__:

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, replace
+from math import inf, prod
 from typing import Dict, List, Optional, Tuple
 
 from .extnat import INF, ZERO, ExtNat
@@ -238,18 +239,19 @@ def _complex_view(u: Universe, key: str, kind: str, payload) -> Optional[Complex
 class FactMemo:
     """The fact-layer questions about one universe, each answered once.
 
-    membership_with_reason() and the provably_* chasers are answered
-    once per (chaser, family, expr_key), and resolve_chain() and
-    complex_view() once per expr_key, for as long as the memo lives;
-    an Evaluator keeps one for its own lifetime.  The universe must not
-    change while a memo over it is in use.
+    membership_with_reason(), provably_trivial() and _order_floor(),
+    which the other provably_* questions read, are answered once per
+    (chaser, family, expr_key), and resolve_chain() and complex_view()
+    once per expr_key, for as long as the memo lives; an Evaluator
+    keeps one for its own lifetime.  The universe must not change while
+    a memo over it is in use.
 
     A key whose answer is being computed reads as the conservative one
-    (not provable; membership UNKNOWN by "circular definition").  So a
-    hand-built universe whose expressions contain themselves, such as a
-    graph with itself as a vertex group, still gets an answer; a
-    validated universe has no such circle, and there every answer is
-    that of the plain recursive rules.
+    (not provable; order floor 1; membership UNKNOWN by "circular
+    definition").  So a hand-built universe whose expressions contain
+    themselves, such as a graph with itself as a vertex group, still
+    gets an answer; a validated universe has no such circle, and there
+    every answer is that of the plain recursive rules.
     """
 
     def __init__(self, universe: Universe) -> None:
@@ -309,60 +311,47 @@ class FactMemo:
             return all(self.provably_trivial(f) for f in payload.factors)
         return False
 
-    @_memoized(False)
     def provably_nontrivial(self, e: GroupExpr) -> bool:
+        return self._order_floor(e) >= 2
+
+    def provably_infinite(self, e: GroupExpr) -> bool:
+        return self._order_floor(e) == inf
+
+    def provably_order_at_least_3(self, e: GroupExpr) -> bool:
+        return self._order_floor(e) >= 3
+
+    @_memoized(1)
+    def _order_floor(self, e: GroupExpr) -> float:
+        """1, 2, 3 or inf: the order of e is provably at least this.
+
+        A product's order is the product of its factors'.  A graph with
+        a cycle has a free quotient, a free product of two nontrivial
+        groups is infinite, and a free product with one live factor is
+        that factor.  Otherwise a graph or free product is nontrivial
+        when a piece is, and reaches 3 only when infinite.
+        """
         kind, payload = self.resolve(e)
         if kind == "atom":
             s = self._sheet(payload)
             if s is not None and s.finite is Tri.NO:
-                return True
-            o = self._order(payload)
-            return o is not None and o > 1
-        if kind in ("product", "free"):
-            return any(self.provably_nontrivial(f) for f in payload.factors)
-        if kind == "graph":
-            if len(payload.edges) >= len(payload.vertices):
-                return True  # a cycle in the underlying graph gives a free quotient
-            return any(self.provably_nontrivial(g) for _, g in payload.vertices)
-        return False
-
-    @_memoized(False)
-    def provably_infinite(self, e: GroupExpr) -> bool:
-        kind, payload = self.resolve(e)
-        if kind == "atom":
-            s = self._sheet(payload)
-            return s is not None and s.finite is Tri.NO
+                return inf
+            return min(self._order(payload) or 1, 3)
         if kind == "product":
-            return any(self.provably_infinite(f) for f in payload.factors)
+            order = prod(map(self._order_floor, payload.factors))
+            return order if order == inf else min(order, 3)
         if kind == "free":
-            if any(self.provably_infinite(f) for f in payload.factors):
-                return True
-            nontrivial = sum(1 for f in payload.factors if self.provably_nontrivial(f))
-            return nontrivial >= 2
-        if kind == "graph":
-            if len(payload.edges) >= len(payload.vertices):
-                return True
-            return any(self.provably_infinite(g) for _, g in payload.vertices)
-        return False
-
-    @_memoized(False)
-    def provably_order_at_least_3(self, e: GroupExpr) -> bool:
-        if self.provably_infinite(e):
-            return True
-        kind, payload = self.resolve(e)
-        if kind == "atom":
-            o = self._order(payload)
-            return o is not None and o >= 3
-        if kind == "product":
-            if any(self.provably_order_at_least_3(f) for f in payload.factors):
-                return True
-            nontrivial = sum(1 for f in payload.factors if self.provably_nontrivial(f))
-            return nontrivial >= 2
-        if kind == "free":
+            floors = [self._order_floor(f) for f in payload.factors]
+            if inf in floors or sum(f >= 2 for f in floors) >= 2:
+                return inf
+            floor = min(max(floors, default=1), 2)
             live = [f for f in payload.factors if not self.provably_trivial(f)]
-            if len(live) == 1:
-                return self.provably_order_at_least_3(live[0])
-        return False
+            return max(floor, self._order_floor(live[0])) if len(live) == 1 else floor
+        if kind == "graph":
+            floors = [self._order_floor(g) for _, g in payload.vertices]
+            if len(payload.edges) >= len(payload.vertices) or inf in floors:
+                return inf
+            return min(max(floors, default=1), 2)
+        return 1
 
     # -- membership -------------------------------------------------------
 
@@ -509,10 +498,8 @@ def membership_with_reason(u: Universe, e: GroupExpr, fam: Family) -> Tuple[Tri,
 class MemoTable:
     """Cache of engine results keyed by (invariant, expr_key, family name).
 
-    `results` maps each key to its BoundResult.  Single-writer
-    contract: the evaluator that owns the table is the only writer;
-    concurrent readers are safe because entries are only ever added,
-    never replaced.
+    `results` maps each key to its BoundResult.  Each Evaluator owns
+    one; entries are only ever added, never replaced.
     """
 
     def __init__(self) -> None:

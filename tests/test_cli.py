@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import os
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from catbound import cli, dsl
+from catbound import cli, dsl, engine
 from catbound.cli import main
 
 from genmodels import nested_text
@@ -20,6 +21,7 @@ SQUARE = str(FIXTURES / "square_coxeter.catb")
 BAD_POLY = str(FIXTURES / "z4_polygon.catb")
 DOUBLE_MAX = str(FIXTURES / "double_max.catb")
 BRANCHED = str(FIXTURES / "branched_five.catb")
+PRELUDE = str(dsl.prelude_path())
 
 
 def run(capsys, *argv):
@@ -659,6 +661,113 @@ def test_certify_rejects_extra_words(capsys):
                        DOUBLE_MAX, "surplus")
     assert code == 1
     assert "unexpected argument" in err
+
+
+# -- every accepted option is read ----------------------------------------
+
+# per subcommand: a run that succeeds, and each further option with a
+# value under which it still succeeds; the base gives the positionals
+OPTION_RUNS = {
+    "bound": (("--target", "FC", "--family", "Am", EXAMPLES),
+              (("--invariant", "cat"), ("--format", "json"),
+               ("--prelude", PRELUDE), ("--plus-one",))),
+    "tc": (("--target", "ZZ", EXAMPLES),
+           (("--format", "json"), ("--prelude", PRELUDE), ("--plus-one",))),
+    "develop": (("--target", "Am46", EXAMPLES),
+                (("--radius", "1"), ("--format", "json"), ("--prelude", PRELUDE))),
+    "check-curvature": (("--target", "SQ", SQUARE),
+                        (("--format", "json"), ("--prelude", PRELUDE))),
+    "certify": (("branched", "--target", "BrFive", BRANCHED),
+                (("--d", "5"), ("--format", "json"), ("--prelude", PRELUDE))),
+    "validate": ((EXAMPLES,), (("--format", "json"), ("--prelude", PRELUDE))),
+}
+
+
+def run_recording_reads(capsys, monkeypatch, argv):
+    """main(argv), with the parsed arguments in a namespace that records
+    every attribute read after parsing: the exit code and those names."""
+    reads = set()
+    parsed = []
+
+    class Recorder(argparse.Namespace):
+        def __getattribute__(self, name):
+            if parsed:
+                reads.add(name)
+            return super().__getattribute__(name)
+
+    parser = cli._build_parser()
+    parse = parser.parse_known_args
+
+    def parse_into_recorder(args):
+        parsed.append(parse(args, Recorder()))
+        return parsed[0]
+
+    with monkeypatch.context() as m:
+        m.setattr(parser, "parse_known_args", parse_into_recorder)
+        code = main(list(argv))
+    capsys.readouterr()
+    return code, reads
+
+
+@pytest.mark.parametrize("command", sorted(OPTION_RUNS))
+def test_every_accepted_option_is_read(capsys, monkeypatch, command):
+    subparsers = next(a for a in cli._build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    actions = [a for a in subparsers.choices[command]._actions if a.dest != "help"]
+    base, options = OPTION_RUNS[command]
+    given_somewhere = set()
+    for extra in ((),) + options:
+        argv = (command,) + tuple(extra) + base
+        given = {a.dest for a in actions
+                 if not a.option_strings or set(a.option_strings) & set(argv)}
+        given_somewhere |= given
+        code, reads = run_recording_reads(capsys, monkeypatch, argv)
+        assert code in (0, 2), argv
+        assert given <= reads, (argv, given - reads)
+    # a new option needs a run here
+    assert given_somewhere == {a.dest for a in actions}
+
+
+@pytest.mark.parametrize("fmt", ("text", "json"))
+def test_plus_one_is_refused_where_nothing_reads_it(capsys, fmt):
+    for argv in (("develop", "--target", "Am46", EXAMPLES),
+                 ("check-curvature", "--target", "SQ", SQUARE),
+                 ("certify", "--target", "DblMax", DOUBLE_MAX),
+                 ("validate", EXAMPLES)):
+        assert run(capsys, *argv, "--format", fmt, "--plus-one") == (
+            1, "", "error: unrecognized arguments: --plus-one\n"), argv
+
+
+@pytest.mark.parametrize("fmt", ("text", "json"))
+@pytest.mark.parametrize("invariant", ("gd", "cd"))
+def test_family_is_refused_without_cat(capsys, fmt, invariant):
+    for family in ("Am", "Bogus"):
+        assert run(capsys, "bound", "--target", "FC", "--invariant", invariant,
+                   "--family", family, "--format", fmt, EXAMPLES) == (
+            1, "", "error: --family applies only to cat bounds\n")
+
+
+def test_unknown_target_is_one_error_everywhere(capsys):
+    want = (1, "", "error: unresolved target: unresolved group name 'Nope'\n")
+    for argv in (("bound", "--family", "Am"), ("bound", "--invariant", "cd"),
+                 ("tc",), ("develop",), ("check-curvature",)):
+        for fmt in ("text", "json"):
+            assert run(capsys, *argv, "--target", "Nope", "--format", fmt,
+                       EXAMPLES) == want, argv
+
+
+@pytest.mark.parametrize("rule, argv", (
+    ("_cw_ladder", ("bound", "--target", "FC", "--family", "Am")),
+    ("_tc_gcw", ("tc", "--target", "ZZ")),
+))
+def test_key_error_inside_the_engine_is_internal(capsys, monkeypatch, rule, argv):
+    # only the target's own resolution reads as an unresolved target
+    def lost(self, *args):
+        raise KeyError("unresolved group name 'Ghost'")
+
+    monkeypatch.setattr(engine.Evaluator, rule, lost)
+    assert run(capsys, *argv, EXAMPLES) == (
+        1, "", "error: internal: KeyError: \"unresolved group name 'Ghost'\"\n")
 
 
 # -- the guard against unexpected exceptions -------------------------------

@@ -5,8 +5,8 @@ import random
 
 import pytest
 
-from catbound import dsl
-from catbound.develop import (AmalgamContext, DevelopLimits, _cosets_within,
+from catbound import develop, dsl
+from catbound.develop import (AmalgamContext, _cosets_within,
                               bass_serre_ball, check_curvature, develop_target,
                               polygon_ball, verify_stabilizers)
 from catbound.model import (ConcreteFiniteGroup, Edge, GraphOfGroups,
@@ -221,12 +221,18 @@ def test_single_vertex_ball(example_universe):
     assert tree_defect(ball) == 0
 
 
-def test_ball_limits(example_universe, amalgam_graph):
+def test_ball_limits(example_universe, amalgam_graph, monkeypatch):
     with pytest.raises(ValueError):
         bass_serre_ball(example_universe, amalgam_graph, 5)
+    monkeypatch.setattr(develop, "CELL_LIMIT", 10)
     with pytest.raises(ValueError):
-        bass_serre_ball(example_universe, amalgam_graph, 4,
-                        DevelopLimits(cell_limit=10))
+        bass_serre_ball(example_universe, amalgam_graph, 4)
+
+
+def test_develop_target_reports_an_unresolved_name_as_is(example_universe):
+    with pytest.raises(ValueError) as info:
+        develop_target(example_universe, "Nope")
+    assert str(info.value) == "unresolved group name 'Nope'"
 
 
 def test_ball_needs_concrete_maps(example_universe):

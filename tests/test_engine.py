@@ -10,7 +10,7 @@ import catbound
 from catbound import dsl
 from catbound.engine import REPLAY, DerivationNode, Evaluator, replay
 from catbound.extnat import INF, ZERO, ExtNat
-from catbound.facts import AM, FIN, TR, FactSheet, MemoTable, Tri
+from catbound.facts import AM, FIN, TR, FactSheet, Tri
 from catbound.model import (DirectProduct, FreeProduct, Ref, TrivialGroup,
                             Universe, expr_key)
 
@@ -505,12 +505,9 @@ def test_traces_serialize_deterministically(example_universe):
 
 
 def test_memo_shared_between_calls(example_universe):
-    memo = MemoTable()
-    ev1 = Evaluator(example_universe, memo)
-    r1 = ev1.bound_cat(Ref("FC"), AM)
-    ev2 = Evaluator(example_universe, memo)
-    r2 = ev2.bound_cat(Ref("FC"), AM)
-    assert r1 is r2
+    ev = Evaluator(example_universe)
+    r1 = ev.bound_cat(Ref("FC"), AM)
+    assert ev.bound_cat(Ref("FC"), AM) is r1
 
 
 def test_cycle_in_defs_raises():
