@@ -320,20 +320,13 @@ def _group_bound(ev: Evaluator, s: GluingSetup, graph: str,
             "pi1-injective on both sides",
             "asserted" if ok else "failed",
             "" if ok else "injectivity not asserted"))
-        gd = ev.bound_gd(plus.group)
-        good = gd.value <= ExtNat(n - 2)
-        hypotheses.append(LedgerItem(
-            f"(ii) pairing {j}: gd of the interface group at most {n - 2}",
-            "verified" if good else "failed",
-            f"gd bound {gd.value}"))
+        hypotheses.append(_at_most(f"(ii) pairing {j}: gd of the interface group",
+                                   n - 2, "gd bound", ev.bound_gd(plus.group).value))
     for p in s.pieces:
         cell = _space_cat(ev, p.group, p.cat_space)
-        good = cell.value <= ExtNat(n - 1)
-        status = "asserted" if cell.rule == "space-declared" else "verified"
-        hypotheses.append(LedgerItem(
-            f"(iii) piece {p.id}: amenable category at most {n - 1}",
-            status if good else "failed",
-            f"category bound {cell.value}"))
+        hypotheses.append(_at_most(
+            f"(iii) piece {p.id}: amenable category", n - 1, "category bound",
+            cell.value, "asserted" if cell.rule == "space-declared" else "verified"))
 
     # the all-components scope: needed for vanishing, paired or not
     scope: List[LedgerItem] = []
@@ -344,12 +337,8 @@ def _group_bound(ev: Evaluator, s: GluingSetup, graph: str,
                 f"boundary scope: {p.id}.{b.id} pi1-injective",
                 "asserted" if inj else "failed",
                 "" if inj else "injectivity not asserted"))
-            gd = ev.bound_gd(b.group)
-            good = gd.value <= ExtNat(n - 2)
-            scope.append(LedgerItem(
-                f"boundary scope: gd of {p.id}.{b.id} at most {n - 2}",
-                "verified" if good else "failed",
-                f"gd bound {gd.value}"))
+            scope.append(_at_most(f"boundary scope: gd of {p.id}.{b.id}", n - 2,
+                                  "gd bound", ev.bound_gd(b.group).value))
     return _conclude(n, hypotheses, scope, ev.bound_cat(Ref(graph), AM).trace)
 
 
@@ -365,17 +354,22 @@ def _additive_bound(ev: Evaluator, s: GluingSetup,
     base = _rec_base([_space_cat(ev, p.group, p.cat_space) for p in s.pieces])
     root = _rec_sum(base, 1, [_space_cat(ev, ends[plus].group, ends[plus].cat_space)
                               for plus, _ in s.pairings])
-    good = root.value <= ExtNat(n - 1)
     paired = {end for pairing in s.pairings for end in pairing}
     unpaired = [f"{pid}.{bid}" for pid, bid in ends if (pid, bid) not in paired]
-    hypotheses = [connected, LedgerItem(
-        f"additive bound at most {n - 1}",
-        "verified" if good else "failed", f"bound {root.value}")]
+    hypotheses = [connected, _at_most("additive bound", n - 1, "bound", root.value)]
     scope = [LedgerItem(
         "boundary scope: every boundary component paired",
         "failed" if unpaired else "verified",
         f"unpaired: {', '.join(unpaired)}" if unpaired else "")]
     return _conclude(n, hypotheses, scope, root)
+
+
+def _at_most(item: str, limit: int, what: str, value: ExtNat,
+             holds: str = "verified") -> LedgerItem:
+    """The ledger item "<item> at most <limit>": `holds` when value is
+    at most limit, failed otherwise, with "<what> <value>" as detail."""
+    return LedgerItem(f"{item} at most {limit}",
+                      holds if value <= ExtNat(limit) else "failed", f"{what} {value}")
 
 
 def _conclude(n: int, hypotheses: List[LedgerItem], scope: List[LedgerItem],
@@ -436,20 +430,11 @@ def certify_branched(u: Universe, s: BranchedSetup) -> Certificate:
             "(ii) adjacent copies meet exactly in the core",
             "asserted" if s.assume_intersection else "failed",
             "" if s.assume_intersection else "not asserted"))
-    gd_core = ev.bound_gd(s.core)
-    ok = gd_core.value <= ExtNat(n - 3)
-    ledger.append(LedgerItem(
-        f"(iii) gd of the core group at most {n - 3}",
-        "verified" if ok else "failed", f"gd bound {gd_core.value}"))
-    gd_wall = ev.bound_gd(s.wall)
-    ok = gd_wall.value <= ExtNat(n - 2)
-    ledger.append(LedgerItem(
-        f"(iv) gd of the wall group at most {n - 2}",
-        "verified" if ok else "failed", f"gd bound {gd_wall.value}"))
-    cat_piece = ev.bound_cat(s.piece, AM)
-    ok = cat_piece.value <= ExtNat(n - 1)
-    ledger.append(LedgerItem(
-        f"(v) amenable category of the piece group at most {n - 1}",
-        "verified" if ok else "failed", f"category bound {cat_piece.value}"))
+    ledger.append(_at_most("(iii) gd of the core group", n - 3, "gd bound",
+                           ev.bound_gd(s.core).value))
+    ledger.append(_at_most("(iv) gd of the wall group", n - 2, "gd bound",
+                           ev.bound_gd(s.wall).value))
+    ledger.append(_at_most("(v) amenable category of the piece group", n - 1,
+                           "category bound", ev.bound_cat(s.piece, AM).value))
 
     return _conclude(n, ledger, [], ev.bound_cat(Ref(polygon.name), AM).trace)

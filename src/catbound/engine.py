@@ -4,11 +4,13 @@ Four invariants are bounded: the family-relative category of a group
 (cat), geometric dimension (gd), cohomological dimension (cd), and
 topological complexity (tc).  Every bound is the minimum over the rule
 instances that apply to the expression, and the winning rule's
-derivation is kept as nodes that can be replayed.  Memoized results
-are shared, so a derivation is a DAG, and every consumer (nodes(),
-to_json(), replay(), BoundResult.assumptions()) visits each distinct
-node once.  Node equality is identity, which is how they tell shared
-nodes apart.
+derivation is kept as nodes that can be replayed.  A rule's value is
+computed once, in one place: _node() applies the rule's REPLAY kind to
+its premises' values, by the same _combine() that replay() uses; only
+leaves carry a value of their own.  Memoized results are shared, so a
+derivation is a DAG, and every consumer (nodes(), to_json(),
+replay(), BoundResult.assumptions()) visits each distinct node once.
+Node equality is identity, which is how they tell shared nodes apart.
 
 An Evaluator memoizes twice, by key, in tables of its own: bound
 results per (invariant, expression, family) in its MemoTable, and, in
@@ -16,7 +18,12 @@ its facts.FactMemo, membership and the provably_* questions per
 (question, family, expression), and the resolution and complex view of
 each expression.  Both last as long as the evaluator and neither sees
 later changes to the universe, so the universe must not change while
-an evaluator uses it.
+an evaluator uses it.  Both follow one in-progress rule: a key being
+computed reads as its conservative answer, which for a bound is the
+no-rule leaf at infinity citing "circular definition", and a
+computation that raises leaves its key unanswered.  So a hand-built
+universe whose expressions contain themselves gets a sound answer; a
+validated universe has no such circle.
 
 Rule inventory for cat, by rule id:
 
@@ -62,7 +69,7 @@ over a gluing's tree, where a cell may be a space-declared leaf.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .extnat import INF, ZERO, ExtNat, _Frozen, supremum
 from .facts import TR, FactMemo, Family, MemoTable, Tri
@@ -164,27 +171,24 @@ def replay(node: DerivationNode) -> ExtNat:
     'Recompute the value bottom-up, once per distinct node; leaves stand as recorded.'
     values: Dict[int, ExtNat] = {}
     for n in node.nodes():
-        values[id(n)] = _replay_step(n, [values[id(p)] for p in n.premises])
+        kind = REPLAY[n.rule]
+        values[id(n)] = (n.value if kind == "leaf"
+                         else _combine(kind, [values[id(p)] for p in n.premises]))
     return values[id(node)]
 
 
-def _replay_step(node: DerivationNode, vals: List[ExtNat]) -> ExtNat:
-    'The value of one node from the replayed values of its premises.'
-    kind = REPLAY[node.rule]
-    if kind == "leaf":
-        return node.value
+def _combine(kind: str, values: Sequence[ExtNat]) -> ExtNat:
+    'The value a non-leaf rule of replay kind `kind` gives its premises\' values.'
     if kind == "sum":
         total = ZERO
-        for v in vals:
+        for v in values:
             total = total + v
         return total
-    if kind == "sup":
-        return supremum(vals)
-    if kind == "max":
-        if not vals:
-            raise ValueError(f"rule {node.rule} needs at least one premise")
-        return supremum(vals)
-    raise ValueError(f"no replay semantics for rule {node.rule!r}")
+    if kind == "max" and not values:
+        raise ValueError("a max rule needs at least one premise")
+    if kind in ("sup", "max"):
+        return supremum(values)
+    raise ValueError(f"no replay semantics for kind {kind!r}")
 
 
 class BoundResult(_Frozen):
@@ -228,50 +232,54 @@ def _leaf(rule: str, cite: str, value: ExtNat,
     return DerivationNode(rule, cite, value, assumptions, ())
 
 
-def _supnode(rule: str, cite: str, premises: Sequence[DerivationNode],
-             assumptions: Tuple[str, ...] = ()) -> DerivationNode:
-    value = supremum(p.value for p in premises)
-    return DerivationNode(rule, cite, value, assumptions, tuple(premises))
-
-
-def _sumnode(rule: str, cite: str, premises: Sequence[DerivationNode],
-             assumptions: Tuple[str, ...] = ()) -> DerivationNode:
-    total = ZERO
-    for p in premises:
-        total = total + p.value
-    return DerivationNode(rule, cite, total, assumptions, tuple(premises))
+def _node(rule: str, cite: str, premises: Sequence[DerivationNode],
+          assumptions: Tuple[str, ...] = ()) -> DerivationNode:
+    'A non-leaf node, its value computed from its premises as replay() does.'
+    premises = tuple(premises)
+    value = _combine(REPLAY[rule], [p.value for p in premises])
+    return DerivationNode(rule, cite, value, assumptions, premises)
 
 
 def _shift(inner: DerivationNode, k: int, what: str) -> DerivationNode:
     'inner plus k, cited as "<what> shifted by <k>"; inner itself when k is 0.'
     if k == 0:
         return inner
-    return _sumnode("plus", f"{what} shifted by {k}",
-                    [inner, _leaf("const", what, ExtNat(k))])
+    return _node("plus", f"{what} shifted by {k}",
+                 [inner, _leaf("const", what, ExtNat(k))])
 
 
 def _rec_base(cells: Sequence[DerivationNode],
               assumptions: Tuple[str, ...] = ()) -> DerivationNode:
     'd_0 of the complex rule: the sup over the 0-cell stabilizers.'
-    return _supnode("rec-base", "category of 0-cell stabilizers", cells, assumptions)
+    return _node("rec-base", "category of 0-cell stabilizers", cells, assumptions)
 
 
 def _rec_sum(d: DerivationNode, i: int, cells: Sequence[DerivationNode]) -> DerivationNode:
     'The sum arm at dimension i: d_{i-1} plus the sup of the i-cells shifted by 1.'
-    shifted = _supnode("sup", f"shifted category of {i}-cell stabilizers",
-                       [_shift(c, 1, f"{i}-cell") for c in cells])
-    return _sumnode("rec-sum", f"dimension {i}, sum arm", [d, shifted])
+    shifted = _node("sup", f"shifted category of {i}-cell stabilizers",
+                    [_shift(c, 1, f"{i}-cell") for c in cells])
+    return _node("rec-sum", f"dimension {i}, sum arm", [d, shifted])
+
+
+# the mark of a key whose bound is being computed.  A rule that needs
+# that bound within its own computation reads the no-rule leaf at
+# infinity: a derivation that would need itself is not well-founded,
+# so only the bound that needs nothing stands.  Rules read its value
+# and trace only; the key's own result replaces the mark.
+_IN_PROGRESS = BoundResult("", None, INF, _leaf("no-rule", "circular definition", INF))
 
 
 def _memoized_bound(invariant: str,
                     candidates: Callable[..., List[DerivationNode]]):
     """The entry point bound_<invariant>(e, *fam) of the Evaluator.
 
-    Memo lookup, the circular-evaluation guard, then the first of the
-    rule instances listed by candidates(evaluator, e, *fam) that attains
-    the least value (no-rule at infinity when none applies).  Built once
-    per invariant, instead of four methods calling one shared method,
-    so that a nested evaluation costs no extra stack frame per level.
+    Memo lookup, then the first of the rule instances listed by
+    candidates(evaluator, e, *fam) that attains the least value
+    (no-rule at infinity when none applies).  The key reads as
+    _IN_PROGRESS while it is being computed, and is forgotten when the
+    computation raises, so the next ask raises again.  Built once per
+    invariant, instead of four methods calling one shared method, so
+    that a nested evaluation costs no extra stack frame per level.
     """
 
     def bound(self: Evaluator, e: GroupExpr, *fam: Family) -> BoundResult:
@@ -281,17 +289,15 @@ def _memoized_bound(invariant: str,
         hit = results.get(key)
         if hit is not None:
             return hit
-        if key in self._active:
-            raise ValueError(f"circular evaluation at {key[1]}")
-        self._active.add(key)
+        results[key] = _IN_PROGRESS
         try:
             nodes = (candidates(self, e, *fam)
                      or [_leaf("no-rule", "no applicable rule", INF)])
-        finally:
-            self._active.discard(key)
+        except BaseException:
+            del results[key]
+            raise
         winner = min(nodes, key=lambda node: node.value)
-        result = BoundResult(invariant, fam_name, winner.value, winner)
-        results.setdefault(key, result)
+        result = results[key] = BoundResult(invariant, fam_name, winner.value, winner)
         return result
 
     bound.__name__ = f"bound_{invariant}"
@@ -312,14 +318,14 @@ class Evaluator:
     universe, so the universe must not change while an evaluator uses
     it.  Evaluation is deterministic: rules are tried in a fixed order
     and the first rule attaining the minimum supplies the reported
-    derivation.
+    derivation.  A bound that needs itself reads infinity where it
+    does (see _memoized_bound).
     """
 
     def __init__(self, universe: Universe) -> None:
         self.universe = universe
         self.memo = MemoTable()
         self.facts = FactMemo(universe)
-        self._active: Set[Tuple[str, str, Optional[str]]] = set()
 
     # -- cat --------------------------------------------------------------
 
@@ -375,10 +381,10 @@ class Evaluator:
         d = _rec_base([self.bound_cat(g, fam).trace for g in x.dims[0]], assumptions)
         for i in range(1, x.n + 1):
             row = x.dims[i]
-            gd_sup = _supnode("sup", f"shifted dimension of {i}-cell stabilizers",
-                              [_shift(self.bound_gd(g).trace, i, f"{i}-cell")
-                               for g in row])
-            max_arm = _supnode("rec-max", f"dimension {i}, max arm", [d, gd_sup])
+            gd_sup = _node("sup", f"shifted dimension of {i}-cell stabilizers",
+                           [_shift(self.bound_gd(g).trace, i, f"{i}-cell")
+                            for g in row])
+            max_arm = _node("rec-max", f"dimension {i}, max arm", [d, gd_sup])
             sum_arm = _rec_sum(d, i, [self.bound_cat(g, fam).trace for g in row])
             d = max_arm if max_arm.value <= sum_arm.value else sum_arm
         return d
@@ -399,15 +405,15 @@ class Evaluator:
             out.append(_leaf("trivial", "a point classifies the trivial group", ZERO))
         elif kind == "product":
             factors = [self.bound_gd(f).trace for f in payload.factors]
-            out.append(_sumnode("product-gd",
-                                "dimension is subadditive under direct products",
-                                factors))
+            out.append(_node("product-gd",
+                             "dimension is subadditive under direct products",
+                             factors))
         view = self.facts.complex_view(e)
         if view is not None:
             x, assumptions = view
             cells = [_shift(self.bound_gd(g).trace, d, f"{d}-cell") for d, g in x.cells()]
-            out.append(_supnode("gd-cells", "dimension from cell stabilizers", cells,
-                                assumptions))
+            out.append(_node("gd-cells", "dimension from cell stabilizers", cells,
+                             assumptions))
         return out
 
     bound_gd = _memoized_bound("gd", _gd_candidates)
@@ -435,12 +441,12 @@ class Evaluator:
             return out
         if kind == "product":
             factors = [self.bound_cd(f).trace for f in payload.factors]
-            out.append(_sumnode("cd-product",
-                                "subadditive under direct products", factors))
+            out.append(_node("cd-product",
+                             "subadditive under direct products", factors))
         cat = self.bound_cat(e, TR)
-        out.append(_supnode("cat-tr-as-cd",
-                            "category over the trivial family is cohomological dimension",
-                            [cat.trace]))
+        out.append(_node("cat-tr-as-cd",
+                         "category over the trivial family is cohomological dimension",
+                         [cat.trace]))
         return out
 
     bound_cd = _memoized_bound("cd", _cd_candidates)
@@ -487,11 +493,11 @@ class Evaluator:
                 mixed.append(_shift(self.bound_gd(self._pair(ga, gb)).trace,
                                     da + db, f"cells of dimension {da} and {db}"))
         terms = [
-            _supnode("sup", "complexity over 0-cell stabilizers", tc_nodes),
-            _supnode("sup", "dimension of distinct 0-cell stabilizer pairs", pair_nodes),
-            _supnode("sup", "stabilizer pairs meeting positive dimension, shifted",
-                     mixed),
+            _node("sup", "complexity over 0-cell stabilizers", tc_nodes),
+            _node("sup", "dimension of distinct 0-cell stabilizer pairs", pair_nodes),
+            _node("sup", "stabilizer pairs meeting positive dimension, shifted",
+                  mixed),
         ]
-        return _supnode("tc-gcw",
-                        "complexity bound from the square of the complex", terms,
-                        assumptions)
+        return _node("tc-gcw",
+                     "complexity bound from the square of the complex", terms,
+                     assumptions)

@@ -181,7 +181,8 @@ def _memoized(conservative):
 
     While its own answer is being computed, a key reads as
     `conservative`: a derivation that would need itself is not
-    well-founded, so the cautious answer stands.
+    well-founded, so the cautious answer stands.  A computation that
+    raises leaves no answer behind, so the next ask raises again.
     """
 
     def decorate(compute):
@@ -194,7 +195,11 @@ def _memoized(conservative):
             if hit is not None:
                 return hit
             answers[key] = conservative
-            answer = answers[key] = compute(self, e, *fam)
+            try:
+                answer = answers[key] = compute(self, e, *fam)
+            except BaseException:
+                del answers[key]
+                raise
             return answer
 
         ask.__name__ = chaser
@@ -499,7 +504,9 @@ class MemoTable:
     """Cache of engine results keyed by (invariant, expr_key, family name).
 
     `results` maps each key to its BoundResult.  Each Evaluator owns
-    one; entries are only ever added, never replaced.
+    one.  While a key's bound is being computed, it maps to the
+    engine's in-progress mark, which the result then replaces; a
+    computation that raises removes its key again.
     """
 
     def __init__(self) -> None:

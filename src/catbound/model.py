@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 
 @dataclass(frozen=True)
@@ -44,8 +44,6 @@ class ConcreteFiniteGroup:
 
     table: Tuple[Tuple[int, ...], ...]
     identity: int
-    labels: Tuple[str, ...]
-    generators: Tuple[int, ...] = ()
     verified: bool = field(default=False, init=False, compare=False, repr=False)
 
     @property
@@ -54,13 +52,6 @@ class ConcreteFiniteGroup:
 
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
-
-    def inv(self, a: int) -> int:
-        e = self.identity
-        for b in range(self.order):
-            if self.table[a][b] == e:
-                return b
-        raise ValueError(f"element {a} has no inverse")
 
     def verify(self, loc: str = "table") -> List[Diagnostic]:
         out: List[Diagnostic] = []
@@ -129,28 +120,12 @@ class ConcreteFiniteGroup:
                     return False
         return True
 
-    def generated_subgroup(self, elems: Iterable[int]) -> frozenset:
-        seen: Set[int] = {self.identity}
-        frontier = list(set(elems) | {self.identity})
-        seen.update(frontier)
-        while frontier:
-            nxt = []
-            for a in frontier:
-                for b in list(seen):
-                    for c in (self.table[a][b], self.table[b][a]):
-                        if c not in seen:
-                            seen.add(c)
-                            nxt.append(c)
-            frontier = nxt
-        return frozenset(seen)
-
 
 def cyclic_group(n: int) -> ConcreteFiniteGroup:
     if n < 1:
         raise ValueError("cyclic(n) needs n >= 1")
     table = tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
-    gens = (1,) if n > 1 else ()
-    return ConcreteFiniteGroup(table, 0, tuple(str(i) for i in range(n)), gens)
+    return ConcreteFiniteGroup(table, 0)
 
 
 def product_group(factors: Sequence[ConcreteFiniteGroup]) -> ConcreteFiniteGroup:
@@ -162,19 +137,10 @@ def product_group(factors: Sequence[ConcreteFiniteGroup]) -> ConcreteFiniteGroup
         tuple(pos[tuple(g.table[a[k]][b[k]] for k, g in enumerate(factors))]
               for b in index_tuples)
         for a in index_tuples)
-    identity = pos[tuple(g.identity for g in factors)]
-    labels = tuple("(" + ",".join(g.labels[t[k]] for k, g in enumerate(factors)) + ")"
-                   for t in index_tuples)
-    gens = []
-    for k, g in enumerate(factors):
-        for s in g.generators:
-            t = tuple(s if k == j else factors[j].identity for j in range(len(factors)))
-            gens.append(pos[t])
-    return ConcreteFiniteGroup(table, identity, labels, tuple(gens))
+    return ConcreteFiniteGroup(table, pos[tuple(g.identity for g in factors)])
 
 
-def table_group(rows: Sequence[Sequence[int]],
-                labels: Optional[Sequence[str]] = None) -> ConcreteFiniteGroup:
+def table_group(rows: Sequence[Sequence[int]]) -> ConcreteFiniteGroup:
     """Group from an explicit multiplication table.
 
     The identity is located by scanning; a table without one, or one
@@ -193,9 +159,7 @@ def table_group(rows: Sequence[Sequence[int]],
             break
     if identity is None:
         raise ValueError("multiplication table has no identity element")
-    if labels is None:
-        labels = tuple(str(i) for i in range(n))
-    g = ConcreteFiniteGroup(table, identity, tuple(labels), ())
+    g = ConcreteFiniteGroup(table, identity)
     problems = g.verify()
     if problems:
         raise ValueError("; ".join(d.message for d in problems))

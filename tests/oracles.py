@@ -6,7 +6,7 @@ public data of the model and sharing no helper with the code it checks.
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from catbound.apps import DoubleSetup, GluingSetup, Piece
 from catbound.develop import BallCell, CurvatureReport, DevelopmentBall
@@ -117,7 +117,7 @@ class LeftCarryAmalgam:
                 coset = sorted(g.mul(emb_img, x) for emb_img in self._image[k])
                 rep = g.identity if g.identity in coset else min(coset)
                 for y in coset:
-                    c_img = g.mul(y, g.inv(rep))
+                    c_img = g.mul(y, inv(g, rep))
                     table[y] = (self._preimage[k][c_img], rep)
             self._factor.append(table)
 
@@ -190,8 +190,8 @@ class LeftCarryAmalgam:
     def inv(self, a: LeftCarryElement) -> LeftCarryElement:
         raw: List[Tuple[int, int]] = []
         for side, t in reversed(a.word):
-            raw.append((side, self.sides[side].inv(t)))
-        raw.append((0, self.embeddings[0].images[self.edge.inv(a.c)]))
+            raw.append((side, inv(self.sides[side], t)))
+        raw.append((0, self.embeddings[0].images[inv(self.edge, a.c)]))
         return self._canonical(raw)
 
 
@@ -487,6 +487,34 @@ def best_old_route(u: Universe, s) -> Tuple[str, Optional[ExtNat]]:
             additive[0] == graph[0] != "inconclusive" and additive[1] < graph[1]):
         return additive
     return graph
+
+
+# -- concrete group arithmetic the package does not need ------------------
+
+
+def inv(g: ConcreteFiniteGroup, a: int) -> int:
+    'The inverse of element a, by a scan of its row.'
+    for b in range(g.order):
+        if g.table[a][b] == g.identity:
+            return b
+    raise ValueError(f"element {a} has no inverse")
+
+
+def generated_subgroup(g: ConcreteFiniteGroup, elems: Iterable[int]) -> FrozenSet[int]:
+    'The subgroup generated by elems, by closing under multiplication.'
+    seen: Set[int] = {g.identity}
+    frontier = list(set(elems) | {g.identity})
+    seen.update(frontier)
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for b in list(seen):
+                for c in (g.table[a][b], g.table[b][a]):
+                    if c not in seen:
+                        seen.add(c)
+                        nxt.append(c)
+        frontier = nxt
+    return frozenset(seen)
 
 
 # -- the cubic associativity scan that Light's test fronts -----------------

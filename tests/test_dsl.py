@@ -623,7 +623,7 @@ def test_changed_homs_and_groups_of_graph_edges_are_checked(checked_loads, tmp_p
 
 def test_a_table_registered_over_a_validated_universe_is_checked(checked_loads):
     base = load_prelude()
-    base.concretes["Bad"] = ConcreteFiniteGroup(((0, 1), (0, 1)), 0, ("e", "a"))
+    base.concretes["Bad"] = ConcreteFiniteGroup(((0, 1), (0, 1)), 0)
     base.sheets["Bad"] = FactSheet(name="Bad")
     _, diags = load_text("group G = Bad x Z;", base)
     bad = ["group Bad: index 0 is not an identity (fails at 1)"]

@@ -8,16 +8,17 @@ import pytest
 
 import catbound
 from catbound import dsl
-from catbound.engine import REPLAY, DerivationNode, Evaluator, replay
+from catbound.engine import REPLAY, DerivationNode, Evaluator, _combine, replay
 from catbound.extnat import INF, ZERO, ExtNat
 from catbound.facts import AM, FIN, TR, FactSheet, Tri
-from catbound.model import (DirectProduct, FreeProduct, Ref, TrivialGroup,
-                            Universe, expr_key)
+from catbound.model import (DirectProduct, FreeProduct, GraphOfGroups, Ref,
+                            TrivialGroup, Universe, expr_key)
 
 from gencw import oracle_exhaustive, oracle_recursion, random_instance
 from genmodels import _Names, nested_text, random_expr, random_graph, random_polygon
 from oracles import (dag_size, gd_tree, gog_max, gog_sum, ladder_value, max_arm_dims,
                      max_combination, polygon_max, sum_combination, tc_gog)
+from test_acceptance import all_fixture_results
 
 
 @pytest.fixture(scope="module")
@@ -440,8 +441,29 @@ def test_replay_reproduces_values(example_universe):
             assert node.rule in REPLAY
 
 
+def test_every_node_is_its_rule_applied_to_its_premises(fixture_texts):
+    # replay() recomputes the root from the leaves; here each non-leaf
+    # node's own value must be its rule's arithmetic on its premises
+    results = all_fixture_results(fixture_texts)
+    for depth in (2, 3, 4):
+        u, diags = dsl.load_text(nested_text(depth, 3), dsl.load_prelude())
+        assert not diags
+        results += all_results(u)
+    checked = set()
+    for r in results:
+        if r.trace is None:
+            continue
+        for node in r.trace.nodes():
+            kind = REPLAY[node.rule]
+            if kind != "leaf" and id(node) not in checked:
+                checked.add(id(node))
+                assert node.value == _combine(kind, [p.value for p in node.premises]), (
+                    node.rule, node.cite)
+    assert len(checked) > 1000
+
+
 def test_replay_lists_exactly_the_emitted_rule_ids():
-    builders = {"_leaf", "_supnode", "_sumnode", "DerivationNode"}
+    builders = {"_leaf", "_node", "DerivationNode"}
     emitted = set()
     for path in sorted(Path(catbound.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -511,11 +533,31 @@ def test_memo_shared_between_calls(example_universe):
 
 
 def test_cycle_in_defs_raises():
+    # a chain of names that never reaches a group: resolution refuses it
     u = Universe()
+    u.defs["X"] = Ref("Y")
+    u.defs["Y"] = Ref("X")
+    with pytest.raises(ValueError, match="circular definition through"):
+        Evaluator(u).bound_cat(Ref("X"), AM)
+
+
+def test_a_bound_that_needs_itself_reads_infinity():
+    # hand-built and never validated: a graph whose vertex group is the
+    # graph itself, and a definition cycle through a free product.  Their
+    # bounds need themselves, and read infinity there
+    u = Universe()
+    u.graphs["G"] = GraphOfGroups("G", (("v", Ref("G")),), ())
     u.defs["X"] = FreeProduct((Ref("Y"), Ref("Y")))
     u.defs["Y"] = Ref("X")
-    with pytest.raises(ValueError):
-        Evaluator(u).bound_cat(Ref("X"), AM)
+    ev = Evaluator(u)
+    results = []
+    for name in ("G", "X"):
+        results += [ev.bound_cat(Ref(name), fam) for fam in (TR, FIN, AM)]
+        results.append(ev.bound_gd(Ref(name)))
+    for r in results:
+        assert r.value == INF and replay(r.trace) == INF
+        assert [(n.value, n.premises) for n in r.trace.nodes()
+                if (n.rule, n.cite) == ("no-rule", "circular definition")] == [(INF, ())]
 
 
 def test_nested_evaluation_depth():

@@ -297,6 +297,21 @@ def test_self_containing_universe_answers_conservatively():
     assert memo.membership_with_reason(Ref("G"), AM) == (Tri.UNKNOWN, "circular definition")
 
 
+def test_a_question_that_raised_raises_again():
+    # a vertex group that names nothing: each ask fails, and leaves no
+    # in-progress mark behind that the next ask would read as an answer
+    u = Universe()
+    u.graphs["G"] = GraphOfGroups("G", (("v", Ref("Nope")),), ())
+    memo = FactMemo(u)
+    ev = Evaluator(u)
+    for _ in range(2):
+        with pytest.raises(KeyError, match="unresolved group name 'Nope'"):
+            memo.membership_with_reason(Ref("G"), AM)
+        with pytest.raises(KeyError, match="unresolved group name 'Nope'"):
+            ev.bound_cat(Ref("G"), AM)
+        assert not ev.memo.results
+
+
 def test_evaluators_over_overlays_keep_their_own_answers():
     base, diags = load_text("group Q;\ngroup H = Q x Q;", load_prelude())
     assert not diags
