@@ -137,7 +137,8 @@ Setup = Union[GluingSetup, DoubleSetup, BranchedSetup]
 def build_setup(u: Universe, setup: Setup) -> List[Diagnostic]:
     """The problems of a registered setup: the preconditions of its
     kind, its embeddings and its unresolved group names.  model.validate
-    runs it on each setup that is new or replaced, or uses a changed name.
+    runs it on each setup a load adds, or on every setup when the load
+    replaces or drops anything.
     """
     if isinstance(setup, GluingSetup):
         diags = _gluing_diagnostics(setup)
@@ -163,7 +164,7 @@ def build_setup(u: Universe, setup: Setup) -> List[Diagnostic]:
         raise TypeError(f"not a setup: {setup!r}")
     for what, e in setup_groups(setup):
         diags += [Diagnostic(setup.loc, f"{what}: unresolved group name {name!r}")
-                  for name in expr_refs(e) if u.kind_of(name) is None]
+                  for name in expr_refs(e) if not u.declares(name)]
     return diags
 
 

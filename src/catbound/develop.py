@@ -216,7 +216,7 @@ def bass_serre_ball(u: Universe, graph: GraphOfGroups, radius: int) -> Developme
     step, conjugates = ctx.step, ctx.conjugates
 
     ball = DevelopmentBall(graph.name, radius)
-    kind_of_side = ("vertex-left", "vertex-right")
+    side_kinds = ("vertex-left", "vertex-right")
     # by uniqueness of normal forms, g·G_s is keyed by s and the word of g
     # without a trailing side-s syllable, and g·C by the word of g
     seen_vertices: Dict[Tuple[int, Tuple[Syllable, ...]], int] = {}
@@ -233,7 +233,7 @@ def bass_serre_ball(u: Universe, graph: GraphOfGroups, radius: int) -> Developme
             raise ValueError(f"cell limit {CELL_LIMIT} exceeded")
         cid = len(cells)
         n = sides[side].order
-        cells.append(BallCell(cid, 0, kind_of_side[side], level, n,
+        cells.append(BallCell(cid, 0, side_kinds[side], level, n,
                               conjugates(word, side, range(n))))
         seen_vertices[(side, word)] = cid
         return cid

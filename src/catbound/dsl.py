@@ -989,8 +989,9 @@ def build_universe(model: SourceModel,
     only what cannot be registered without building (a bad table, a
     product factor or hom group that is not concrete, cyclic(0), a hom
     whose images do not extend); setups and all else are registered as
-    parsed.  The copy keeps `base`'s record of its nearest validated
-    ancestor, so validate re-checks only what the declarations changed.
+    parsed.  The copy keeps `base`'s snapshot of its nearest validated
+    ancestor, so validate checks only the declared names when they add
+    to `base`, and everything when one replaces or drops a name of it.
     A universe with diagnostics should not be evaluated.
     """
     u = base.overlay() if base is not None else Universe()
@@ -1090,8 +1091,9 @@ def load_prelude(path: Optional[Path] = None) -> Universe:
     universe, and each call returns a fresh overlay of it, so what a
     caller registers never reaches the kept copy.  The overlay counts as
     validated up to what a caller registers into it, so a model loaded
-    over it re-checks only its own declarations, the prelude names they
-    shadow or drop, and the prelude names that refer to those.  Raises
+    over it that only adds is checked for its own declarations, and one
+    that shadows a prelude name is checked in full, on copies of the
+    prelude's fact sheets.  Raises
     OSError when the file cannot be read and ValueError when the prelude
     has problems; a prelude with problems is not kept.
     """

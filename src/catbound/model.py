@@ -34,11 +34,11 @@ class Diagnostic:
 class ConcreteFiniteGroup:
     """A finite group as a full multiplication table over element indices.
 
-    table[i][j] is the index of (element i) * (element j).  Builders
-    below always produce well-formed tables; tables read from user input
-    go through verify() at load time.  `verified` records that verify()
-    found nothing when table_group() built the group, so validate() need
-    not run it again; it is not an argument, so a group made any other
+    table[i][j] is the index of (element i) * (element j).  `verified`
+    records that the group axioms hold: cyclic_group() and
+    product_group() build groups by construction, and table_group()
+    runs verify() on a table read from user input, so validate() need
+    not run it again.  It is not an argument, so a group made any other
     way, dataclasses.replace() included, starts unverified.
     """
 
@@ -125,7 +125,7 @@ def cyclic_group(n: int) -> ConcreteFiniteGroup:
     if n < 1:
         raise ValueError("cyclic(n) needs n >= 1")
     table = tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
-    return ConcreteFiniteGroup(table, 0)
+    return _verified(ConcreteFiniteGroup(table, 0))
 
 
 def product_group(factors: Sequence[ConcreteFiniteGroup]) -> ConcreteFiniteGroup:
@@ -137,7 +137,7 @@ def product_group(factors: Sequence[ConcreteFiniteGroup]) -> ConcreteFiniteGroup
         tuple(pos[tuple(g.table[a[k]][b[k]] for k, g in enumerate(factors))]
               for b in index_tuples)
         for a in index_tuples)
-    return ConcreteFiniteGroup(table, pos[tuple(g.identity for g in factors)])
+    return _verified(ConcreteFiniteGroup(table, pos[tuple(g.identity for g in factors)]))
 
 
 def table_group(rows: Sequence[Sequence[int]]) -> ConcreteFiniteGroup:
@@ -163,6 +163,10 @@ def table_group(rows: Sequence[Sequence[int]]) -> ConcreteFiniteGroup:
     problems = g.verify()
     if problems:
         raise ValueError("; ".join(d.message for d in problems))
+    return _verified(g)
+
+
+def _verified(g: ConcreteFiniteGroup) -> ConcreteFiniteGroup:
     object.__setattr__(g, "verified", True)
     return g
 
@@ -379,9 +383,10 @@ class GcwDescription:
 # ---------------------------------------------------------------------------
 # the universe of declarations
 
-# the tables of a Universe; validate() reads all but the families
+# the tables of a Universe; validate() checks all but the families
 GROUP_TABLES = ("sheets", "defs", "concretes", "graphs", "polygons", "gcws")
-TABLES = GROUP_TABLES + ("homs", "families", "setups")
+CHECKED_TABLES = GROUP_TABLES + ("homs", "setups")
+TABLES = CHECKED_TABLES + ("families",)
 
 
 class Universe:
@@ -391,9 +396,11 @@ class Universe:
     application setups each get their own.  An atom may carry both a
     fact sheet and a concrete realization under the same name.
 
-    `validated` records this universe, or the nearest one it was
-    overlaid from, as it stood when it passed validate(), or is None if
-    none has; validate() checks only what differs from it.
+    `validated` is a snapshot of the group, hom and setup tables of
+    this universe, or of the nearest one it was overlaid from, as they
+    stood when it passed validate(), or None if none has; validate()
+    checks only the names added since, when nothing else changed.  A
+    snapshot's own `validated` is None.
     """
 
     def __init__(self) -> None:
@@ -406,31 +413,16 @@ class Universe:
         self.homs: Dict[str, Homomorphism] = {}
         self.families: Dict[str, object] = {}      # name -> facts.Family
         self.setups: Dict[str, object] = {}        # name -> apps setup
-        self.validated: Optional[Validated] = None
+        self.validated: Optional[Universe] = None
 
     # -- declaration ------------------------------------------------------
 
     def group_names(self) -> Set[str]:
-        out: Set[str] = set()
-        for d in (self.sheets, self.defs, self.concretes, self.graphs,
-                  self.polygons, self.gcws):
-            out.update(d.keys())
-        return out
+        return set().union(*(getattr(self, attr) for attr in GROUP_TABLES))
 
-    def kind_of(self, name: str) -> Optional[str]:
-        if name in self.defs:
-            return "def"
-        if name in self.graphs:
-            return "graph"
-        if name in self.polygons:
-            return "polygon"
-        if name in self.gcws:
-            return "gcw"
-        if name in self.concretes:
-            return "concrete"
-        if name in self.sheets:
-            return "atom"
-        return None
+    def declares(self, name: str) -> bool:
+        'Whether a group-like declaration holds the name; resolve() says which.'
+        return any(name in getattr(self, attr) for attr in GROUP_TABLES)
 
     def overlay(self) -> "Universe":
         """A new universe over copies of every table, so declarations
@@ -444,9 +436,8 @@ class Universe:
 
     def drop_group(self, name: str) -> None:
         'Used when a later declaration shadows a prelude name.'
-        for d in (self.sheets, self.defs, self.concretes, self.graphs,
-                  self.polygons, self.gcws):
-            d.pop(name, None)
+        for attr in GROUP_TABLES:
+            getattr(self, attr).pop(name, None)
 
     # -- resolution -------------------------------------------------------
 
@@ -512,26 +503,6 @@ class Universe:
             for _, ge in self.gcws[name].cells():
                 out.extend(expr_refs(ge))
         return out
-
-
-class Validated:
-    """The group tables, homs and setups of a universe as they stood
-    when it passed validate(), and who names whom among the groups."""
-
-    def __init__(self, u: Universe) -> None:
-        self.tables = Universe()
-        for attr in GROUP_TABLES + ("homs", "setups"):
-            getattr(self.tables, attr).update(getattr(u, attr))
-        self._users: Optional[Dict[str, List[str]]] = None
-
-    def users(self) -> Dict[str, List[str]]:
-        'Group name -> the names whose declarations refer to it; built once.'
-        if self._users is None:
-            self._users = {}
-            for name in self.tables.group_names():
-                for dep in self.tables.dependencies(name):
-                    self._users.setdefault(dep, []).append(name)
-        return self._users
 
 
 # ---------------------------------------------------------------------------
@@ -665,21 +636,19 @@ def validate(u: Universe) -> List[Diagnostic]:
     sheets are checked in the facts module and setups by
     apps.build_setup.  dsl.build_universe only builds.
 
-    Only what can differ from `u.validated` is checked: every group,
-    hom or setup entry that is not the very same object as there, or
-    that is gone; every name that reaches such a name through
-    Universe.dependencies; every graph or polygon naming a changed hom;
-    every hom whose source or target is such a name; and every setup
-    that names such a name or embeds such a hom.  Declared
-    objects are frozen, and fact sheets are closed once (a checked
-    sheet shared with `u.validated` is replaced in `u` by a closed
-    copy), so an entry kept from a universe that passed yields no
-    diagnostic, and any definition cycle passes through a checked
-    name: the result is that of checking everything.  A table
-    group or hom that passed verify() when it was built (see its
-    `verified` or `verified_on`) is not verified again.  When
-    `u.validated` is None everything is checked.  A universe that
-    passes records its tables there.
+    A load that only adds is checked for what it adds: when every
+    group, hom and setup entry of `u.validated` is still in `u` as the
+    very same object, and no added group-table entry sits under a name
+    `u.validated` holds (such as a table registered under a sheet-only
+    atom), only the added names are checked.  Any other universe, one
+    with no `u.validated` included, is checked in full.  Declared
+    objects are frozen, a validated name refers only to names validated
+    with it, and fact sheets are closed once (a sheet shared with
+    `u.validated` is replaced in `u` by a closed copy), so the result is
+    that of checking everything.  A table group or hom that passed
+    verify() when it was built (see its `verified` or `verified_on`) is
+    not verified again.  A universe that passes records a snapshot of
+    its checked tables in `u.validated`.
     """
     names, hom_names, setup_names = _unchecked(u)
     out: List[Diagnostic] = []
@@ -710,7 +679,7 @@ def validate(u: Universe) -> List[Diagnostic]:
                 out.append(Diagnostic(loc, "empty product expression"))
             for f in e.factors:
                 check_expr(f, loc)
-        elif isinstance(e, Ref) and u.kind_of(e.name) is None:
+        elif isinstance(e, Ref) and not u.declares(e.name):
             out.append(Diagnostic(loc, f"unresolved group name {e.name!r}"))
 
     for name in picked(u.defs, names):
@@ -775,77 +744,45 @@ def validate(u: Universe) -> List[Diagnostic]:
         out.extend(build_setup(u, u.setups[name]))
 
     if not out:
-        u.validated = Validated(u)
+        u.validated = Universe()
+        for attr in CHECKED_TABLES:
+            getattr(u.validated, attr).update(getattr(u, attr))
     return out
 
 
 def _unchecked(u: Universe) -> Tuple[Set[str], Set[str], Set[str]]:
-    'The group names, hom names and setup names validate() checks; see there.'
-    if u.validated is None:
-        return u.group_names(), set(u.homs), set(u.setups)
-    from .apps import setup_groups, setup_homs
-    old = u.validated.tables
-    changed: Set[str] = set()
-    for attr in GROUP_TABLES:
-        _add_replaced(changed, getattr(u, attr), getattr(old, attr))
-    homs: Set[str] = set()
-    _add_replaced(homs, u.homs, old.homs)
-    if homs:
-        changed.update(name for name, g in u.graphs.items()
-                       if any(e.maps is not None and not homs.isdisjoint(e.maps)
-                              for e in g.edges))
-        changed.update(name for name, p in u.polygons.items()
-                       if not homs.isdisjoint(itertools.chain(
-                           *(p.edge_maps or ()), p.face_maps or ())))
-    # a path to a changed name runs through unchanged names up to the
-    # first changed one, and an unchanged name refers to what it
-    # referred to when the universe passed
-    users = u.validated.users()
-    names = set(changed)
-    todo = list(changed)
-    while todo:
-        for user in users.get(todo.pop(), ()):
-            if user not in names:
-                names.add(user)
-                todo.append(user)
-    setups = {name for name, s in u.setups.items()
-              if old.setups.get(name) is not s or not homs.isdisjoint(setup_homs(s))
-              or any(not names.isdisjoint(expr_refs(e)) for _, e in setup_groups(s))}
-    homs.update(name for name, h in u.homs.items()
-                if h.source in names or h.target in names)
-    return names, homs, setups
-
-
-def _add_replaced(into: Set[str], table: Dict[str, object],
-                  before: Dict[str, object]) -> None:
-    'Add the names whose entry in table is not the very object in before, or is gone.'
-    for name, obj in table.items():
-        if before.get(name) is not obj:
-            into.add(name)
-    for name in before:
-        if name not in table:
-            into.add(name)
+    """The group names, hom names and setup names validate() checks:
+    those added since `u.validated` when the load only adds, else all."""
+    old = u.validated
+    if old is not None and all(
+            getattr(u, attr).get(name) is obj
+            for attr in CHECKED_TABLES for name, obj in getattr(old, attr).items()):
+        added = {name for attr in GROUP_TABLES
+                 for name in getattr(u, attr).keys() - getattr(old, attr).keys()}
+        if added.isdisjoint(old.group_names()):
+            return added, u.homs.keys() - old.homs.keys(), u.setups.keys() - old.setups.keys()
+    return u.group_names(), set(u.homs), set(u.setups)
 
 
 def _cycle_diagnostics(u: Universe, names: Set[str]) -> List[Diagnostic]:
     """Each definition cycle met by a depth-first walk from the given
-    names in sorted order, reported where the walk closes it.
+    declared names in sorted order, reported where the walk closes it.
 
-    The walk stays among the given names: validate() passes every name
-    that reaches one of its changed names, and every cycle runs through
-    a changed name, so a name outside them reaches no cycle.  The walk
-    keeps its own stack, so a chain of any length fits."""
+    The walk stays among the given names: validate() passes every name,
+    or the names a load added, and no validated name refers to an added
+    one, so every cycle through an added name stays among them.  The
+    walk keeps its own stack, so a chain of any length fits."""
     out: List[Diagnostic] = []
     state: Dict[str, int] = {}  # 1 = on the path, 2 = done
     for root in sorted(names):
-        if root in state or u.kind_of(root) is None:
+        if root in state:
             continue
         path = [root]
         state[root] = 1
         pending = [iter(u.dependencies(root))]
         while pending:
             for dep in pending[-1]:
-                if dep not in names or u.kind_of(dep) is None:
+                if dep not in names:
                     continue
                 mark = state.get(dep)
                 if mark == 1:

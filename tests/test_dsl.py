@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from catbound import dsl
+from catbound import dsl, facts
 from catbound.cli import main
 from catbound.dsl import (FactEntry, GroupDecl, ParseFailure, load_prelude,
                           load_text, parse, serialize, tokenize, try_parse)
@@ -21,7 +21,7 @@ from catbound.model import (TABLES, ConcreteFiniteGroup, DirectProduct,
                             FreeProduct, Homomorphism, Ref, TrivialGroup, Universe,
                             cyclic_group, validate)
 
-from genmodels import random_model
+from genmodels import nested_text, random_model
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -647,8 +647,12 @@ def test_kept_prelude_tables_are_not_verified_again(monkeypatch):
     _, diags = load_text((FIXTURES / "double_max.catb").read_text(encoding="utf-8"),
                          load_prelude())
     assert not diags and verified == []
+    # a shadowing load is checked in full, but a table the prelude or
+    # the model builds is a group by construction or verified at build
     _, diags = load_text("group Z2 = cyclic(2);", load_prelude())
-    assert not diags and verified == ["group Z2"]
+    assert not diags and verified == []
+    _, diags = load_text("group Z2 = table [[0,1],[1,0]];", load_prelude())
+    assert not diags and verified == ["table"]
 
 
 def test_declared_homs_and_tables_are_verified_once_per_load(monkeypatch):
@@ -685,6 +689,56 @@ def test_closing_sheets_leaves_the_kept_prelude_alone():
     v, diags = load_text("group H;", load_prelude())
     assert not diags
     assert Evaluator(v).bound_cat(Ref("Z"), FIN).value == ExtNat(1)
+
+
+CUSTOM_PRELUDE = """
+group One { trivial = yes; }
+group Z2 = cyclic(2);
+group Z4 = cyclic(4);
+group V = product(Z2, Z2);
+group C1 = cyclic(1);
+hom a : Z2 -> V { 1 -> 1; }
+hom b : Z2 -> V { 1 -> 2; }
+hom t : C1 -> Z2 { 0 -> 0; }
+branched B { n = 4; d = 5; piece = V; wall = Z2; core = C1;
+  assume pi1_injective; assume intersection;
+  embed wall = (a, b); embed core = t; }
+"""
+
+
+def test_a_load_that_only_adds_closes_only_its_own_sheets(
+        monkeypatch, fixture_texts, tmp_path):
+    closed = []
+    close = facts.sheet_diagnostics
+
+    def recording(u, name):
+        out = close(u, name)
+        closed.append((name, u.sheets[name]))
+        return out
+
+    monkeypatch.setattr(facts, "sheet_diagnostics", recording)
+    custom = tmp_path / "prelude.catb"
+    custom.write_text(CUSTOM_PRELUDE, encoding="utf-8")
+    # the fixtures and nested models only add; shadowing a prelude group
+    # or redeclaring a prelude hom is checked in full
+    cases = [(text, None, False) for name, text in fixture_texts.items()
+             if name != "prelude"]
+    cases += [(nested_text(depth, 3), None, False) for depth in range(2, 5)]
+    cases += [("group Z2 = cyclic(2);", None, True),
+              ("hom b : Z2 -> Z4 { 1 -> 2; }", custom, True)]
+    for text, path, full in cases:
+        base = load_prelude(path)
+        before = tables(base)
+        closed.clear()
+        u, diags = load_text(text, base)
+        names = sorted(name for name, _ in closed)
+        if full:
+            assert names == sorted(u.sheets), text
+        else:
+            assert not diags and names == sorted(u.sheets.keys() - base.sheets.keys()), text
+        # a kept sheet is closed on a copy, and the kept prelude is unchanged
+        assert all(sheet is not base.sheets.get(name) for name, sheet in closed)
+        assert tables(load_prelude(path)) == before
 
 
 def test_setup_declarations_build():

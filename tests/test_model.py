@@ -250,17 +250,17 @@ def test_trivial_and_singleton_kinds():
 
 
 def test_kind_precedence_def_over_sheet():
-    u = Universe()
+    u = small_universe()
     u.sheets["G"] = FactSheet(name="G")
-    assert u.kind_of("G") == "atom"
+    assert u.resolve(Ref("G")) == ("atom", "G")
     u.defs["G"] = Ref("A")
-    assert u.kind_of("G") == "def"
+    assert u.resolve(Ref("G")) == ("atom", "A")
 
 
 def test_drop_group_clears_every_namespace():
     u = small_universe()
     u.drop_group("P")
-    assert u.kind_of("P") is None
+    assert not u.declares("P")
 
 
 # -- structure validation -------------------------------------------------
