@@ -19,9 +19,13 @@ resolve `--target` before any other work; a name that resolves to
 nothing is `error: unresolved target: unresolved group name 'X'`.
 
 Repeated main() calls in one process share what does not depend on the
-query: the argument parser is built once, and a prelude text is parsed
-and validated once (dsl.load_prelude still reads the file on every
-call and hands each call a fresh overlay of the kept universe).
+query: the parsers are built once, the top-level one with one parser per
+subcommand, and a call whose first argument names a subcommand is parsed
+by that subcommand's parser alone (any other argv goes through the
+top-level parser, which reports what is wrong with it).  The last few
+prelude texts are each parsed and validated once (dsl.load_prelude
+still reads the file on every call and hands each call a fresh overlay
+of the kept universe).
 
 Exit codes: 0 result established, 2 inconclusive (no finite bound, or
 certificate hypotheses not established), 1 errors and diagnostics.  An
@@ -59,7 +63,7 @@ from itertools import chain
 from json.encoder import encode_basestring as _esc     # json.dumps' own (C) one
 from operator import attrgetter
 from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from . import apps, develop, dsl
 from .engine import DerivationNode, Evaluator
@@ -75,13 +79,16 @@ class CliError(Exception):
 class _Parser(argparse.ArgumentParser):
     'Usage problems are tool errors (exit 1), never inconclusive (2).'
 
+    commands: Dict[str, argparse.ArgumentParser]     # set on the top-level one
+
     def error(self, message: str) -> None:  # type: ignore[override]
         raise CliError(f"{self.prog}: {message}")
 
 
 @functools.lru_cache(maxsize=None)
-def _build_parser() -> argparse.ArgumentParser:
-    'Built on the first call and shared: parsing leaves it unchanged.'
+def _build_parser() -> _Parser:
+    """Built on the first call and shared: parsing leaves it unchanged.
+    Its `commands` maps each subcommand name to that subcommand's parser."""
     top = _Parser(
         prog="catbound",
         description="certified upper bounds for category-type invariants "
@@ -144,6 +151,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate", help="load a model and report diagnostics")
     common(p)
 
+    top.commands = sub.choices
     return top
 
 
@@ -159,8 +167,11 @@ def _read_model(args) -> Tuple[Optional[Universe], List[Diagnostic]]:
     if args.file is None:
         return base, []
     try:
-        data = Path(args.file).read_bytes()
+        with open(args.file, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
+        if exc.filename is not None:    # named as pathlib names it
+            exc.filename = str(Path(args.file))
         raise CliError(str(exc))
     # the newline translation of reading in text mode; no byte of a
     # multi-byte UTF-8 sequence is a \r or \n
@@ -486,10 +497,20 @@ def _drop_stdout() -> None:
 
 def main(argv: Optional[List[str]] = None) -> int:
     try:
+        if argv is None:
+            argv = sys.argv[1:]
         # known-args so certify's trailing positionals survive argparse's
         # single-chunk positional matching; anything else left over is an
-        # error
-        args, extras = _build_parser().parse_known_args(argv)
+        # error.  The top-level parser hands everything after the
+        # subcommand to that subcommand's parser, so a named subcommand
+        # goes there directly.
+        top = _build_parser()
+        parser = top.commands.get(argv[0]) if argv else None
+        if parser is None:
+            args, extras = top.parse_known_args(argv)
+        else:
+            args, extras = parser.parse_known_args(argv[1:])
+            args.command = argv[0]
         if extras and (args.command != "certify"
                        or any(x.startswith("-") for x in extras)):
             raise CliError(f"unrecognized arguments: {' '.join(extras)}")

@@ -34,20 +34,23 @@ else: GroupDecl (fact sheet, table or definition), AmalgamDecl (a
 two-vertex graph) and HomDecl (generator images, closed to a full map).
 It raises ParseFailure carrying positioned diagnostics, also for every
 malformed literal (a non-ASCII digit, an integer too long to convert, a
-bound past the largest finite value, a polygon side count, gcw
-dimension or branched copy count past SIZE_LIMIT), and for parentheses
-nested deeper than NESTING_LIMIT; no other exception escapes it.
+bound past the largest finite value, a cyclic order past ORDER_LIMIT,
+a polygon side count, gcw dimension or branched copy count past
+SIZE_LIMIT), and for parentheses nested deeper than NESTING_LIMIT; no
+other exception escapes it.
 serialize() emits the canonical form and parse(serialize(m)) equals m
 for canonical m.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple, TypeVar, Union
+from typing import (Callable, Dict, Iterator, List, Optional, Tuple, TypeVar,
+                    Union)
 
 from .apps import (BoundaryComponent, BranchedSetup, DoubleSetup, GluingSetup,
                    Pairing, Piece)
@@ -61,17 +64,19 @@ from .model import (Diagnostic, DirectProduct, Edge, FreeProduct,
 
 # -- tokens ---------------------------------------------------------------
 
-# Token shapes, tried in order; tokenize() scans one line at a time,
-# and finditer skips the spaces, tabs and carriage returns between
-# matches.  Every alternative starts with a character or a class, so the
-# engine passes over it on the first character, and ends in an empty
-# group whose number names its shape.  A name is a run of word
-# characters (str.isalnum or '_') that starts with a letter or '_'; a
-# word run that starts with another word character (a digit outside
-# ASCII, such as '²') starts with a stray character, which tokenize()
-# checks.  In a string, a backslash escapes '"' or '\' and otherwise
-# stands for itself, so a body splits into characters one way only and
-# an escaped quote never closes it.
+# Token shapes, tried in order; tokenize() scans the whole text with one
+# finditer, which skips the spaces, tabs, carriage returns and line ends
+# between matches.  No shape matches a line end, so a comment, a string
+# or an unterminated string stops at the end of its line.  Every
+# alternative starts with a character or a class, so the engine passes
+# over it on the first character, and ends in an empty group whose
+# number names its shape.  A name is a run of word characters
+# (str.isalnum or '_') that starts with a letter or '_'; a word run that
+# starts with another word character (a digit outside ASCII, such as
+# '²') starts with a stray character, which tokenize() checks.  In a
+# string, a backslash escapes '"' or '\' and otherwise stands for
+# itself, so a body splits into characters one way only and an escaped
+# quote never closes it.
 _TOKEN = re.compile(r"""
     [A-Za-z_]\w*()                          # 1 name
   | [{}()\[\];:,=.*>]()                     # 2 op
@@ -79,10 +84,10 @@ _TOKEN = re.compile(r"""
   | ->?()                                   # 4 op
   | //.*()                                  # 5 comment
   | [0-9][0-9]*()                           # 6 int, ASCII digits only
-  | "(?:[^"\\]|\\["\\]|\\(?!["\\]))*"()     # 7 string
+  | "(?:[^"\\\n]|\\["\\]|\\(?!["\\]))*"()  # 7 string
   | ".*()                                   # 8 unterminated string
   | [^\W\d]\w*()                            # 9 word, not an ASCII start
-  | [^ \t\r]()                              # 10 stray character
+  | [^ \t\r\n]()                            # 10 stray character
 """, re.VERBOSE)
 _SHAPES = (None, "name", "op", "op", "op", "comment", "int", "string",
            "unterminated", "word", "stray")
@@ -105,52 +110,97 @@ class Token:
         return f"{self.line}:{self.col}"
 
 
-def tokenize(text: str) -> List[Token]:
+class Tokens:
+    """The tokens of a text, as parallel lists of kinds, values and text
+    offsets, ending with the eof token.
+
+    Token i is `tokens[i]`, a Token made on request; loc(i) is its
+    `line:col`.  Positions are counted from the text only when asked
+    for, from the last one asked for when it lies before.
+    """
+
+    __slots__ = ("text", "kinds", "values", "offsets", "_mark")
+
+    def __init__(self, text: str, kinds: List[str], values: List[str],
+                 offsets: List[int]) -> None:
+        self.text = text
+        self.kinds = kinds
+        self.values = values
+        self.offsets = offsets
+        self._mark = (0, 1)     # an offset and the line it lies on
+
+    def __len__(self) -> int:
+        return len(self.kinds)
+
+    def __getitem__(self, i: int) -> Token:
+        return Token(self.kinds[i], self.values[i], *self.line_col(self.offsets[i]))
+
+    def __iter__(self) -> Iterator[Token]:
+        return map(self.__getitem__, range(len(self.kinds)))
+
+    def line_col(self, offset: int) -> Tuple[int, int]:
+        'Line and column of a text offset, from 1, in characters.'
+        text = self.text
+        at, line = self._mark
+        if offset < at:
+            at, line = 0, 1
+        line += text.count("\n", at, offset)
+        self._mark = (offset, line)
+        return line, offset - text.rfind("\n", 0, offset)
+
+    def loc(self, i: int) -> str:
+        return "%d:%d" % self.line_col(self.offsets[i])
+
+
+def tokenize(text: str) -> Tokens:
     """Total: malformed input produces error tokens, never an exception.
 
     Lines and columns count from 1, in characters; a tab is one column.
     The eof token after a comment that ends the text sits where the
     comment starts.
     """
-    out: List[Token] = []
-    append = out.append
-    scan = _TOKEN.finditer
+    kinds: List[str] = []
+    values: List[str] = []
+    offsets: List[int] = []
+    add_kind, add_value, add_offset = kinds.append, values.append, offsets.append
     shapes = _SHAPES
-    lines = text.split("\n")
-    eof_col = len(lines[-1]) + 1
-    for line_no, line in enumerate(lines, 1):
-        pos = 0
-        while pos is not None:      # set again after a stray word start
-            for m in scan(line, pos):
-                kind = shapes[m.lastindex]
-                col = m.start() + 1
-                if kind == "name" or kind == "op" or kind == "int":
-                    append(Token(kind, m.group(), line_no, col))
-                elif kind == "word":
-                    c = line[col - 1]
-                    if not c.isalpha():
-                        append(Token("error", f"stray character {c!r}",
-                                     line_no, col))
-                        pos = col
-                        break
-                    append(Token("name", m.group(), line_no, col))
-                elif kind == "string":
-                    value = m.group()[1:-1]
-                    if "\\" in value:
-                        value = _ESCAPE.sub(r"\1", value)
-                    append(Token("string", value, line_no, col))
-                elif kind == "comment":
-                    if line_no == len(lines):
-                        eof_col = col
-                elif kind == "unterminated":
-                    append(Token("error", "unterminated string", line_no, col))
-                else:
-                    append(Token("error", f"stray character {m.group()!r}",
-                                 line_no, col))
+    eof = len(text)
+    pos: Optional[int] = 0
+    while pos is not None:          # set again after a stray word start
+        for m in _TOKEN.finditer(text, pos):
+            kind = shapes[m.lastindex]
+            if kind == "name" or kind == "op" or kind == "int":
+                value = m.group()
+            elif kind == "comment":
+                if m.end() == len(text):
+                    eof = m.start()
+                continue
+            elif kind == "string":
+                value = m.group()[1:-1]
+                if "\\" in value:
+                    value = _ESCAPE.sub(r"\1", value)
+            elif kind == "word":
+                c = text[m.start()]
+                if not c.isalpha():
+                    add_kind("error")
+                    add_value(f"stray character {c!r}")
+                    add_offset(m.start())
+                    pos = m.start() + 1
+                    break
+                kind, value = "name", m.group()
+            elif kind == "unterminated":
+                kind, value = "error", "unterminated string"
             else:
-                pos = None
-    append(Token("eof", "", len(lines), eof_col))
-    return out
+                kind, value = "error", f"stray character {m.group()!r}"
+            add_kind(kind)
+            add_value(value)
+            add_offset(m.start())
+        else:
+            pos = None
+    add_kind("eof")
+    add_value("")
+    add_offset(eof)
+    return Tokens(text, kinds, values, offsets)
 
 
 # -- declarations ---------------------------------------------------------
@@ -251,6 +301,11 @@ RESERVED = {
 # builds a tuple of that length before any other check
 SIZE_LIMIT = 10_000
 
+# the largest order of a cyclic or product group: the build makes its
+# multiplication table, order² entries (cyclic(1000) takes about 0.13 s
+# and 46 MB), so a larger one is refused before anything is built
+ORDER_LIMIT = 1_000
+
 # the deepest parenthesis nesting in a group expression: the parser and
 # every later walk over an expression recurse once per level, and an
 # expression this deep still loads and bounds on the default stack
@@ -263,77 +318,84 @@ T = TypeVar("T")
 
 
 class _Parser:
-    def __init__(self, tokens: List[Token]) -> None:
+    'Reads a Tokens by index; pos is the index of the next token.'
+
+    def __init__(self, tokens: Tokens) -> None:
         self.toks = tokens
+        self.kinds = tokens.kinds
+        self.values = tokens.values
         self.pos = 0
         self.depth = 0          # open parentheses around the current atom
 
     # -- stream helpers ---------------------------------------------------
 
-    def peek(self) -> Token:
-        return self.toks[self.pos]
+    def last_loc(self) -> str:
+        'The loc of the token just stepped over.'
+        return self.toks.loc(self.pos - 1)
 
     def at(self, kind: str, value: Optional[str] = None) -> bool:
-        t = self.peek()
-        return t.kind == kind and (value is None or t.value == value)
+        pos = self.pos
+        return self.kinds[pos] == kind and (value is None or self.values[pos] == value)
 
-    def advance(self) -> Token:
-        t = self.toks[self.pos]
-        if t.kind != "eof":
-            self.pos += 1
-        return t
+    def keyword(self) -> str:
+        'Steps over the declaration keyword at hand; returns its loc.'
+        self.pos += 1
+        return self.last_loc()
 
-    def eat(self, kind: str, value: Optional[str] = None) -> Optional[Token]:
-        t = self.toks[self.pos]
-        if t.kind != kind or (value is not None and t.value != value):
-            return None
+    def eat(self, kind: str, value: Optional[str] = None) -> bool:
+        pos = self.pos
+        if self.kinds[pos] != kind or (value is not None and self.values[pos] != value):
+            return False
         if kind != "eof":
-            self.pos += 1
-        return t
+            self.pos = pos + 1
+        return True
 
     def expect(self, kind: str, value: Optional[str] = None,
-               what: Optional[str] = None) -> Token:
-        t = self.toks[self.pos]
-        if t.kind == kind and (value is None or t.value == value):
+               what: Optional[str] = None) -> str:
+        'The value of the next token, which must be as given; steps over it.'
+        pos = self.pos
+        found_kind = self.kinds[pos]
+        found = self.values[pos]
+        if found_kind == kind and (value is None or found == value):
             if kind != "eof":
-                self.pos += 1
-            return t
-        if t.kind == "error":
-            raise _Syntax(t.loc, t.value)
+                self.pos = pos + 1
+            return found
+        if found_kind == "error":
+            raise _Syntax(self.toks.loc(pos), found)
         wanted = what or (value if value is not None else kind)
-        found = t.value if t.value else t.kind
-        raise _Syntax(t.loc, f"expected {wanted!r}, found {found!r}")
+        found = found or found_kind
+        raise _Syntax(self.toks.loc(pos), f"expected {wanted!r}, found {found!r}")
 
     def name(self, what: str = "name") -> str:
-        return self.expect("name", what=what).value
+        return self.expect("name", what=what)
 
     def hom_name(self) -> str:
         return self.name("homomorphism name")
 
     def fresh_name(self, what: str = "name") -> str:
-        t = self.expect("name", what=what)
-        if t.value in RESERVED:
-            raise _Syntax(t.loc, f"{t.value!r} is reserved and cannot be declared")
-        return t.value
+        v = self.expect("name", what=what)
+        if v in RESERVED:
+            raise _Syntax(self.last_loc(), f"{v!r} is reserved and cannot be declared")
+        return v
 
     def integer(self, what: str = "integer", limit: Optional[int] = None) -> int:
-        t = self.expect("int", what=what)
+        digits = self.expect("int", what=what)
         try:
-            v = int(t.value)
+            v = int(digits)
         except ValueError:      # past the interpreter's digit limit
-            raise _Syntax(t.loc, f"integer literal of {len(t.value)} digits "
-                                 "is too long") from None
+            raise _Syntax(self.last_loc(), f"integer literal of {len(digits)} digits "
+                                           "is too long") from None
         if limit is not None and v > limit:
-            raise _Syntax(t.loc, f"{what} exceeds the limit of {limit}")
+            raise _Syntax(self.last_loc(), f"{what} exceeds the limit of {limit}")
         return v
 
     def extnat(self) -> ExtNat:
         if self.eat("name", "inf"):
             return INF
-        loc = self.peek().loc
         v = self.integer("integer or 'inf'")
         if v > FINITE_MAX:
-            raise _Syntax(loc, f"bound exceeds the largest finite value {FINITE_MAX}")
+            raise _Syntax(self.last_loc(), "bound exceeds the largest finite value "
+                                           f"{FINITE_MAX}")
         return ExtNat(v)
 
     def semicolon(self) -> None:
@@ -380,12 +442,11 @@ class _Parser:
         return DirectProduct(tuple(parts))
 
     def gatom(self) -> GroupExpr:
-        t = self.eat("op", "(")
-        if t is not None:
+        if self.eat("op", "("):
             self.depth += 1
             if self.depth > NESTING_LIMIT:
-                raise _Syntax(t.loc, "parenthesis depth exceeds the limit "
-                                     f"of {NESTING_LIMIT}")
+                raise _Syntax(self.last_loc(), "parenthesis depth exceeds the limit "
+                                               f"of {NESTING_LIMIT}")
             e = self.gexpr()
             self.expect("op", ")")
             self.depth -= 1
@@ -397,27 +458,28 @@ class _Parser:
             k = self.integer("free-group rank")
             self.expect("op", ")")
             return free_group_expr(k)
-        t = self.expect("name", what="group expression")
-        if t.value in RESERVED:
-            raise _Syntax(t.loc, f"{t.value!r} cannot be used as a group name")
-        return Ref(t.value)
+        v = self.expect("name", what="group expression")
+        if v in RESERVED:
+            raise _Syntax(self.last_loc(), f"{v!r} cannot be used as a group name")
+        return Ref(v)
 
     # -- declarations -----------------------------------------------------
 
     def module(self) -> List[Decl]:
         decls: List[Decl] = []
-        while not self.at("eof"):
-            t = self.peek()
-            if t.kind == "error":
-                raise _Syntax(t.loc, t.value)
-            if t.kind != "name" or t.value not in _DECL_KEYWORDS:
-                found = t.value if t.value else t.kind
-                raise _Syntax(t.loc, f"expected a declaration keyword, found {found!r}")
-            decls.append(getattr(self, "decl_" + t.value.replace("-", "_"))())
+        kinds, values = self.kinds, self.values
+        while kinds[self.pos] != "eof":
+            kind, value = kinds[self.pos], values[self.pos]
+            if kind == "error":
+                raise _Syntax(self.toks.loc(self.pos), value)
+            if kind != "name" or value not in _DECL_KEYWORDS:
+                raise _Syntax(self.toks.loc(self.pos), "expected a declaration "
+                                                       f"keyword, found {value or kind!r}")
+            decls.append(getattr(self, "decl_" + value)())
         return decls
 
     def decl_group(self) -> GroupDecl:
-        loc = self.advance().loc
+        loc = self.keyword()
         name = self.fresh_name("group name")
         rhs: GroupRhs = None
         if self.eat("op", "="):
@@ -432,7 +494,7 @@ class _Parser:
     def group_rhs(self) -> GroupRhs:
         if self.eat("name", "cyclic"):
             self.expect("op", "(")
-            k = self.integer("cyclic order")
+            k = self.integer("cyclic order", ORDER_LIMIT)
             self.expect("op", ")")
             return CyclicCtor(k)
         if self.eat("name", "product"):
@@ -443,8 +505,8 @@ class _Parser:
         return self.gexpr()
 
     def fact(self) -> FactEntry:
-        t = self.expect("name", what="fact")
-        key = t.value
+        at = self.pos
+        key = self.expect("name", what="fact")
         if key in ("gd", "cd", "tc"):
             self.expect("op", "<=")
             value = self.extnat()
@@ -471,27 +533,23 @@ class _Parser:
             fam = self.name("family name")
             self.expect("op", "]")
             self.expect("op", "=")
-            tok = self.peek()
-            if tok.kind == "name" and tok.value in ("yes", "no"):
-                self.advance()
-                return FactEntry("member", fam, tri=tok.value)
-            raise _Syntax(tok.loc, "expected 'yes' or 'no'")
-        raise _Syntax(t.loc, f"unknown fact {key!r}")
+            if self.at("name") and self.values[self.pos] in ("yes", "no"):
+                return FactEntry("member", fam, tri=self.name())
+            raise _Syntax(self.toks.loc(self.pos), "expected 'yes' or 'no'")
+        raise _Syntax(self.toks.loc(at), f"unknown fact {key!r}")
 
     def by_clause(self) -> Optional[str]:
         if self.eat("name", "by"):
-            return self.expect("string", what="justification string").value
+            return self.expect("string", what="justification string")
         return None
 
     def tri_value(self) -> str:
-        tok = self.peek()
-        if tok.kind == "name" and tok.value in ("yes", "no", "unknown"):
-            self.advance()
-            return tok.value
-        raise _Syntax(tok.loc, "expected 'yes', 'no', or 'unknown'")
+        if self.at("name") and self.values[self.pos] in ("yes", "no", "unknown"):
+            return self.name()
+        raise _Syntax(self.toks.loc(self.pos), "expected 'yes', 'no', or 'unknown'")
 
     def decl_amalgam(self) -> AmalgamDecl:
-        loc = self.advance().loc
+        loc = self.keyword()
         name = self.fresh_name("amalgam name")
         self.expect("op", "=")
         left = self.fexpr()
@@ -516,26 +574,26 @@ class _Parser:
         return (a, b)
 
     def decl_family(self) -> Family:
-        loc = self.advance().loc
+        loc = self.keyword()
         name = self.fresh_name("family name")
         self.expect("op", "=")
-        t = self.expect("name", what="'trivial', 'finite', 'amenable', or 'custom'")
-        if t.value in ("trivial", "finite", "amenable"):
+        base = self.expect("name", what="'trivial', 'finite', 'amenable', or 'custom'")
+        if base in ("trivial", "finite", "amenable"):
             self.semicolon()
-            return Family(name, FamilyKind(t.value), (), loc)
-        if t.value != "custom":
-            raise _Syntax(t.loc, f"unknown family base {t.value!r}")
+            return Family(name, FamilyKind(base), (), loc)
+        if base != "custom":
+            raise _Syntax(self.last_loc(), f"unknown family base {base!r}")
         return Family(name, FamilyKind.CUSTOM, self.block(self.requirement), loc)
 
     def requirement(self) -> Tuple[str, Tri]:
         flag = self.expect("name", what="'amenable', 'finite', or 'trivial'")
-        if flag.value not in ("amenable", "finite", "trivial"):
-            raise _Syntax(flag.loc, f"unknown flag {flag.value!r}")
+        if flag not in ("amenable", "finite", "trivial"):
+            raise _Syntax(self.last_loc(), f"unknown flag {flag!r}")
         self.expect("op", "=")
-        return flag.value, Tri(self.tri_value())
+        return flag, Tri(self.tri_value())
 
     def decl_hom(self) -> HomDecl:
-        loc = self.advance().loc
+        loc = self.keyword()
         name = self.fresh_name("homomorphism name")
         self.expect("op", ":")
         source = self.name("source group")
@@ -549,18 +607,18 @@ class _Parser:
         return a, self.integer("image element")
 
     def decl_graph(self) -> GraphOfGroups:
-        loc = self.advance().loc
+        loc = self.keyword()
         name = self.fresh_name("graph name")
         self.expect("op", "{")
         vertices: List[Tuple[str, GroupExpr]] = []
         edges: List[Edge] = []
         while not self.eat("op", "}"):
             t = self.expect("name", what="'vertex' or 'edge'")
-            if t.value == "vertex":
+            if t == "vertex":
                 vid = self.name("vertex id")
                 self.expect("op", "=")
                 vertices.append((vid, self.gexpr()))
-            elif t.value == "edge":
+            elif t == "edge":
                 v = self.name("vertex id")
                 self.expect("op", "-")
                 w = self.name("vertex id")
@@ -568,12 +626,12 @@ class _Parser:
                 g = self.gexpr()
                 edges.append(Edge(v, w, g, self.with_clause()))
             else:
-                raise _Syntax(t.loc, f"expected 'vertex' or 'edge', found {t.value!r}")
+                raise _Syntax(self.last_loc(), f"expected 'vertex' or 'edge', found {t!r}")
             self.semicolon()
         return GraphOfGroups(name, tuple(vertices), tuple(edges), loc)
 
     def decl_polygon(self) -> PolygonOfGroups:
-        loc = self.advance().loc
+        loc = self.keyword()
         name = self.fresh_name("polygon name")
         self.expect("op", "{")
         d = self.int_field("d", "number of sides", SIZE_LIMIT)
@@ -589,10 +647,11 @@ class _Parser:
 
     def ring_field(self, singular: str, plural: str, count: int) -> Tuple[GroupExpr, ...]:
         t = self.expect("name", what=f"'{singular}' or '{plural}'")
-        if t.value not in (singular, plural):
-            raise _Syntax(t.loc, f"expected '{singular}' or '{plural}', found {t.value!r}")
+        if t not in (singular, plural):
+            raise _Syntax(self.last_loc(),
+                          f"expected '{singular}' or '{plural}', found {t!r}")
         self.expect("op", "=")
-        if t.value == singular:
+        if t == singular:
             items = (self.gexpr(),) * count
         else:
             items = self.listed(self.gexpr)
@@ -608,7 +667,7 @@ class _Parser:
         return items
 
     def decl_gcw(self) -> GcwDescription:
-        loc = self.advance().loc
+        loc = self.keyword()
         name = self.fresh_name("complex name")
         self.expect("op", "{")
         contractible = False
@@ -619,20 +678,21 @@ class _Parser:
             contractible = True
         rows: Dict[int, Tuple[GroupExpr, ...]] = {}
         while not self.eat("op", "}"):
-            t = self.expect("name", "dim")
+            at = self.pos
+            self.expect("name", "dim")
             i = self.integer("dimension", SIZE_LIMIT)
             self.expect("op", ":")
             items = self.listed(self.gexpr, empty=True)
             self.semicolon()
             if i in rows:
-                raise _Syntax(t.loc, f"dimension {i} listed twice")
+                raise _Syntax(self.toks.loc(at), f"dimension {i} listed twice")
             rows[i] = items
         top = max(rows) if rows else 0
         dims = tuple(rows.get(i, ()) for i in range(top + 1))
         return GcwDescription(name, dims, contractible, loc)
 
     def decl_gluing(self) -> GluingSetup:
-        loc = self.advance().loc
+        loc = self.keyword()
         name = self.fresh_name("gluing name")
         self.expect("op", "{")
         n = self.int_field("n", "dimension")
@@ -641,23 +701,23 @@ class _Parser:
         connected = False
         while not self.eat("op", "}"):
             t = self.expect("name", what="'piece', 'pair', or 'connected'")
-            if t.value == "piece":
+            if t == "piece":
                 pid = self.name("piece id")
                 self.expect("op", "{")
                 pieces.append(self.piece_body(pid))
-            elif t.value == "pair":
+            elif t == "pair":
                 a = self.dotted_ref()
                 self.expect("op", "-")
                 b = self.dotted_ref()
                 self.semicolon()
                 pairings.append((a, b))
-            elif t.value == "connected":
+            elif t == "connected":
                 self.expect("op", "=")
                 self.expect("name", "assert")
                 self.semicolon()
                 connected = True
             else:
-                raise _Syntax(t.loc, f"unexpected {t.value!r} in gluing block")
+                raise _Syntax(self.last_loc(), f"unexpected {t!r} in gluing block")
         return GluingSetup(name, n, tuple(pieces), tuple(pairings), connected, loc)
 
     def int_field(self, key: str, what: str, limit: Optional[int] = None) -> int:
@@ -700,29 +760,29 @@ class _Parser:
         if self.eat("op", "{"):
             while not self.eat("op", "}"):
                 t = self.expect("name", what="'pi1_injective' or 'cat_am'")
-                if t.value == "pi1_injective":
+                if t == "pi1_injective":
                     self.expect("op", "=")
                     self.expect("name", "assert")
                     pi1 = True
-                elif t.value == "cat_am":
+                elif t == "cat_am":
                     self.expect("op", "<=")
                     cat_space = self.extnat()
                 else:
-                    raise _Syntax(t.loc, f"unexpected {t.value!r} in boundary block")
+                    raise _Syntax(self.last_loc(), f"unexpected {t!r} in boundary block")
                 self.semicolon()
         else:
             self.semicolon()
         return BoundaryComponent(bid, group, pi1, cat_space)
 
     def decl_double(self) -> DoubleSetup:
-        loc = self.advance().loc
+        loc = self.keyword()
         name = self.fresh_name("double name")
         self.expect("op", "{")
         n = self.int_field("n", "dimension")
         return DoubleSetup(name, n, self.piece_body("M"), loc)
 
     def decl_branched(self) -> BranchedSetup:
-        loc = self.advance().loc
+        loc = self.keyword()
         name = self.fresh_name("branched name")
         self.expect("op", "{")
         n = self.int_field("n", "dimension")
@@ -736,26 +796,28 @@ class _Parser:
         core_embeds: Optional[str] = None
         while not self.eat("op", "}"):
             t = self.expect("name", what="'assume' or 'embed'")
-            if t.value == "assume":
+            at = self.pos
+            if t == "assume":
                 which = self.expect("name",
                                     what="'pi1_injective' or 'intersection'")
-                if which.value == "pi1_injective":
+                if which == "pi1_injective":
                     assume_pi1 = True
-                elif which.value == "intersection":
+                elif which == "intersection":
                     assume_intersection = True
                 else:
-                    raise _Syntax(which.loc, f"cannot assume {which.value!r}")
-            elif t.value == "embed":
+                    raise _Syntax(self.toks.loc(at), f"cannot assume {which!r}")
+            elif t == "embed":
                 which = self.expect("name", what="'wall' or 'core'")
                 self.expect("op", "=")
-                if which.value == "wall":
+                if which == "wall":
                     wall_embeds = self.hom_pair()
-                elif which.value == "core":
+                elif which == "core":
                     core_embeds = self.hom_name()
                 else:
-                    raise _Syntax(which.loc, f"cannot embed {which.value!r}")
+                    raise _Syntax(self.toks.loc(at), f"cannot embed {which!r}")
             else:
-                raise _Syntax(t.loc, f"unexpected {t.value!r} in branched block")
+                raise _Syntax(self.toks.loc(at - 1),
+                              f"unexpected {t!r} in branched block")
             self.semicolon()
         return BranchedSetup(name, n, d, piece, wall, core, assume_pi1,
                              assume_intersection, wall_embeds, core_embeds, loc)
@@ -987,8 +1049,9 @@ def build_universe(model: SourceModel,
 
     Declarations shadow same-named prelude groups.  Building reports
     only what cannot be registered without building (a bad table, a
-    product factor or hom group that is not concrete, cyclic(0), a hom
-    whose images do not extend); setups and all else are registered as
+    product factor or hom group that is not concrete, a product whose
+    order exceeds ORDER_LIMIT, cyclic(0), a hom whose images do not
+    extend); setups and all else are registered as
     parsed.  The copy keeps `base`'s snapshot of its nearest validated
     ancestor, so validate checks only the declared names when they add
     to `base`, and everything when one replaces or drops a name of it.
@@ -1047,6 +1110,11 @@ def _build_group(u: Universe, d: GroupDecl, diags: List[Diagnostic]) -> None:
                     d.loc, f"product factor {fname!r} is not a concrete group"))
                 return
             factors.append(g)
+        order = math.prod(g.order for g in factors)
+        if order > ORDER_LIMIT:
+            diags.append(Diagnostic(
+                d.loc, f"product order {order} exceeds the limit of {ORDER_LIMIT}"))
+            return
         u.concretes[d.name] = product_group(factors)
     elif isinstance(d.rhs, TableCtor):
         try:
@@ -1075,6 +1143,9 @@ def _build_hom(u: Universe, d: HomDecl, diags: List[Diagnostic]) -> None:
 
 # -- prelude and file loading ---------------------------------------------
 
+# the most preludes kept, each with its validated universe, by last use
+KEPT_PRELUDES = 4
+
 _PRELUDE_PATH = Path(__file__).parent / "prelude.catb"
 
 
@@ -1087,9 +1158,10 @@ def load_prelude(path: Optional[Path] = None) -> Universe:
 
     The file is read on every call, so an edit or another path takes
     effect at once.  A prelude text is parsed, built and validated once
-    per process: the last text that loaded cleanly is kept with its
-    universe, and each call returns a fresh overlay of it, so what a
-    caller registers never reaches the kept copy.  The overlay counts as
+    per file: the last KEPT_PRELUDES (path, text) pairs that loaded
+    cleanly are kept, each with its universe, so a process that switches
+    between a few preludes builds each once.  Each call returns a fresh overlay of
+    the kept universe, so what a caller registers never reaches it.  The overlay counts as
     validated up to what a caller registers into it, so a model loaded
     over it that only adds is checked for its own declarations, and one
     that shadows a prelude name is checked in full, on copies of the
@@ -1098,19 +1170,22 @@ def load_prelude(path: Optional[Path] = None) -> Universe:
     has problems; a prelude with problems is not kept.
     """
     p = path if path is not None else prelude_path()
-    try:
-        base = _validated_prelude(p.read_text(encoding="utf-8"))
-    except ParseFailure as exc:
-        raise ValueError(f"prelude {p} has problems: {exc}") from None
-    return base.overlay()
+    with open(p, encoding="utf-8") as fh:
+        text = fh.read()
+    return _validated_prelude(p, text).overlay()
 
 
-@lru_cache(maxsize=1)
-def _validated_prelude(text: str) -> Universe:
-    'Raises ParseFailure with every diagnostic; a raise is not cached.'
-    u, diags = build_universe(parse(text), base=None)
+@lru_cache(maxsize=KEPT_PRELUDES)
+def _validated_prelude(path: Path, text: str) -> Universe:
+    """The universe of the prelude text read from `path`.  Raises
+    ValueError naming the path and every diagnostic; a raise is not
+    kept."""
+    model, diags = try_parse(text)
+    if model is not None:
+        u, diags = build_universe(model, base=None)
     if diags:
-        raise ParseFailure(diags)
+        raise ValueError(f"prelude {path} has problems: "
+                         + "; ".join(str(d) for d in diags))
     return u
 
 

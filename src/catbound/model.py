@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
+from operator import is_
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 
@@ -256,25 +258,41 @@ def hom_from_generator_images(name: str, source: str, target: str,
 # ---------------------------------------------------------------------------
 # group expressions
 
+# Each expression computes its key (see expr_key) on the first read and
+# keeps it outside its fields, so equality and hashing compare the
+# fields alone; the trivial group's key is a constant.
+
 @dataclass(frozen=True)
 class Ref:
     'Reference to any named declaration (atom, definition, graph, ...).'
     name: str
 
+    @cached_property
+    def key(self) -> str:
+        return "@" + self.name
+
 
 @dataclass(frozen=True)
 class TrivialGroup:
-    pass
+    key = "1"
 
 
 @dataclass(frozen=True)
 class DirectProduct:
     factors: Tuple["GroupExpr", ...]
 
+    @cached_property
+    def key(self) -> str:
+        return "x(" + ",".join([f.key for f in self.factors]) + ")"
+
 
 @dataclass(frozen=True)
 class FreeProduct:
     factors: Tuple["GroupExpr", ...]
+
+    @cached_property
+    def key(self) -> str:
+        return "*(" + ",".join([f.key for f in self.factors]) + ")"
 
 
 GroupExpr = Union[Ref, TrivialGroup, DirectProduct, FreeProduct]
@@ -283,16 +301,13 @@ TRIVIAL = TrivialGroup()
 
 
 def expr_key(e: GroupExpr) -> str:
-    'Stable structural key, used for memo tables and deterministic output.'
-    if isinstance(e, Ref):
-        return f"@{e.name}"
-    if isinstance(e, TrivialGroup):
-        return "1"
-    if isinstance(e, DirectProduct):
-        return "x(" + ",".join(expr_key(f) for f in e.factors) + ")"
-    if isinstance(e, FreeProduct):
-        return "*(" + ",".join(expr_key(f) for f in e.factors) + ")"
-    raise TypeError(f"not a group expression: {e!r}")
+    """Stable structural key, used for memo tables and deterministic
+    output: equal expressions, and only they, have equal keys.  It is
+    the expression's `key`, computed once per expression object."""
+    try:
+        return e.key
+    except AttributeError:
+        raise TypeError(f"not a group expression: {e!r}") from None
 
 
 def expr_refs(e: GroupExpr) -> List[str]:
@@ -421,8 +436,11 @@ class Universe:
         return set().union(*(getattr(self, attr) for attr in GROUP_TABLES))
 
     def declares(self, name: str) -> bool:
-        'Whether a group-like declaration holds the name; resolve() says which.'
-        return any(name in getattr(self, attr) for attr in GROUP_TABLES)
+        """Whether a group-like declaration holds the name; resolve() says
+        which.  The GROUP_TABLES, spelled out: this runs once per name a
+        load checks."""
+        return (name in self.sheets or name in self.defs or name in self.concretes
+                or name in self.graphs or name in self.polygons or name in self.gcws)
 
     def overlay(self) -> "Universe":
         """A new universe over copies of every table, so declarations
@@ -754,14 +772,18 @@ def _unchecked(u: Universe) -> Tuple[Set[str], Set[str], Set[str]]:
     """The group names, hom names and setup names validate() checks:
     those added since `u.validated` when the load only adds, else all."""
     old = u.validated
-    if old is not None and all(
-            getattr(u, attr).get(name) is obj
-            for attr in CHECKED_TABLES for name, obj in getattr(old, attr).items()):
+    if old is not None and all(_kept(getattr(old, attr), getattr(u, attr))
+                               for attr in CHECKED_TABLES):
         added = {name for attr in GROUP_TABLES
                  for name in getattr(u, attr).keys() - getattr(old, attr).keys()}
-        if added.isdisjoint(old.group_names()):
+        if not any(map(old.declares, added)):
             return added, u.homs.keys() - old.homs.keys(), u.setups.keys() - old.setups.keys()
     return u.group_names(), set(u.homs), set(u.setups)
+
+
+def _kept(old: Dict[str, object], new: Dict[str, object]) -> bool:
+    'Whether every entry of `old` is in `new`, as the same object.'
+    return all(map(is_, map(new.get, old), old.values()))
 
 
 def _cycle_diagnostics(u: Universe, names: Set[str]) -> List[Diagnostic]:

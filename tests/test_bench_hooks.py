@@ -46,3 +46,4 @@ def test_installed_tracer_sees_setup_checks(fixture_texts):
     assert not diags
     assert tracer.calls["apps.build_setup"] == 1
     assert tracer.calls["dsl.build_universe"] == 1      # the file alone
+    assert tracer.tokens > 0        # read off what dsl.tokenize returns

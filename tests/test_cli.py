@@ -463,6 +463,16 @@ def test_load_errors_are_reported(capsys, tmp_path):
     assert "error:" in err
 
 
+def test_unreadable_files_are_named_by_their_normal_paths(capsys, tmp_path):
+    given, named = f"{tmp_path}/.//missing.catb", tmp_path / "missing.catb"
+    missing = f"[Errno 2] No such file or directory: '{named}'"
+    assert run(capsys, "validate", given) == (1, "", f"error: {missing}\n")
+    assert run(capsys, "validate", "--prelude", given) == (
+        1, "", f"error: prelude: {missing}\n")
+    assert run(capsys, "validate", f"{tmp_path}/./") == (
+        1, "", f"error: [Errno 21] Is a directory: '{tmp_path}'\n")
+
+
 def test_model_that_is_not_utf8_is_a_positioned_diagnostic(capsys, tmp_path):
     model = tmp_path / "bad.catb"
     model.write_bytes(b"group A = Z;\n\xff\xfe bad\n")
@@ -634,6 +644,22 @@ def test_usage_errors_exit_one(capsys):
     assert main(["bound", "--target", "Z", "--family", "Am",
                  "x.catb", "extra"]) == 1
     _, err = capsys.readouterr().out, capsys.readouterr().err
+    # each message as the top-level parser words it, whether or not the
+    # first argument names a subcommand
+    choices = "'bound', 'tc', 'develop', 'check-curvature', 'certify', 'validate'"
+    for argv, message in (
+            ((), "catbound: the following arguments are required: command"),
+            (("frobnicate",), "catbound: argument command: invalid choice: "
+                              f"'frobnicate' (choose from {choices})"),
+            (("--format", "json", "bound", "--target", "Z"),
+             f"catbound: argument command: invalid choice: 'json' (choose from {choices})"),
+            (("bound",), "catbound bound: the following arguments are required: --target"),
+            (("bound", "--target", "Z", "--bogus"), "unrecognized arguments: --bogus"),
+            (("tc", "--target", "Z", "--family", "Am"),
+             "unrecognized arguments: --family"),
+            (("bound", "--target", "Z", "--family", "Am", "x.catb", "extra"),
+             "unrecognized arguments: extra")):
+        assert run(capsys, *argv) == (1, "", f"error: {message}\n"), argv
 
 
 def test_shared_parser_keeps_no_state(capsys):
@@ -695,7 +721,7 @@ def run_recording_reads(capsys, monkeypatch, argv):
                 reads.add(name)
             return super().__getattribute__(name)
 
-    parser = cli._build_parser()
+    parser = cli._build_parser().commands[argv[0]]
     parse = parser.parse_known_args
 
     def parse_into_recorder(args):

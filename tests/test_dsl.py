@@ -174,6 +174,9 @@ def test_parse_positions_in_errors():
             ("branched B { n = 4; d = 1000000000; piece = Z; wall = Z; "
              "core = One; }", "1:25",
              "number of copies exceeds the limit of 10000"),
+            # a cyclic group's table has order² entries
+            ("group C = cyclic(4294967296);", "1:18",
+             "cyclic order exceeds the limit of 1000"),
             # the parser recurses once per parenthesis
             ("group A = " + "(" * 400 + "Z" + ")" * 400 + ";", "1:111",
              "parenthesis depth exceeds the limit of 100")):
@@ -181,6 +184,62 @@ def test_parse_positions_in_errors():
             parse(text)
         assert [(d.loc, d.message) for d in info.value.diagnostics] == [
             (loc, message)], text
+
+
+def test_product_orders_are_bounded_before_building(monkeypatch, capsys, tmp_path):
+    def unbuilt(factors):
+        raise AssertionError("a product over the order limit was built")
+
+    monkeypatch.setattr(dsl, "product_group", unbuilt)
+    text = "group A = cyclic(40);\ngroup P = product(A, A);\n"
+    _, diags = load_text(text, load_prelude())
+    assert [str(d) for d in diags] == [
+        "2:1: product order 1600 exceeds the limit of 1000"]
+    model = tmp_path / "big.catb"
+    model.write_text(text, encoding="utf-8")
+    assert main(["validate", str(model)]) == 1
+    assert capsys.readouterr() == (
+        "", f"{model}:2:1: product order 1600 exceeds the limit of 1000\n")
+    # the limit itself is allowed
+    assert parse("group C = cyclic(1000);").decls[0].rhs.order == dsl.ORDER_LIMIT
+
+
+def test_alternating_preludes_are_each_built_once(monkeypatch, tmp_path):
+    custom = tmp_path / "prelude.catb"
+    custom.write_text(dsl.prelude_path().read_text(encoding="utf-8")
+                      + "group Extra;\n", encoding="utf-8")
+    built = []
+    build = dsl.build_universe
+
+    def counted(model, base=None):
+        built.append(base)
+        return build(model, base)
+
+    dsl._validated_prelude.cache_clear()
+    monkeypatch.setattr(dsl, "build_universe", counted)
+    for i in range(200):
+        u = load_prelude(custom if i % 2 else None)
+        assert ("Extra" in u.sheets) == bool(i % 2)
+    assert built == [None, None]
+
+
+def test_round_trip_holds_after_evaluation(fixture_texts):
+    # the engine computes the keys of the expressions it bounds, on the
+    # parsed objects themselves; equality compares the fields alone
+    keyed = 0
+    for name, text in fixture_texts.items():
+        m = parse(serialize(parse(text)))
+        u, diags = dsl.build_universe(m, load_prelude())
+        assert not diags, name
+        ev = Evaluator(u)
+        for d in m.decls:
+            if isinstance(d, dsl._GROUP_DECLS):
+                ev.bound_cat(Ref(d.name), u.families["Am"])
+                ev.bound_gd(Ref(d.name))
+        keyed += sum("key" in vars(g) for d in m.decls
+                     if isinstance(d, dsl.AmalgamDecl) for g in (d.left, d.right))
+        assert parse(serialize(m)) == m, name
+    assert keyed
 
 
 def test_parse_reserved_names_rejected():

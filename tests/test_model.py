@@ -200,6 +200,24 @@ def test_expr_key_is_injective_on_structure(e1, e2):
     assert (expr_key(e1) == expr_key(e2)) == (e1 == e2)
 
 
+def rebuilt(e):
+    'An equal expression of new objects, none of which has computed its key.'
+    if isinstance(e, (DirectProduct, FreeProduct)):
+        return type(e)(tuple(rebuilt(f) for f in e.factors))
+    return Ref(e.name) if isinstance(e, Ref) else TrivialGroup()
+
+
+@given(exprs(), exprs())
+def test_a_computed_key_leaves_equality_and_hashing_alone(e1, e2):
+    keyed, fresh = rebuilt(e1), rebuilt(e1)
+    key = expr_key(keyed)
+    assert "key" not in vars(fresh)
+    assert keyed == fresh and fresh == keyed and hash(keyed) == hash(fresh)
+    assert {keyed: key}[fresh] == key
+    assert (keyed == e2) == (fresh == e2) == (e1 == e2)
+    assert expr_key(fresh) == key and fresh == keyed
+
+
 # -- universe resolution --------------------------------------------------
 
 
