@@ -796,7 +796,6 @@ class _Parser:
         core_embeds: Optional[str] = None
         while not self.eat("op", "}"):
             t = self.expect("name", what="'assume' or 'embed'")
-            at = self.pos
             if t == "assume":
                 which = self.expect("name",
                                     what="'pi1_injective' or 'intersection'")
@@ -805,8 +804,9 @@ class _Parser:
                 elif which == "intersection":
                     assume_intersection = True
                 else:
-                    raise _Syntax(self.toks.loc(at), f"cannot assume {which!r}")
+                    raise _Syntax(self.last_loc(), f"cannot assume {which!r}")
             elif t == "embed":
+                at = self.pos
                 which = self.expect("name", what="'wall' or 'core'")
                 self.expect("op", "=")
                 if which == "wall":
@@ -816,8 +816,7 @@ class _Parser:
                 else:
                     raise _Syntax(self.toks.loc(at), f"cannot embed {which!r}")
             else:
-                raise _Syntax(self.toks.loc(at - 1),
-                              f"unexpected {t!r} in branched block")
+                raise _Syntax(self.last_loc(), f"unexpected {t!r} in branched block")
             self.semicolon()
         return BranchedSetup(name, n, d, piece, wall, core, assume_pi1,
                              assume_intersection, wall_embeds, core_embeds, loc)
@@ -1051,10 +1050,10 @@ def build_universe(model: SourceModel,
     only what cannot be registered without building (a bad table, a
     product factor or hom group that is not concrete, a product whose
     order exceeds ORDER_LIMIT, cyclic(0), a hom whose images do not
-    extend); setups and all else are registered as
-    parsed.  The copy keeps `base`'s snapshot of its nearest validated
-    ancestor, so validate checks only the declared names when they add
-    to `base`, and everything when one replaces or drops a name of it.
+    extend); setups and all else are registered as parsed.  The copy
+    keeps `base`'s snapshot of its nearest validated ancestor, so
+    validate checks only the declared names when they add to `base`,
+    and everything when one replaces or drops a name of it.
     A universe with diagnostics should not be evaluated.
     """
     u = base.overlay() if base is not None else Universe()
