@@ -23,85 +23,110 @@ declarations (certify_gluing).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
 
 from .engine import DerivationNode, Evaluator, _leaf, _rec_base, _rec_sum
-from .extnat import ExtNat
+from .extnat import ExtNat, MutableRecord, Record, _set
 from .facts import AM
 from .model import (Diagnostic, Edge, GraphOfGroups, GroupExpr,
                     PolygonOfGroups, Ref, Universe, expr_key, expr_refs,
                     polygon_charts)
 
 
-@dataclass(frozen=True)
-class BoundaryComponent:
-    id: str
-    group: GroupExpr
-    pi1_injective: bool
-    cat_space: Optional[ExtNat] = None
+class BoundaryComponent(Record):
+    __slots__ = ("id", "group", "pi1_injective", "cat_space")
+
+    def __init__(self, id: str, group: GroupExpr, pi1_injective: bool,
+                 cat_space: Optional[ExtNat] = None) -> None:
+        _set(self, "id", id)
+        _set(self, "group", group)
+        _set(self, "pi1_injective", pi1_injective)
+        _set(self, "cat_space", cat_space)
 
 
-@dataclass(frozen=True)
-class Piece:
-    id: str
-    group: GroupExpr
-    cat_space: Optional[ExtNat] = None
-    boundaries: Tuple[BoundaryComponent, ...] = ()
+class Piece(Record):
+    __slots__ = ("id", "group", "cat_space", "boundaries")
+
+    def __init__(self, id: str, group: GroupExpr, cat_space: Optional[ExtNat] = None,
+                 boundaries: Tuple[BoundaryComponent, ...] = ()) -> None:
+        _set(self, "id", id)
+        _set(self, "group", group)
+        _set(self, "cat_space", cat_space)
+        _set(self, "boundaries", boundaries)
 
 
 Pairing = Tuple[Tuple[str, str], Tuple[str, str]]
 
 
-@dataclass(frozen=True)
-class GluingSetup:
-    name: str
-    n: int
-    pieces: Tuple[Piece, ...]
-    pairings: Tuple[Pairing, ...]
-    connected: bool
-    loc: str = field(compare=False, default="")
+class GluingSetup(Record):
+    __slots__ = ("name", "n", "pieces", "pairings", "connected", "loc")
+    _uncompared = ("loc",)
+
+    def __init__(self, name: str, n: int, pieces: Tuple[Piece, ...],
+                 pairings: Tuple[Pairing, ...], connected: bool, loc: str = "") -> None:
+        _set(self, "name", name)
+        _set(self, "n", n)
+        _set(self, "pieces", pieces)
+        _set(self, "pairings", pairings)
+        _set(self, "connected", connected)
+        _set(self, "loc", loc)
 
 
-@dataclass(frozen=True)
-class DoubleSetup:
-    name: str
-    n: int
-    piece: Piece
-    loc: str = field(compare=False, default="")
+class DoubleSetup(Record):
+    __slots__ = ("name", "n", "piece", "loc")
+    _uncompared = ("loc",)
+
+    def __init__(self, name: str, n: int, piece: Piece, loc: str = "") -> None:
+        _set(self, "name", name)
+        _set(self, "n", n)
+        _set(self, "piece", piece)
+        _set(self, "loc", loc)
 
 
-@dataclass(frozen=True)
-class BranchedSetup:
-    name: str
-    n: int
-    d: int
-    piece: GroupExpr
-    wall: GroupExpr
-    core: GroupExpr
-    assume_pi1: bool
-    assume_intersection: bool
-    wall_embeds: Optional[Tuple[str, str]] = None
-    core_embeds: Optional[str] = None
-    loc: str = field(compare=False, default="")
+class BranchedSetup(Record):
+    __slots__ = ("name", "n", "d", "piece", "wall", "core", "assume_pi1",
+                 "assume_intersection", "wall_embeds", "core_embeds", "loc")
+    _uncompared = ("loc",)
+
+    def __init__(self, name: str, n: int, d: int, piece: GroupExpr, wall: GroupExpr,
+                 core: GroupExpr, assume_pi1: bool, assume_intersection: bool,
+                 wall_embeds: Optional[Tuple[str, str]] = None,
+                 core_embeds: Optional[str] = None, loc: str = "") -> None:
+        _set(self, "name", name)
+        _set(self, "n", n)
+        _set(self, "d", d)
+        _set(self, "piece", piece)
+        _set(self, "wall", wall)
+        _set(self, "core", core)
+        _set(self, "assume_pi1", assume_pi1)
+        _set(self, "assume_intersection", assume_intersection)
+        _set(self, "wall_embeds", wall_embeds)
+        _set(self, "core_embeds", core_embeds)
+        _set(self, "loc", loc)
 
 
-@dataclass
-class LedgerItem:
-    item: str
-    status: str                 # verified | asserted | failed
-    detail: str = ""
+class LedgerItem(MutableRecord):
+    __slots__ = ("item", "status", "detail")
+
+    def __init__(self, item: str, status: str, detail: str = "") -> None:
+        self.item = item
+        self.status = status        # verified | asserted | failed
+        self.detail = detail
 
     def to_json(self) -> dict:
         return {"item": self.item, "status": self.status, "detail": self.detail}
 
 
-@dataclass
-class Certificate:
-    conclusion: str             # volume_vanishes | cat_bound | inconclusive
-    value: Optional[ExtNat]
-    ledger: List[LedgerItem] = field(default_factory=list)
-    trace: Optional[DerivationNode] = None
+class Certificate(MutableRecord):
+    __slots__ = ("conclusion", "value", "ledger", "trace")
+
+    def __init__(self, conclusion: str, value: Optional[ExtNat],
+                 ledger: Optional[List[LedgerItem]] = None,
+                 trace: Optional[DerivationNode] = None) -> None:
+        self.conclusion = conclusion    # volume_vanishes | cat_bound | inconclusive
+        self.value = value
+        self.ledger = [] if ledger is None else ledger
+        self.trace = trace
 
     def failed_items(self) -> List[LedgerItem]:
         return [x for x in self.ledger if x.status == "failed"]

@@ -20,12 +20,12 @@ nothing is `error: unresolved target: unresolved group name 'X'`.
 
 Repeated main() calls in one process share what does not depend on the
 query: the parsers are built once, the top-level one with one parser per
-subcommand, and a call whose first argument names a subcommand is parsed
-by that subcommand's parser alone (any other argv goes through the
-top-level parser, which reports what is wrong with it).  The last few
-prelude texts are each parsed and validated once (dsl.load_prelude
-still reads the file on every call and hands each call a fresh overlay
-of the kept universe).
+subcommand, which gets its arguments when first used, and a call whose
+first argument names a subcommand is parsed by that subcommand's parser
+alone (any other argv goes through the top-level parser, which reports
+what is wrong with it).  The last few prelude texts are each parsed and
+validated once (dsl.load_prelude still reads the file on every call and
+hands each call a fresh overlay of the kept universe).
 
 Exit codes: 0 result established, 2 inconclusive (no finite bound, or
 certificate hypotheses not established), 1 errors and diagnostics.  An
@@ -54,7 +54,6 @@ table (`"trace": {"nodes": [...], "root": k}`).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import os
 import sys
@@ -67,7 +66,7 @@ from typing import Dict, List, Optional, Tuple
 
 from . import apps, develop, dsl
 from .engine import DerivationNode, Evaluator
-from .extnat import ExtNat
+from .extnat import ExtNat, replace
 from .facts import Family
 from .model import Diagnostic, Ref, Universe
 
@@ -79,79 +78,117 @@ class CliError(Exception):
 class _Parser(argparse.ArgumentParser):
     'Usage problems are tool errors (exit 1), never inconclusive (2).'
 
-    commands: Dict[str, argparse.ArgumentParser]     # set on the top-level one
+    commands: "_Commands"       # set on the top-level one
 
     def error(self, message: str) -> None:  # type: ignore[override]
         raise CliError(f"{self.prog}: {message}")
 
 
-@functools.lru_cache(maxsize=None)
-def _build_parser() -> _Parser:
-    """Built on the first call and shared: parsing leaves it unchanged.
-    Its `commands` maps each subcommand name to that subcommand's parser."""
-    top = _Parser(
-        prog="catbound",
-        description="certified upper bounds for category-type invariants "
-                    "of combinatorially described groups")
-    sub = top.add_subparsers(dest="command", required=True,
-                             parser_class=_Parser)
+class _Commands(dict):
+    """Subcommand name -> its parser.  A parser gets its arguments the
+    first time it is looked up: by main(), or by the top-level parser
+    before that parser hands it the rest of argv."""
 
-    def common(p: argparse.ArgumentParser, file_arg: bool = True) -> None:
-        if file_arg:
-            p.add_argument("file", nargs="?",
-                           help=".catb model file (prelude only if omitted)")
-        p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--prelude", default=None, metavar="PATH",
-                       help="replace the standard prelude")
+    def __init__(self, parsers: Dict[str, _Parser]) -> None:
+        super().__init__(parsers)
+        self.unfilled = set(parsers)
 
-    def plus_one(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--plus-one", action="store_true", dest="plus_one",
-                       help="print finite values shifted up by one")
+    def __getitem__(self, name: str) -> _Parser:
+        parser = super().__getitem__(name)
+        if name in self.unfilled:
+            self.unfilled.discard(name)
+            _SUBCOMMANDS[name][1](parser)
+        return parser
 
-    p = sub.add_parser("bound", help="category / dimension upper bound")
+    def get(self, name: str, default=None):
+        return self[name] if name in self else default
+
+
+def _common(p: argparse.ArgumentParser, file_arg: bool = True) -> None:
+    if file_arg:
+        p.add_argument("file", nargs="?",
+                       help=".catb model file (prelude only if omitted)")
+    p.add_argument("--format", choices=("text", "json"), default="text")
+    p.add_argument("--prelude", default=None, metavar="PATH",
+                   help="replace the standard prelude")
+
+
+def _plus_one(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--plus-one", action="store_true", dest="plus_one",
+                   help="print finite values shifted up by one")
+
+
+def _bound_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--target", required=True, help="group name")
     p.add_argument("--invariant", choices=("cat", "gd", "cd"), default="cat")
     p.add_argument("--family", default=None,
                    help="family name for cat (case-insensitive)")
-    common(p)
-    plus_one(p)
+    _common(p)
+    _plus_one(p)
 
+
+def _tc_args(p: argparse.ArgumentParser) -> None:
     # bound's handler serves tc too, as the invariant "tc" with no family
-    p = sub.add_parser("tc", help="topological complexity upper bound")
     p.add_argument("--target", required=True, help="group name")
-    common(p)
-    plus_one(p)
+    _common(p)
+    _plus_one(p)
     p.set_defaults(invariant="tc", family=None)
 
-    p = sub.add_parser("develop", help="finite ball of the dual development")
+
+def _develop_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--target", required=True,
                    help="graph-of-groups or polygon name")
     p.add_argument("--radius", type=int, default=None,
                    help="ball radius (default 2 for a graph of groups, "
                         "1 for a polygon)")
-    common(p)
+    _common(p)
 
-    p = sub.add_parser("check-curvature",
-                       help="vertex link condition of a polygon")
+
+def _curvature_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--target", required=True, help="polygon name")
-    common(p)
+    _common(p)
 
+
+def _certify_args(p: argparse.ArgumentParser) -> None:
     # one free-form positional list: an optional setup kind and an
     # optional file, in either order around the flags (argparse cannot
     # fill two optional positionals split by options)
-    p = sub.add_parser("certify", help="vanishing certificate for a setup")
     p.add_argument("words", nargs="*", metavar="[kind] [file]",
                    help="optional setup kind (gluing, double, branched) "
                         "and .catb model file")
     p.add_argument("--target", required=True, help="setup name")
     p.add_argument("--d", type=int, default=None,
                    help="override the copy count of a branched setup")
-    common(p, file_arg=False)
+    _common(p, file_arg=False)
 
-    p = sub.add_parser("validate", help="load a model and report diagnostics")
-    common(p)
 
-    top.commands = sub.choices
+# each subcommand's help line and the function that adds its arguments
+_SUBCOMMANDS = {
+    "bound": ("category / dimension upper bound", _bound_args),
+    "tc": ("topological complexity upper bound", _tc_args),
+    "develop": ("finite ball of the dual development", _develop_args),
+    "check-curvature": ("vertex link condition of a polygon", _curvature_args),
+    "certify": ("vanishing certificate for a setup", _certify_args),
+    "validate": ("load a model and report diagnostics", _common),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _build_parser() -> _Parser:
+    """Built on the first call and shared: parsing leaves it unchanged.
+    Its `commands` maps each subcommand name to that subcommand's
+    parser, which gets its arguments when first looked up."""
+    top = _Parser(
+        prog="catbound",
+        description="certified upper bounds for category-type invariants "
+                    "of combinatorially described groups")
+    sub = top.add_subparsers(dest="command", required=True,
+                             parser_class=_Parser)
+    for name, (help_line, _) in _SUBCOMMANDS.items():
+        sub.add_parser(name, help=help_line)
+    # the subcommand action looks each parser up in this map, also
+    # shown as its choices
+    top.commands = sub.choices = sub._name_parser_map = _Commands(sub.choices)
     return top
 
 
@@ -167,19 +204,11 @@ def _read_model(args) -> Tuple[Optional[Universe], List[Diagnostic]]:
     if args.file is None:
         return base, []
     try:
-        with open(args.file, "rb") as fh:
-            data = fh.read()
+        text = dsl.read_catb(Path(args.file))      # an error names the path as Path does
     except OSError as exc:
-        if exc.filename is not None:    # named as pathlib names it
-            exc.filename = str(Path(args.file))
         raise CliError(str(exc))
-    # the newline translation of reading in text mode; no byte of a
-    # multi-byte UTF-8 sequence is a \r or \n
-    data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    try:
-        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        return None, [_not_utf8(data, exc.start)]
+        return None, [_not_utf8(exc.object, exc.start)]
     return dsl.load_text(text, base)
 
 
@@ -437,7 +466,7 @@ def _cmd_certify(args) -> int:
         if args.d > dsl.SIZE_LIMIT:
             raise CliError(f"--d: number of copies exceeds the limit of "
                            f"{dsl.SIZE_LIMIT}")
-        setup = dataclasses.replace(setup, d=args.d)
+        setup = replace(setup, d=args.d)
     try:
         if kind == "gluing":
             cert = apps.certify_gluing(u, setup)

@@ -22,9 +22,9 @@ Scope restrictions (deliberate, desk scale):
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Set, Tuple
 
+from .extnat import MutableRecord, Record, _set
 from .model import (ConcreteFiniteGroup, GraphOfGroups, Homomorphism,
                     PolygonCharts, PolygonOfGroups, Ref, Universe,
                     edge_injections, polygon_charts)
@@ -154,26 +154,34 @@ class AmalgamContext:
 
 # -- development balls ----------------------------------------------------
 
-@dataclass
-class BallCell:
-    id: int
-    dim: int
-    kind: str                     # vertex-left/vertex-right/edge for trees;
-                                  # vertex/edge/face for polygons
-    level: int
-    stab_order: int
-    stabilizer: Optional[FrozenSet] = None
-    incident: Tuple[int, ...] = ()
-    chart: Optional[int] = None   # polygon cells: vertex chart owning the
-                                  # stabilizer coordinates
+class BallCell(MutableRecord):
+    __slots__ = ("id", "dim", "kind", "level", "stab_order", "stabilizer", "incident",
+                 "chart")
+
+    def __init__(self, id: int, dim: int, kind: str, level: int, stab_order: int,
+                 stabilizer: Optional[FrozenSet] = None, incident: Tuple[int, ...] = (),
+                 chart: Optional[int] = None) -> None:
+        self.id = id
+        self.dim = dim
+        self.kind = kind        # vertex-left/vertex-right/edge for trees;
+                                # vertex/edge/face for polygons
+        self.level = level
+        self.stab_order = stab_order
+        self.stabilizer = stabilizer
+        self.incident = incident
+        self.chart = chart      # polygon cells: vertex chart owning the
+                                # stabilizer coordinates
 
 
-@dataclass
-class DevelopmentBall:
-    name: str
-    radius: int
-    cells: List[BallCell] = field(default_factory=list)
-    complete: bool = True
+class DevelopmentBall(MutableRecord):
+    __slots__ = ("name", "radius", "cells", "complete")
+
+    def __init__(self, name: str, radius: int, cells: Optional[List[BallCell]] = None,
+                 complete: bool = True) -> None:
+        self.name = name
+        self.radius = radius
+        self.cells = [] if cells is None else cells
+        self.complete = complete
 
     def of_dim(self, d: int) -> List[BallCell]:
         return [c for c in self.cells if c.dim == d]
@@ -374,12 +382,15 @@ def _cosets_within(g: ConcreteFiniteGroup, ambient, sub: FrozenSet[int]
 
 # -- the link condition ---------------------------------------------------
 
-@dataclass(frozen=True)
-class CurvatureReport:
-    holds: bool
-    vertex: Optional[int] = None
-    witness: Optional[Tuple[int, ...]] = None
-    detail: str = ""
+class CurvatureReport(Record):
+    __slots__ = ("holds", "vertex", "witness", "detail")
+
+    def __init__(self, holds: bool, vertex: Optional[int] = None,
+                 witness: Optional[Tuple[int, ...]] = None, detail: str = "") -> None:
+        _set(self, "holds", holds)
+        _set(self, "vertex", vertex)
+        _set(self, "witness", witness)
+        _set(self, "detail", detail)
 
 
 def check_curvature(u: Universe, p: PolygonOfGroups) -> CurvatureReport:
@@ -400,11 +411,13 @@ def check_curvature(u: Universe, p: PolygonOfGroups) -> CurvatureReport:
 
 # -- stabilizer bookkeeping -----------------------------------------------
 
-@dataclass
-class StabilizerReport:
-    ok: bool
-    problems: List[str]
-    orders: Dict[str, List[int]]
+class StabilizerReport(MutableRecord):
+    __slots__ = ("ok", "problems", "orders")
+
+    def __init__(self, ok: bool, problems: List[str], orders: Dict[str, List[int]]) -> None:
+        self.ok = ok
+        self.problems = problems
+        self.orders = orders
 
 
 def verify_stabilizers(ball: DevelopmentBall) -> StabilizerReport:

@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
 from typing import (Callable, Dict, Iterator, List, Optional, Tuple, TypeVar,
@@ -54,7 +53,7 @@ from typing import (Callable, Dict, Iterator, List, Optional, Tuple, TypeVar,
 
 from .apps import (BoundaryComponent, BranchedSetup, DoubleSetup, GluingSetup,
                    Pairing, Piece)
-from .extnat import FINITE_MAX, INF, ExtNat
+from .extnat import FINITE_MAX, INF, ExtNat, Record, _set
 from .facts import FactSheet, Family, FamilyKind, Tri, builtin_families
 from .model import (Diagnostic, DirectProduct, Edge, FreeProduct,
                     GcwDescription, GraphOfGroups, GroupExpr, PolygonOfGroups,
@@ -205,58 +204,79 @@ def tokenize(text: str) -> Tokens:
 
 # -- declarations ---------------------------------------------------------
 
-@dataclass(frozen=True)
-class FactEntry:
-    kind: str                       # bound | cat | flag | member
-    slot: str                       # gd/cd/tc, family name, or flag name
-    value: Optional[ExtNat] = None
-    tri: Optional[str] = None       # yes | no | unknown
-    by: Optional[str] = None
+class FactEntry(Record):
+    __slots__ = ("kind", "slot", "value", "tri", "by")
+
+    def __init__(self, kind: str, slot: str, value: Optional[ExtNat] = None,
+                 tri: Optional[str] = None, by: Optional[str] = None) -> None:
+        _set(self, "kind", kind)    # bound | cat | flag | member
+        _set(self, "slot", slot)    # gd/cd/tc, family name, or flag name
+        _set(self, "value", value)
+        _set(self, "tri", tri)      # yes | no | unknown
+        _set(self, "by", by)
 
 
-@dataclass(frozen=True)
-class CyclicCtor:
-    order: int
+class CyclicCtor(Record):
+    __slots__ = ("order",)
+
+    def __init__(self, order: int) -> None:
+        _set(self, "order", order)
 
 
-@dataclass(frozen=True)
-class ProductCtor:
-    factors: Tuple[str, ...]
+class ProductCtor(Record):
+    __slots__ = ("factors",)
+
+    def __init__(self, factors: Tuple[str, ...]) -> None:
+        _set(self, "factors", factors)
 
 
-@dataclass(frozen=True)
-class TableCtor:
-    rows: Tuple[Tuple[int, ...], ...]
+class TableCtor(Record):
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: Tuple[Tuple[int, ...], ...]) -> None:
+        _set(self, "rows", rows)
 
 
 GroupRhs = Union[GroupExpr, CyclicCtor, ProductCtor, TableCtor, None]
 
 
-@dataclass(frozen=True)
-class GroupDecl:
-    name: str
-    rhs: GroupRhs
-    facts: Tuple[FactEntry, ...]
-    loc: str = field(compare=False, default="")
+class GroupDecl(Record):
+    __slots__ = ("name", "rhs", "facts", "loc")
+    _uncompared = ("loc",)
+
+    def __init__(self, name: str, rhs: GroupRhs, facts: Tuple[FactEntry, ...],
+                 loc: str = "") -> None:
+        _set(self, "name", name)
+        _set(self, "rhs", rhs)
+        _set(self, "facts", facts)
+        _set(self, "loc", loc)
 
 
-@dataclass(frozen=True)
-class AmalgamDecl:
-    name: str
-    left: GroupExpr
-    edge: GroupExpr
-    right: GroupExpr
-    maps: Optional[Tuple[str, str]]
-    loc: str = field(compare=False, default="")
+class AmalgamDecl(Record):
+    __slots__ = ("name", "left", "edge", "right", "maps", "loc")
+    _uncompared = ("loc",)
+
+    def __init__(self, name: str, left: GroupExpr, edge: GroupExpr, right: GroupExpr,
+                 maps: Optional[Tuple[str, str]], loc: str = "") -> None:
+        _set(self, "name", name)
+        _set(self, "left", left)
+        _set(self, "edge", edge)
+        _set(self, "right", right)
+        _set(self, "maps", maps)
+        _set(self, "loc", loc)
 
 
-@dataclass(frozen=True)
-class HomDecl:
-    name: str
-    source: str
-    target: str
-    pairs: Tuple[Tuple[int, int], ...]
-    loc: str = field(compare=False, default="")
+class HomDecl(Record):
+    __slots__ = ("name", "source", "target", "pairs", "loc")
+    _uncompared = ("loc",)
+
+    def __init__(self, name: str, source: str, target: str,
+                 pairs: Tuple[Tuple[int, int], ...], loc: str = "") -> None:
+        _set(self, "name", name)
+        _set(self, "source", source)
+        _set(self, "target", target)
+        _set(self, "pairs", pairs)
+        _set(self, "loc", loc)
 
 
 Decl = Union[GroupDecl, AmalgamDecl, HomDecl, Family, GraphOfGroups,
@@ -271,10 +291,13 @@ _TABLES = {Family: "families", GraphOfGroups: "graphs", PolygonOfGroups: "polygo
            BranchedSetup: "setups"}
 
 
-@dataclass(frozen=True)
-class SourceModel:
+class SourceModel(Record):
     'The declarations of one file, in file order; see the module docstring.'
-    decls: Tuple[Decl, ...]
+
+    __slots__ = ("decls",)
+
+    def __init__(self, decls: Tuple[Decl, ...]) -> None:
+        _set(self, "decls", decls)
 
 
 class ParseFailure(Exception):
@@ -1152,10 +1175,20 @@ def prelude_path() -> Path:
     return _PRELUDE_PATH
 
 
+def read_catb(path: Path) -> str:
+    """The text of a .catb file, as text mode reads it: the bytes with
+    each \\r\\n or lone \\r as \\n, decoded as UTF-8.  Raises OSError, and
+    UnicodeDecodeError over the translated bytes."""
+    with open(path, "rb", buffering=0) as fh:
+        data = fh.read()
+    # no byte of a multi-byte UTF-8 sequence is a \r or \n
+    return data.replace(b"\r\n", b"\n").replace(b"\r", b"\n").decode("utf-8")
+
+
 def load_prelude(path: Optional[Path] = None) -> Universe:
     """The prelude at `path` (the standard one by default) as a new universe.
 
-    The file is read on every call, so an edit or another path takes
+    The file is read with read_catb() on every call, so an edit or another path takes
     effect at once.  A prelude text is parsed, built and validated once
     per file: the last KEPT_PRELUDES (path, text) pairs that loaded
     cleanly are kept, each with its universe, so a process that switches
@@ -1169,9 +1202,7 @@ def load_prelude(path: Optional[Path] = None) -> Universe:
     has problems; a prelude with problems is not kept.
     """
     p = path if path is not None else prelude_path()
-    with open(p, encoding="utf-8") as fh:
-        text = fh.read()
-    return _validated_prelude(p, text).overlay()
+    return _validated_prelude(p, read_catb(p)).overlay()
 
 
 @lru_cache(maxsize=KEPT_PRELUDES)

@@ -16,8 +16,8 @@ True
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError
-from typing import Iterable, Optional, Union
+from operator import attrgetter
+from typing import Iterable, Optional, Tuple, Union
 
 FINITE_MAX = 2**32 - 1
 
@@ -25,11 +25,29 @@ _set = object.__setattr__
 _new = object.__new__
 
 
+class FrozenInstanceError(AttributeError):
+    'Raised on assigning to, or deleting, a field of a frozen record.'
+
+
 class _Frozen:
-    """Fields in __slots__ that cannot be reassigned, with the repr, copy
-    and pickle behaviour of a frozen dataclass."""
+    """Fields in __slots__ that cannot be reassigned: __init__ sets them
+    with object.__setattr__, and any later assignment or deletion raises
+    FrozenInstanceError.
+
+    `_fields` names the arguments of __init__, in order.  It defaults to
+    the class's own __slots__; a class that keeps more in its slots (a
+    computed key, a verification mark) lists its arguments itself.  The
+    repr shows `_fields`, dataclass style.  A copy or an unpickled record
+    gets every slot back as it was, without running __init__.  Equality
+    is identity; Record compares fields."""
 
     __slots__ = ()
+    _fields: Tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        if "_fields" not in cls.__dict__:
+            cls._fields = cls.__dict__.get("__slots__", ())
 
     def __setattr__(self, name: str, value) -> None:
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -38,11 +56,68 @@ class _Frozen:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
-        return type(self), tuple(getattr(self, f) for f in self.__slots__)
+        cls = type(self)
+        return _rebuild, (cls, tuple(getattr(self, f) for f in cls.__slots__))
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
         return f"{type(self).__qualname__}({fields})"
+
+
+def _rebuild(cls, values: tuple):
+    'A record of class `cls` with its __slots__ set to `values`; __init__ does not run.'
+    out = _new(cls)
+    for name, value in zip(cls.__slots__, values):
+        _set(out, name, value)
+    return out
+
+
+class Record(_Frozen):
+    """A frozen record equal to another of its class whose fields are
+    equal, and hashed by them.  The fields in `_uncompared` (where a
+    declaration stands) take no part."""
+
+    __slots__ = ()
+    _uncompared: Tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        compared = [f for f in cls._fields if f not in cls._uncompared]
+        if len(compared) == 1:
+            get = attrgetter(compared[0])
+            cls._values = staticmethod(lambda r: (get(r),))
+        elif compared:
+            cls._values = staticmethod(attrgetter(*compared))
+        else:
+            cls._values = staticmethod(lambda r: ())
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is self.__class__:
+            values = self._values
+            return values(self) == values(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+
+class MutableRecord(Record):
+    'A Record whose fields may be reassigned; like a mutable dataclass, it has no hash.'
+
+    __slots__ = ()
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None     # type: ignore[assignment]
+
+
+def replace(record, **changes):
+    """A new record of the same class, with `changes` for some arguments
+    of its __init__ and the record's own values for the others.  What
+    __init__ does not take (a verification mark) starts afresh."""
+    for name in record._fields:
+        if name not in changes:
+            changes[name] = getattr(record, name)
+    return type(record)(**changes)
 
 
 class ExtNat(_Frozen):

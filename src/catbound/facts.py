@@ -35,11 +35,10 @@ provably_*(u, e) ask a fresh memo, so each call stands alone.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
 from math import inf, prod
 from typing import Dict, List, Optional, Tuple
 
-from .extnat import INF, ZERO, ExtNat
+from .extnat import INF, ZERO, ExtNat, MutableRecord, Record, _set, replace
 from .model import (TRIVIAL, Diagnostic, FreeProduct, GcwDescription, GroupExpr,
                     Universe, expr_key)
 
@@ -57,8 +56,7 @@ class FamilyKind(enum.Enum):
     CUSTOM = "custom"
 
 
-@dataclass(frozen=True)
-class Family:
+class Family(Record):
     """A conjugation- and subgroup-closed predicate on subgroups.
 
     Custom families may carry a flag oracle: a conjunction of required
@@ -66,10 +64,15 @@ class Family:
     from per-atom assertions on fact sheets.
     """
 
-    name: str
-    kind: FamilyKind
-    requires: Tuple[Tuple[str, Tri], ...] = ()
-    loc: str = field(compare=False, default="")
+    __slots__ = ("name", "kind", "requires", "loc")
+    _uncompared = ("loc",)
+
+    def __init__(self, name: str, kind: FamilyKind,
+                 requires: Tuple[Tuple[str, Tri], ...] = (), loc: str = "") -> None:
+        _set(self, "name", name)
+        _set(self, "kind", kind)
+        _set(self, "requires", requires)
+        _set(self, "loc", loc)
 
 
 TR = Family("Tr", FamilyKind.TRIVIAL)
@@ -81,21 +84,30 @@ def builtin_families() -> Dict[str, Family]:
     return {f.name: f for f in (TR, FIN, AM)}
 
 
-@dataclass
-class FactSheet:
-    'Declared knowledge about one named atom.  Mutated only during load.'
+class FactSheet(MutableRecord):
+    """Declared knowledge about one named atom.  Mutated only during load.
+    Each sheet gets its own dicts where none are given."""
 
-    name: str
-    gd_ub: ExtNat = INF
-    cd_ub: ExtNat = INF
-    tc_ub: ExtNat = INF
-    cat_ub: Dict[str, ExtNat] = field(default_factory=dict)
-    amenable: Tri = Tri.UNKNOWN
-    finite: Tri = Tri.UNKNOWN
-    trivial: bool = False
-    member: Dict[str, Tri] = field(default_factory=dict)
-    provenance: Dict[str, str] = field(default_factory=dict)
-    loc: str = field(compare=False, default="")    # of the declaration
+    __slots__ = ("name", "gd_ub", "cd_ub", "tc_ub", "cat_ub", "amenable", "finite",
+                 "trivial", "member", "provenance", "loc")
+    _uncompared = ("loc",)
+
+    def __init__(self, name: str, gd_ub: ExtNat = INF, cd_ub: ExtNat = INF,
+                 tc_ub: ExtNat = INF, cat_ub: Optional[Dict[str, ExtNat]] = None,
+                 amenable: Tri = Tri.UNKNOWN, finite: Tri = Tri.UNKNOWN,
+                 trivial: bool = False, member: Optional[Dict[str, Tri]] = None,
+                 provenance: Optional[Dict[str, str]] = None, loc: str = "") -> None:
+        self.name = name
+        self.gd_ub = gd_ub
+        self.cd_ub = cd_ub
+        self.tc_ub = tc_ub
+        self.cat_ub = {} if cat_ub is None else cat_ub
+        self.amenable = amenable
+        self.finite = finite
+        self.trivial = trivial
+        self.member = {} if member is None else member
+        self.provenance = {} if provenance is None else provenance
+        self.loc = loc      # of the declaration
 
     def cite(self, key: str) -> str:
         return self.provenance.get(key, "declared")

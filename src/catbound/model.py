@@ -14,16 +14,18 @@ its problems, and the developments read the homs and charts it returns.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from functools import cached_property
 from operator import is_
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
+from .extnat import Record, _set
 
-@dataclass(frozen=True)
-class Diagnostic:
-    loc: str
-    message: str
+
+class Diagnostic(Record):
+    __slots__ = ("loc", "message")
+
+    def __init__(self, loc: str, message: str) -> None:
+        _set(self, "loc", loc)
+        _set(self, "message", message)
 
     def __str__(self) -> str:
         return f"{self.loc}: {self.message}"
@@ -32,8 +34,7 @@ class Diagnostic:
 # ---------------------------------------------------------------------------
 # concrete finite groups
 
-@dataclass(frozen=True)
-class ConcreteFiniteGroup:
+class ConcreteFiniteGroup(Record):
     """A finite group as a full multiplication table over element indices.
 
     table[i][j] is the index of (element i) * (element j).  `verified`
@@ -41,12 +42,16 @@ class ConcreteFiniteGroup:
     product_group() build groups by construction, and table_group()
     runs verify() on a table read from user input, so validate() need
     not run it again.  It is not an argument, so a group made any other
-    way, dataclasses.replace() included, starts unverified.
+    way, extnat.replace() included, starts unverified.
     """
 
-    table: Tuple[Tuple[int, ...], ...]
-    identity: int
-    verified: bool = field(default=False, init=False, compare=False, repr=False)
+    __slots__ = ("table", "identity", "verified")
+    _fields = ("table", "identity")
+
+    def __init__(self, table: Tuple[Tuple[int, ...], ...], identity: int) -> None:
+        _set(self, "table", table)
+        _set(self, "identity", identity)
+        _set(self, "verified", False)
 
     @property
     def order(self) -> int:
@@ -169,26 +174,30 @@ def table_group(rows: Sequence[Sequence[int]]) -> ConcreteFiniteGroup:
 
 
 def _verified(g: ConcreteFiniteGroup) -> ConcreteFiniteGroup:
-    object.__setattr__(g, "verified", True)
+    _set(g, "verified", True)
     return g
 
 
-@dataclass(frozen=True)
-class Homomorphism:
+class Homomorphism(Record):
     """A verified map between two named concrete groups, as a full image table.
 
     `verified_on` holds the (source, target) groups verify() passed
     against when hom_from_generator_images() built the map, so
     validate() need not run it again while the names still denote those
-    groups; like ConcreteFiniteGroup.verified it is not an argument.
+    groups; like ConcreteFiniteGroup.verified it is not an argument, so
+    extnat.replace() gives an unverified copy.
     """
 
-    name: str
-    source: str
-    target: str
-    images: Tuple[int, ...]
-    verified_on: Optional[Tuple[ConcreteFiniteGroup, ConcreteFiniteGroup]] = field(
-        default=None, init=False, compare=False, repr=False)
+    __slots__ = ("name", "source", "target", "images", "verified_on")
+    _fields = ("name", "source", "target", "images")
+
+    def __init__(self, name: str, source: str, target: str,
+                 images: Tuple[int, ...]) -> None:
+        _set(self, "name", name)
+        _set(self, "source", source)
+        _set(self, "target", target)
+        _set(self, "images", images)
+        _set(self, "verified_on", None)
 
     @property
     def injective(self) -> bool:
@@ -251,48 +260,49 @@ def hom_from_generator_images(name: str, source: str, target: str,
     errs = hom.verify(src, tgt, loc)
     if errs:
         return errs[0]
-    object.__setattr__(hom, "verified_on", (src, tgt))
+    _set(hom, "verified_on", (src, tgt))
     return hom
 
 
 # ---------------------------------------------------------------------------
 # group expressions
 
-# Each expression computes its key (see expr_key) on the first read and
+# Each expression computes its key (see expr_key) when it is made and
 # keeps it outside its fields, so equality and hashing compare the
 # fields alone; the trivial group's key is a constant.
 
-@dataclass(frozen=True)
-class Ref:
+class Ref(Record):
     'Reference to any named declaration (atom, definition, graph, ...).'
-    name: str
 
-    @cached_property
-    def key(self) -> str:
-        return "@" + self.name
+    __slots__ = ("name", "key")
+    _fields = ("name",)
+
+    def __init__(self, name: str) -> None:
+        _set(self, "name", name)
+        _set(self, "key", "@" + name)
 
 
-@dataclass(frozen=True)
-class TrivialGroup:
+class TrivialGroup(Record):
+    __slots__ = ()
     key = "1"
 
 
-@dataclass(frozen=True)
-class DirectProduct:
-    factors: Tuple["GroupExpr", ...]
+class DirectProduct(Record):
+    __slots__ = ("factors", "key")
+    _fields = ("factors",)
 
-    @cached_property
-    def key(self) -> str:
-        return "x(" + ",".join([f.key for f in self.factors]) + ")"
+    def __init__(self, factors: Tuple["GroupExpr", ...]) -> None:
+        _set(self, "factors", factors)
+        _set(self, "key", "x(" + ",".join([f.key for f in factors]) + ")")
 
 
-@dataclass(frozen=True)
-class FreeProduct:
-    factors: Tuple["GroupExpr", ...]
+class FreeProduct(Record):
+    __slots__ = ("factors", "key")
+    _fields = ("factors",)
 
-    @cached_property
-    def key(self) -> str:
-        return "*(" + ",".join([f.key for f in self.factors]) + ")"
+    def __init__(self, factors: Tuple["GroupExpr", ...]) -> None:
+        _set(self, "factors", factors)
+        _set(self, "key", "*(" + ",".join([f.key for f in factors]) + ")")
 
 
 GroupExpr = Union[Ref, TrivialGroup, DirectProduct, FreeProduct]
@@ -303,7 +313,7 @@ TRIVIAL = TrivialGroup()
 def expr_key(e: GroupExpr) -> str:
     """Stable structural key, used for memo tables and deterministic
     output: equal expressions, and only they, have equal keys.  It is
-    the expression's `key`, computed once per expression object."""
+    the expression's `key`, computed when the expression is made."""
     try:
         return e.key
     except AttributeError:
@@ -335,27 +345,33 @@ def free_group_expr(rank: int) -> GroupExpr:
 # ---------------------------------------------------------------------------
 # combination carriers
 
-@dataclass(frozen=True)
-class Edge:
-    v: str
-    w: str
-    group: GroupExpr
-    maps: Optional[Tuple[str, str]] = None  # hom names into G_v, G_w; None = asserted
+class Edge(Record):
+    __slots__ = ("v", "w", "group", "maps")
+
+    def __init__(self, v: str, w: str, group: GroupExpr,
+                 maps: Optional[Tuple[str, str]] = None) -> None:
+        _set(self, "v", v)
+        _set(self, "w", w)
+        _set(self, "group", group)
+        _set(self, "maps", maps)    # hom names into G_v, G_w; None = asserted
 
 
-@dataclass(frozen=True)
-class GraphOfGroups:
-    name: str
-    vertices: Tuple[Tuple[str, GroupExpr], ...]
-    edges: Tuple[Edge, ...]
-    loc: str = field(compare=False, default="")
+class GraphOfGroups(Record):
+    __slots__ = ("name", "vertices", "edges", "loc")
+    _uncompared = ("loc",)
+
+    def __init__(self, name: str, vertices: Tuple[Tuple[str, GroupExpr], ...],
+                 edges: Tuple[Edge, ...], loc: str = "") -> None:
+        _set(self, "name", name)
+        _set(self, "vertices", vertices)
+        _set(self, "edges", edges)
+        _set(self, "loc", loc)
 
     def vertex_ids(self) -> List[str]:
         return [k for k, _ in self.vertices]
 
 
-@dataclass(frozen=True)
-class PolygonOfGroups:
+class PolygonOfGroups(Record):
     """A d-gon with groups on vertices, edges and the face.
 
     Edge i joins vertex i to vertex i+1 (mod d).  edge_maps[i], when
@@ -364,28 +380,40 @@ class PolygonOfGroups:
     into edge group i.
     """
 
-    name: str
-    d: int
-    vertex_groups: Tuple[GroupExpr, ...]
-    edge_groups: Tuple[GroupExpr, ...]
-    face_group: GroupExpr
-    edge_maps: Optional[Tuple[Tuple[str, str], ...]] = None
-    face_maps: Optional[Tuple[str, ...]] = None
-    loc: str = field(compare=False, default="")
+    __slots__ = ("name", "d", "vertex_groups", "edge_groups", "face_group",
+                 "edge_maps", "face_maps", "loc")
+    _uncompared = ("loc",)
+
+    def __init__(self, name: str, d: int, vertex_groups: Tuple[GroupExpr, ...],
+                 edge_groups: Tuple[GroupExpr, ...], face_group: GroupExpr,
+                 edge_maps: Optional[Tuple[Tuple[str, str], ...]] = None,
+                 face_maps: Optional[Tuple[str, ...]] = None, loc: str = "") -> None:
+        _set(self, "name", name)
+        _set(self, "d", d)
+        _set(self, "vertex_groups", vertex_groups)
+        _set(self, "edge_groups", edge_groups)
+        _set(self, "face_group", face_group)
+        _set(self, "edge_maps", edge_maps)
+        _set(self, "face_maps", face_maps)
+        _set(self, "loc", loc)
 
     @property
     def concrete_maps(self) -> bool:
         return self.edge_maps is not None and self.face_maps is not None
 
 
-@dataclass(frozen=True)
-class GcwDescription:
+class GcwDescription(Record):
     'Orbit stabilizers of a finite-dimensional cocompact complex, per dimension.'
 
-    name: str
-    dims: Tuple[Tuple[GroupExpr, ...], ...]
-    contractible: bool = False
-    loc: str = field(compare=False, default="")
+    __slots__ = ("name", "dims", "contractible", "loc")
+    _uncompared = ("loc",)
+
+    def __init__(self, name: str, dims: Tuple[Tuple[GroupExpr, ...], ...],
+                 contractible: bool = False, loc: str = "") -> None:
+        _set(self, "name", name)
+        _set(self, "dims", dims)
+        _set(self, "contractible", contractible)
+        _set(self, "loc", loc)
 
     @property
     def n(self) -> int:
@@ -573,18 +601,25 @@ def edge_injections(u: Universe, g: GraphOfGroups, e: Edge
                         [(e.maps[0], 0, 1), (e.maps[1], 0, 2)])
 
 
-@dataclass(frozen=True)
-class PolygonCharts:
+class PolygonCharts(Record):
     """Concrete images of a polygon's groups inside each vertex group:
     chart i holds, inside G_i, the images of the incoming edge group
     E_{i-1}, of the outgoing edge group E_i and of the face group."""
 
-    groups: Tuple[ConcreteFiniteGroup, ...]
-    edge_groups: Tuple[ConcreteFiniteGroup, ...]
-    face_group: ConcreteFiniteGroup
-    incoming: Tuple[frozenset, ...]
-    outgoing: Tuple[frozenset, ...]
-    face_image: Tuple[frozenset, ...]
+    __slots__ = ("groups", "edge_groups", "face_group", "incoming", "outgoing",
+                 "face_image")
+
+    def __init__(self, groups: Tuple[ConcreteFiniteGroup, ...],
+                 edge_groups: Tuple[ConcreteFiniteGroup, ...],
+                 face_group: ConcreteFiniteGroup, incoming: Tuple[frozenset, ...],
+                 outgoing: Tuple[frozenset, ...],
+                 face_image: Tuple[frozenset, ...]) -> None:
+        _set(self, "groups", groups)
+        _set(self, "edge_groups", edge_groups)
+        _set(self, "face_group", face_group)
+        _set(self, "incoming", incoming)
+        _set(self, "outgoing", outgoing)
+        _set(self, "face_image", face_image)
 
 
 def polygon_charts(u: Universe, p: PolygonOfGroups

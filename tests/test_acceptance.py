@@ -4,7 +4,6 @@ Each test prints a single criterion line on success; pytest -v shows
 the same pass/fail per test name.
 """
 
-import dataclasses
 import json
 import random
 import time
@@ -19,7 +18,7 @@ from catbound.cli import main as cli_main
 from catbound.develop import (bass_serre_ball, check_curvature,
                               verify_stabilizers)
 from catbound.engine import Evaluator, replay
-from catbound.extnat import INF, ExtNat
+from catbound.extnat import INF, ExtNat, replace
 from catbound.facts import AM, FIN, TR
 from catbound.model import FreeProduct, Ref
 
@@ -193,7 +192,7 @@ def test_criterion_7_certificates_and_mutations(fixture_texts, capsys):
 
     u = load(fixture_texts["branched_five"])
     with pytest.raises(PreconditionError):
-        certify_branched(u, dataclasses.replace(u.setups["BrFive"], d=3))
+        certify_branched(u, replace(u.setups["BrFive"], d=3))
     code = cli_main(["certify", "branched", "--target", "BrFive", "--d", "3",
                      str(FIXTURES / "branched_five.catb")])
     captured = capsys.readouterr()

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from collections import Counter
 
@@ -10,7 +9,7 @@ from catbound.apps import (BoundaryComponent, GluingSetup, Piece,
                            PreconditionError, build_setup, certify_branched,
                            certify_double, certify_gluing, gluing_to_gog)
 from catbound.engine import replay
-from catbound.extnat import ZERO, ExtNat
+from catbound.extnat import ZERO, ExtNat, replace
 from catbound.model import Ref
 
 from genmodels import _Names, random_double, random_gluing
@@ -127,7 +126,7 @@ def test_branched_mutations(fixture_texts, old, new, marker):
 
 def test_branched_needs_four_copies(fixture_texts):
     u = load(fixture_texts["branched_five"])
-    s = dataclasses.replace(u.setups["BrFive"], d=3)
+    s = replace(u.setups["BrFive"], d=3)
     with pytest.raises(PreconditionError) as exc:
         certify_branched(u, s)
     assert str(exc.value) == ("branched setup 'BrFive' has d = 3; "

@@ -17,6 +17,12 @@ and a model that redeclares some of that fixture's groups or homs with
 other cyclic orders or generator images; every invocation of the
 fixture still exits 0, 1 or 2 with no internal error.
 
+Two more draw orders at, just past and far past dsl.ORDER_LIMIT: a
+cyclic(n) literal past it is a parse diagnostic at the literal, and a
+product(...) whose factor orders multiply past it a build diagnostic at
+its declaration, each with exit 1.  dsl builds its groups through stubs
+that fail above the limit, so no oversized table is ever built.
+
 Deep chain models stay out: evaluation still recurses once per link
 (see test_cli.test_unexpected_exception_is_a_diagnostic).
 """
@@ -263,3 +269,89 @@ def test_redeclaring_prelude_names_never_fails_internally(workdir, drawn):
             code, _, err = run(argv + ["--format", fmt])
             assert code in (0, 1, 2), (text, argv, fmt, err)
             assert "error: internal" not in err, (text, argv, fmt, err)
+
+
+# -- orders across the limit ----------------------------------------------
+
+LIMIT = dsl.ORDER_LIMIT
+# factor orders whose product lies at, just past or far past the limit
+FACTORS = {
+    "at": ((1000,), (8, 125), (2, 500), (10, 10, 10), (1, 25, 40)),
+    "just past": ((7, 11, 13), (2, 3, 167), (2, 501), (17, 59)),
+    "far past": ((1000, 1000), (500, 500, 500), (2,) * 20, (1000,) * 4, (999, 998, 997)),
+}
+# declarations that move the drawn one to another line
+FILLER = ("group A = cyclic(4);", "group B;", "family F = finite;", "// cyclic(5000)", "")
+
+
+@pytest.fixture(scope="module")
+def bounded_orders():
+    """Stubs for dsl's cyclic_group and product_group that fail above
+    the order limit.  Within it, a cyclic group of the order, built once
+    per order, stands in for either: a product's table at the limit takes
+    most of a second, and only its order matters here."""
+    built = {}
+
+    def within(n):
+        assert n <= LIMIT, f"a group of order {n} over the order limit was built"
+        if n not in built:
+            built[n] = real_cyclic(n)
+        return built[n]
+
+    real_cyclic = dsl.cyclic_group
+    return within, lambda factors: within(math.prod(g.order for g in factors))
+
+
+def run_bounded(stubs, argv):
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(dsl, "cyclic_group", stubs[0])
+        m.setattr(dsl, "product_group", stubs[1])
+        return run(argv)
+
+
+def assert_refused_at(stubs, model, loc, message):
+    assert run_bounded(stubs, ["validate", str(model)]) == (1, "", f"{model}:{loc}: {message}\n")
+    code, out, err = run_bounded(stubs, ["validate", "--format", "json", str(model)])
+    assert (code, err) == (1, "")
+    assert json.loads(out) == {"ok": False, "diagnostics": [{"loc": loc, "message": message}]}
+
+
+@seed(20261021)
+@settings(max_examples=60, deadline=None, database=None)
+@given(n=st.one_of(st.just(LIMIT), st.integers(LIMIT + 1, LIMIT + 3),
+                   st.integers(LIMIT + 4, 10**100)),
+       before=st.lists(st.sampled_from(FILLER), max_size=3, unique=True),
+       after=st.lists(st.sampled_from(("group D;", "// tail", "")), max_size=2, unique=True),
+       pad=st.sampled_from(["", " ", "  "]))
+def test_cyclic_orders_past_the_limit_are_refused_at_the_literal(
+        workdir, bounded_orders, n, before, after, pad):
+    head = f"group C ={pad} cyclic({pad}"
+    model = workdir / "cyclic.catb"
+    model.write_text("\n".join(before + [f"{head}{n}{pad});"] + after) + "\n",
+                     encoding="utf-8")
+    if n <= LIMIT:
+        code, _, err = run_bounded(bounded_orders, ["validate", str(model)])
+        assert (code, err) == (0, ""), n
+    else:
+        assert_refused_at(bounded_orders, model, f"{len(before) + 1}:{len(head) + 1}",
+                          f"cyclic order exceeds the limit of {LIMIT}")
+
+
+@seed(20261022)
+@settings(max_examples=60, deadline=None, database=None)
+@given(data=st.data(), side=st.sampled_from(sorted(FACTORS)),
+       before=st.lists(st.sampled_from(FILLER), max_size=3, unique=True))
+def test_products_past_the_limit_are_refused_at_the_declaration(
+        workdir, bounded_orders, data, side, before):
+    orders = data.draw(st.permutations(data.draw(st.sampled_from(FACTORS[side]))))
+    lines = before + [f"group F{n} = cyclic({n});" for n in sorted(set(orders))]
+    lines.append(f"group P = product({', '.join(f'F{n}' for n in orders)});")
+    model = workdir / "product.catb"
+    model.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    order = math.prod(orders)
+    if order <= LIMIT:
+        code, _, err = run_bounded(bounded_orders, ["validate", str(model)])
+        assert (code, err) == (0, ""), orders
+    else:
+        assert_refused_at(bounded_orders, model, f"{len(lines)}:1",
+                          f"product order {order} exceeds the limit of {LIMIT}")

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import math
 import random
@@ -9,6 +8,7 @@ from catbound import develop, dsl
 from catbound.develop import (AmalgamContext, _cosets_within,
                               bass_serre_ball, check_curvature, develop_target,
                               polygon_ball, verify_stabilizers)
+from catbound.extnat import replace
 from catbound.model import (ConcreteFiniteGroup, Edge, GraphOfGroups,
                             Homomorphism, PolygonOfGroups, Ref, Universe,
                             cyclic_group, product_group)
@@ -275,7 +275,7 @@ def test_developments_refuse_maps_that_validate_refuses(example_universe,
     # the face reaches corner 0 through a4 on one side and b4 on the other
     u = square_universe.overlay()
     u.homs["t2"] = Homomorphism("t2", "Z2", "Z2", (0, 1))
-    odd = dataclasses.replace(sq, name="ODD", face_group=Ref("Z2"),
+    odd = replace(sq, name="ODD", face_group=Ref("Z2"),
                               face_maps=("t2",) * 4)
     for call in (polygon_ball, check_curvature):
         with pytest.raises(ValueError) as err:

@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import math
 import random
 import re
@@ -19,7 +18,7 @@ from catbound.extnat import INF, ExtNat
 from catbound.facts import FIN, FactSheet, Tri
 from catbound.model import (TABLES, ConcreteFiniteGroup, DirectProduct,
                             FreeProduct, Homomorphism, Ref, TrivialGroup, Universe,
-                            cyclic_group, validate)
+                            cyclic_group, expr_key, validate)
 
 from genmodels import nested_text, random_model
 
@@ -224,8 +223,8 @@ def test_alternating_preludes_are_each_built_once(monkeypatch, tmp_path):
 
 
 def test_round_trip_holds_after_evaluation(fixture_texts):
-    # the engine computes the keys of the expressions it bounds, on the
-    # parsed objects themselves; equality compares the fields alone
+    # each parsed expression holds its key, which the engine reads on
+    # the parsed objects themselves; equality compares the fields alone
     keyed = 0
     for name, text in fixture_texts.items():
         m = parse(serialize(parse(text)))
@@ -236,7 +235,7 @@ def test_round_trip_holds_after_evaluation(fixture_texts):
             if isinstance(d, dsl._GROUP_DECLS):
                 ev.bound_cat(Ref(d.name), u.families["Am"])
                 ev.bound_gd(Ref(d.name))
-        keyed += sum("key" in vars(g) for d in m.decls
+        keyed += sum(g.key == expr_key(g) for d in m.decls
                      if isinstance(d, dsl.AmalgamDecl) for g in (d.left, d.right))
         assert parse(serialize(m)) == m, name
     assert keyed
@@ -420,7 +419,8 @@ def test_load_prelude_contents():
 def tables(u):
     'Every table of a universe, fact sheets copied field by field.'
     out = {attr: dict(getattr(u, attr)) for attr in TABLES}
-    out["sheets"] = {n: dataclasses.asdict(s) for n, s in u.sheets.items()}
+    out["sheets"] = {n: {f: copy.deepcopy(getattr(s, f)) for f in s._fields}
+                     for n, s in u.sheets.items()}
     return out
 
 
@@ -655,7 +655,9 @@ def test_changed_homs_and_their_groups_are_checked(checked_loads, tmp_path):
 
 def test_changed_homs_and_groups_of_graph_edges_are_checked(checked_loads, tmp_path):
     # a prelude with an amalgam of concrete groups and maps; each model
-    # changes a hom or a vertex group it relies on
+    # changes a hom or a vertex group it relies on.  No prelude is kept
+    # yet, whatever earlier tests loaded, so its own load is counted.
+    dsl._validated_prelude.cache_clear()
     prelude = tmp_path / "prelude.catb"
     prelude.write_text(dsl.prelude_path().read_text(encoding="utf-8")
                        + (FIXTURES / "examples.catb").read_text(encoding="utf-8"),

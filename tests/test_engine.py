@@ -1,6 +1,5 @@
 import ast
 import collections
-import dataclasses
 import random
 from pathlib import Path
 
@@ -9,7 +8,7 @@ import pytest
 import catbound
 from catbound import dsl
 from catbound.engine import REPLAY, DerivationNode, Evaluator, _combine, replay
-from catbound.extnat import INF, ZERO, ExtNat
+from catbound.extnat import INF, ZERO, ExtNat, replace
 from catbound.facts import AM, FIN, TR, FactSheet, Tri
 from catbound.model import (DirectProduct, FreeProduct, GraphOfGroups, Ref,
                             TrivialGroup, Universe, expr_key)
@@ -290,7 +289,7 @@ def test_complex_rule_matches_the_retired_formulas_random():
         u = random_atoms(rng)
         names = _Names()
         graph = random_graph(rng, names)
-        polygon = dataclasses.replace(random_polygon(rng, names),
+        polygon = replace(random_polygon(rng, names),
                                       edge_maps=None, face_maps=None)
         u.graphs[graph.name] = graph
         u.polygons[polygon.name] = polygon

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 import re
 
@@ -9,7 +8,7 @@ from catbound import facts
 from catbound.dsl import (CyclicCtor, GroupDecl, SourceModel, load_prelude,
                           load_text, serialize)
 from catbound.engine import Evaluator
-from catbound.extnat import INF, ZERO, ExtNat
+from catbound.extnat import INF, ZERO, ExtNat, replace
 from catbound.facts import (AM, FIN, TR, FactMemo, Family, FamilyKind, FactSheet,
                             MemoTable, Tri, builtin_families, close_sheet,
                             membership, membership_with_reason)
@@ -222,10 +221,10 @@ def random_fact_universe(rng: random.Random, shadow: bool) -> Universe:
     for _ in range(rng.randint(1, 5)):
         decl = rng.choice(MAKERS)(rng, names)
         if isinstance(decl, GraphOfGroups):
-            decl = dataclasses.replace(decl, edges=tuple(
-                dataclasses.replace(e, maps=None) for e in decl.edges))
+            decl = replace(decl, edges=tuple(
+                replace(e, maps=None) for e in decl.edges))
         elif hasattr(decl, "maps"):
-            decl = dataclasses.replace(decl, maps=None)
+            decl = replace(decl, maps=None)
         decls.append(decl)
     text = serialize(SourceModel(tuple(decls)))
     if shadow:
@@ -318,7 +317,7 @@ def test_evaluators_over_overlays_keep_their_own_answers():
     overlays = {}
     for flag in (Tri.YES, Tri.NO):
         overlays[flag] = base.overlay()
-        overlays[flag].sheets["Q"] = dataclasses.replace(base.sheets["Q"], amenable=flag)
+        overlays[flag].sheets["Q"] = replace(base.sheets["Q"], amenable=flag)
     evs = {flag: Evaluator(u) for flag, u in overlays.items()}
     for _ in range(2):
         for flag, ev in evs.items():
