@@ -96,7 +96,7 @@ class _Commands(dict):
     def __getitem__(self, name: str) -> _Parser:
         parser = super().__getitem__(name)
         if name in self.unfilled:
-            self.unfilled.discard(name)
+            self.unfilled.remove(name)
             _SUBCOMMANDS[name][1](parser)
         return parser
 
