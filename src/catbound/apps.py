@@ -229,6 +229,8 @@ def _gluing_diagnostics(s: GluingSetup) -> List[Diagnostic]:
                                 f"boundary of {p.id}"))
     if s.n < 1:
         diags.append(Diagnostic(s.loc, "dimension n must be at least 1"))
+    if not s.pieces:
+        diags.append(Diagnostic(s.loc, "a gluing needs at least one piece"))
     pieces = {p.id for p in s.pieces}
     bounds = {(p.id, b.id): b.group for p in s.pieces for b in p.boundaries}
     used: set = set()

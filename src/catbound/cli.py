@@ -19,13 +19,13 @@ resolve `--target` before any other work; a name that resolves to
 nothing is `error: unresolved target: unresolved group name 'X'`.
 
 Repeated main() calls in one process share what does not depend on the
-query: the parsers are built once, the top-level one with one parser per
-subcommand, which gets its arguments when first used, and a call whose
-first argument names a subcommand is parsed by that subcommand's parser
-alone (any other argv goes through the top-level parser, which reports
-what is wrong with it).  The last few prelude texts are each parsed and
-validated once (dsl.load_prelude still reads the file on every call and
-hands each call a fresh overlay of the kept universe).
+query: each parser is built once, when first needed.  A call whose first
+argument names a subcommand is parsed by that subcommand's own parser
+alone; the top-level parser, with every subcommand under it, is built
+only for any other argv (`catbound -h`, or a usage error, which it
+words).  The last few prelude texts are each parsed and validated once
+(dsl.load_prelude still reads the file on every call and hands each call
+a fresh overlay of the kept universe).
 
 Exit codes: 0 result established, 2 inconclusive (no finite bound, or
 certificate hypotheses not established), 1 errors and diagnostics.  An
@@ -62,7 +62,7 @@ from itertools import chain
 from json.encoder import encode_basestring as _esc     # json.dumps' own (C) one
 from operator import attrgetter
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from . import apps, develop, dsl
 from .engine import DerivationNode, Evaluator
@@ -78,30 +78,8 @@ class CliError(Exception):
 class _Parser(argparse.ArgumentParser):
     'Usage problems are tool errors (exit 1), never inconclusive (2).'
 
-    commands: "_Commands"       # set on the top-level one
-
     def error(self, message: str) -> None:  # type: ignore[override]
         raise CliError(f"{self.prog}: {message}")
-
-
-class _Commands(dict):
-    """Subcommand name -> its parser.  A parser gets its arguments the
-    first time it is looked up: by main(), or by the top-level parser
-    before that parser hands it the rest of argv."""
-
-    def __init__(self, parsers: Dict[str, _Parser]) -> None:
-        super().__init__(parsers)
-        self.unfilled = set(parsers)
-
-    def __getitem__(self, name: str) -> _Parser:
-        parser = super().__getitem__(name)
-        if name in self.unfilled:
-            self.unfilled.remove(name)
-            _SUBCOMMANDS[name][1](parser)
-        return parser
-
-    def get(self, name: str, default=None):
-        return self[name] if name in self else default
 
 
 def _common(p: argparse.ArgumentParser, file_arg: bool = True) -> None:
@@ -162,33 +140,27 @@ def _certify_args(p: argparse.ArgumentParser) -> None:
     _common(p, file_arg=False)
 
 
-# each subcommand's help line and the function that adds its arguments
-_SUBCOMMANDS = {
-    "bound": ("category / dimension upper bound", _bound_args),
-    "tc": ("topological complexity upper bound", _tc_args),
-    "develop": ("finite ball of the dual development", _develop_args),
-    "check-curvature": ("vertex link condition of a polygon", _curvature_args),
-    "certify": ("vanishing certificate for a setup", _certify_args),
-    "validate": ("load a model and report diagnostics", _common),
-}
+@functools.lru_cache(maxsize=None)
+def _subcommand_parser(name: str) -> _Parser:
+    'The parser of subcommand `name`, built on first use and shared.'
+    parser = _Parser(prog=f"catbound {name}")
+    _SUBCOMMANDS[name][1](parser)
+    return parser
 
 
 @functools.lru_cache(maxsize=None)
 def _build_parser() -> _Parser:
-    """Built on the first call and shared: parsing leaves it unchanged.
-    Its `commands` maps each subcommand name to that subcommand's
-    parser, which gets its arguments when first looked up."""
+    """The top-level parser, with every subcommand's parser under it;
+    built on the first call and shared.  main() needs it only for an
+    argv that names no subcommand."""
     top = _Parser(
         prog="catbound",
         description="certified upper bounds for category-type invariants "
                     "of combinatorially described groups")
     sub = top.add_subparsers(dest="command", required=True,
                              parser_class=_Parser)
-    for name, (help_line, _) in _SUBCOMMANDS.items():
-        sub.add_parser(name, help=help_line)
-    # the subcommand action looks each parser up in this map, also
-    # shown as its choices
-    top.commands = sub.choices = sub._name_parser_map = _Commands(sub.choices)
+    for name, (help_line, add_args, _) in _SUBCOMMANDS.items():
+        add_args(sub.add_parser(name, help=help_line))
     return top
 
 
@@ -245,6 +217,9 @@ def _family(u: Universe, name: Optional[str]) -> Family:
     hits = [f for key, f in u.families.items() if key.lower() == name.lower()]
     if len(hits) == 1:
         return hits[0]
+    if hits:
+        matches = ", ".join(sorted(f.name for f in hits))
+        raise CliError(f"family {name!r} is ambiguous (matches {matches})")
     known = ", ".join(sorted(u.families))
     raise CliError(f"unknown family {name!r} (known: {known})")
 
@@ -436,17 +411,19 @@ def _cmd_check_curvature(args) -> int:
     return 0
 
 
+# each setup class and its kind, as certify's first word names it;
+# apps.certify_<kind> certifies it
 _SETUP_KINDS = {
-    "GluingSetup": "gluing",
-    "DoubleSetup": "double",
-    "BranchedSetup": "branched",
+    apps.GluingSetup: "gluing",
+    apps.DoubleSetup: "double",
+    apps.BranchedSetup: "branched",
 }
 
 
 def _cmd_certify(args) -> int:
     args.kind, args.file = None, None
     for word in args.words:
-        if word in ("gluing", "double", "branched") and args.kind is None:
+        if word in _SETUP_KINDS.values() and args.kind is None:
             args.kind = word
         elif args.file is None:
             args.file = word
@@ -457,7 +434,7 @@ def _cmd_certify(args) -> int:
     if setup is None:
         known = ", ".join(sorted(u.setups)) or "none"
         raise CliError(f"unknown setup {args.target!r} (known: {known})")
-    kind = _SETUP_KINDS[type(setup).__name__]
+    kind = _SETUP_KINDS[type(setup)]
     if args.kind is not None and args.kind != kind:
         raise CliError(f"setup {args.target!r} is a {kind}, not a {args.kind}")
     if args.d is not None:
@@ -468,12 +445,7 @@ def _cmd_certify(args) -> int:
                            f"{dsl.SIZE_LIMIT}")
         setup = replace(setup, d=args.d)
     try:
-        if kind == "gluing":
-            cert = apps.certify_gluing(u, setup)
-        elif kind == "double":
-            cert = apps.certify_double(u, setup)
-        else:
-            cert = apps.certify_branched(u, setup)
+        cert = getattr(apps, f"certify_{kind}")(u, setup)
     except apps.PreconditionError as exc:
         raise CliError(str(exc))
     if args.format == "json":
@@ -501,13 +473,16 @@ def _cmd_validate(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "bound": _cmd_bound,
-    "tc": _cmd_bound,
-    "develop": _cmd_develop,
-    "check-curvature": _cmd_check_curvature,
-    "certify": _cmd_certify,
-    "validate": _cmd_validate,
+# each subcommand: its help line, the function that adds its arguments
+# and the one that runs it
+_SUBCOMMANDS = {
+    "bound": ("category / dimension upper bound", _bound_args, _cmd_bound),
+    "tc": ("topological complexity upper bound", _tc_args, _cmd_bound),
+    "develop": ("finite ball of the dual development", _develop_args, _cmd_develop),
+    "check-curvature": ("vertex link condition of a polygon", _curvature_args,
+                        _cmd_check_curvature),
+    "certify": ("vanishing certificate for a setup", _certify_args, _cmd_certify),
+    "validate": ("load a model and report diagnostics", _common, _cmd_validate),
 }
 
 
@@ -530,22 +505,20 @@ def main(argv: Optional[List[str]] = None) -> int:
             argv = sys.argv[1:]
         # known-args so certify's trailing positionals survive argparse's
         # single-chunk positional matching; anything else left over is an
-        # error.  The top-level parser hands everything after the
-        # subcommand to that subcommand's parser, so a named subcommand
-        # goes there directly.
-        top = _build_parser()
-        parser = top.commands.get(argv[0]) if argv else None
-        if parser is None:
-            args, extras = top.parse_known_args(argv)
-        else:
-            args, extras = parser.parse_known_args(argv[1:])
+        # error.  The top-level parser would hand everything after the
+        # subcommand to a parser like that subcommand's, so a named
+        # subcommand goes to its own parser directly.
+        if argv and argv[0] in _SUBCOMMANDS:
+            args, extras = _subcommand_parser(argv[0]).parse_known_args(argv[1:])
             args.command = argv[0]
+        else:
+            args, extras = _build_parser().parse_known_args(argv)
         if extras and (args.command != "certify"
                        or any(x.startswith("-") for x in extras)):
             raise CliError(f"unrecognized arguments: {' '.join(extras)}")
         if extras:
             args.words = list(args.words) + extras
-        code = _COMMANDS[args.command](args)
+        code = _SUBCOMMANDS[args.command][2](args)
         sys.stdout.flush()      # so a closed pipe shows here, not at exit
         return code
     except BrokenPipeError:

@@ -39,8 +39,7 @@ from math import inf, prod
 from typing import Dict, List, Optional, Tuple
 
 from .extnat import INF, ZERO, ExtNat, MutableRecord, Record, _set, replace
-from .model import (TRIVIAL, Diagnostic, FreeProduct, GcwDescription, GroupExpr,
-                    Universe, expr_key)
+from .model import TRIVIAL, Diagnostic, GcwDescription, GroupExpr, Universe, expr_key
 
 
 class Tri(enum.Enum):
@@ -230,7 +229,7 @@ ComplexView = Tuple[GcwDescription, Tuple[str, ...]]
 
 def _complex_view(u: Universe, key: str, kind: str, payload) -> Optional[ComplexView]:
     'FactMemo.complex_view of an expression with key `key` resolving to (kind, payload).'
-    if kind == "graph":
+    if kind == "graph" and payload.vertices:       # no vertex, no tree
         dims = (tuple(g for _, g in payload.vertices),
                 tuple(edge.group for edge in payload.edges))
         return GcwDescription(payload.name, dims, True), ()
@@ -378,113 +377,102 @@ class FactMemo:
 
     @_memoized((Tri.UNKNOWN, "circular definition"))
     def membership_with_reason(self, e: GroupExpr, fam: Family) -> Tuple[Tri, str]:
-        'Verdict plus a short derivation note for traces.'
+        """Verdict plus a short derivation note for traces.
+
+        One walk for every family kind: a piece outside the family puts
+        the group outside it (for the amenable and custom families; a
+        finite one is outside when provably infinite), a free product
+        with one nontrivial factor or a one-vertex graph is that piece,
+        and a product of members is a member where the family is closed
+        under products (finite, amenable), after every factor is asked.
+        """
         if self.provably_trivial(e):
             return Tri.YES, "trivial group, member of every family"
-
         kind, payload = self.resolve(e)
-
-        if fam.kind is FamilyKind.TRIVIAL:
+        fk = fam.kind
+        if fk is FamilyKind.TRIVIAL:
             if self.provably_nontrivial(e):
                 return Tri.NO, "provably nontrivial"
             return Tri.UNKNOWN, "triviality not derivable"
-
-        if fam.kind is FamilyKind.FINITE:
-            if self.provably_infinite(e):
-                return Tri.NO, "provably infinite"
-            if kind == "atom":
-                s = self._sheet(payload)
-                if s is not None and s.finite is Tri.YES:
-                    return Tri.YES, s.cite("finite")
-                return Tri.UNKNOWN, "finiteness not declared"
-            if kind == "product":
-                verdicts = [self.membership_with_reason(f, fam) for f in payload.factors]
-                if all(v is Tri.YES for v, _ in verdicts):
-                    return Tri.YES, "direct product of finite members"
-                return Tri.UNKNOWN, "finiteness not derivable"
-            if kind == "free":
-                return self._free_delegate(payload, fam)
-            if kind == "graph":
-                return self._single_vertex_delegate(payload, fam)
-            return Tri.UNKNOWN, "finiteness not derivable"
-
-        if fam.kind is FamilyKind.AMENABLE:
-            return self._amenable_membership(kind, payload, fam)
-
-        return self._custom_membership(kind, payload, fam)
-
-    def _free_delegate(self, fp: FreeProduct, fam: Family) -> Tuple[Tri, str]:
-        'A free product with at most one nontrivial factor is that factor.'
-        live = [f for f in fp.factors if not self.provably_trivial(f)]
+        if fk is FamilyKind.FINITE and self.provably_infinite(e):
+            return Tri.NO, "provably infinite"
+        if kind == "atom":
+            return self._atom_membership(payload, fam)
+        undecided = _UNDECIDED[fk]
+        if kind not in ("product", "free", "graph"):
+            return Tri.UNKNOWN, undecided
+        pieces = payload.factors if kind != "graph" else [g for _, g in payload.vertices]
+        outside = _OUTSIDE[fk].get(kind)
+        if kind == "product" and fk in _PRODUCT_OF_MEMBERS:
+            verdicts = [self.membership_with_reason(f, fam)[0] for f in pieces]
+            if outside and Tri.NO in verdicts:
+                return Tri.NO, outside
+            if all(v is Tri.YES for v in verdicts):
+                return Tri.YES, _PRODUCT_OF_MEMBERS[fk]
+            return Tri.UNKNOWN, undecided
+        if outside and any(self.membership_with_reason(f, fam)[0] is Tri.NO
+                           for f in pieces):
+            return Tri.NO, outside
+        if kind == "product":
+            return Tri.UNKNOWN, undecided
+        if kind == "graph":
+            if len(pieces) == 1 and not payload.edges:
+                return self.membership_with_reason(pieces[0], fam)
+            return Tri.UNKNOWN, "not derivable for this graph of groups"
+        live = [f for f in pieces if not self.provably_trivial(f)]
         if len(live) == 1:
             return self.membership_with_reason(live[0], fam)
-        return Tri.UNKNOWN, "free product not reducible"
+        if fk is not FamilyKind.AMENABLE:
+            return Tri.UNKNOWN, "free product not reducible"
+        nontrivial = sum(1 for f in pieces if self.provably_nontrivial(f))
+        if nontrivial >= 2 and any(self.provably_order_at_least_3(f) for f in pieces):
+            return Tri.NO, "free product of nontrivial groups, one of order > 2"
+        return Tri.UNKNOWN, undecided
 
-    def _single_vertex_delegate(self, graph, fam: Family) -> Tuple[Tri, str]:
-        if len(graph.vertices) == 1 and not graph.edges:
-            return self.membership_with_reason(graph.vertices[0][1], fam)
-        return Tri.UNKNOWN, "not derivable for this graph of groups"
-
-    def _amenable_membership(self, kind: str, payload, fam: Family) -> Tuple[Tri, str]:
-        if kind == "atom":
-            s = self._sheet(payload)
-            if s is not None and s.amenable is not Tri.UNKNOWN:
-                return s.amenable, s.cite("amenable")
-            return Tri.UNKNOWN, "amenability not declared"
-        if kind == "product":
-            verdicts = [self.membership_with_reason(f, fam) for f in payload.factors]
-            if any(v is Tri.NO for v, _ in verdicts):
-                return Tri.NO, "contains a non-amenable factor"
-            if all(v is Tri.YES for v, _ in verdicts):
-                return Tri.YES, "direct product of amenable groups"
-            return Tri.UNKNOWN, "amenability not derivable"
-        if kind == "free":
-            for f in payload.factors:
-                if self.membership(f, fam) is Tri.NO:
-                    return Tri.NO, "contains a non-amenable free factor"
-            live = [f for f in payload.factors if not self.provably_trivial(f)]
-            if len(live) == 1:
-                return self.membership_with_reason(live[0], fam)
-            nontrivial = sum(1 for f in payload.factors if self.provably_nontrivial(f))
-            if nontrivial >= 2 and any(self.provably_order_at_least_3(f)
-                                       for f in payload.factors):
-                return Tri.NO, "free product of nontrivial groups, one of order > 2"
-            return Tri.UNKNOWN, "amenability not derivable"
-        if kind == "graph":
-            for _, g in payload.vertices:
-                if self.membership(g, fam) is Tri.NO:
-                    return Tri.NO, "contains a non-amenable vertex group"
-            return self._single_vertex_delegate(payload, fam)
-        return Tri.UNKNOWN, "amenability not derivable"
-
-    def _custom_membership(self, kind: str, payload, fam: Family) -> Tuple[Tri, str]:
-        if kind == "atom":
-            s = self._sheet(payload)
+    def _atom_membership(self, name: str, fam: Family) -> Tuple[Tri, str]:
+        'What the fact sheet of atom `name` declares about membership in fam.'
+        s = self._sheet(name)
+        custom = fam.kind is FamilyKind.CUSTOM
+        if custom:
             if s is None:
                 return Tri.UNKNOWN, "no facts declared"
-            asserted = s.member.get(fam.name)
-            if asserted in (Tri.YES, Tri.NO):
-                return asserted, s.cite(f"member[{fam.name}]")
-            if fam.requires:
-                flags = {"amenable": s.amenable, "finite": s.finite,
-                         "trivial": Tri.YES if s.trivial else Tri.UNKNOWN}
-                got = [flags.get(key, Tri.UNKNOWN) for key, _ in fam.requires]
-                if all(g is want for g, (_, want) in zip(got, fam.requires)):
-                    return Tri.YES, "flag oracle satisfied"
-            return Tri.UNKNOWN, "membership not asserted"
-        if kind in ("product", "free"):
-            for f in payload.factors:
-                if self.membership(f, fam) is Tri.NO:
-                    return Tri.NO, "contains a non-member piece"
-            if kind == "free":
-                return self._free_delegate(payload, fam)
-            return Tri.UNKNOWN, "membership not derivable"
-        if kind == "graph":
-            for _, g in payload.vertices:
-                if self.membership(g, fam) is Tri.NO:
-                    return Tri.NO, "contains a non-member vertex group"
-            return self._single_vertex_delegate(payload, fam)
-        return Tri.UNKNOWN, "membership not derivable"
+            flag, declared = f"member[{fam.name}]", s.member.get(fam.name)
+        else:
+            flag = "finite" if fam.kind is FamilyKind.FINITE else "amenable"
+            declared = getattr(s, flag) if s is not None else None
+        if declared in (Tri.YES, Tri.NO):
+            return declared, s.cite(flag)
+        if custom and fam.requires:
+            flags = {"amenable": s.amenable, "finite": s.finite,
+                     "trivial": Tri.YES if s.trivial else Tri.UNKNOWN}
+            got = [flags.get(key, Tri.UNKNOWN) for key, _ in fam.requires]
+            if all(g is want for g, (_, want) in zip(got, fam.requires)):
+                return Tri.YES, "flag oracle satisfied"
+        return Tri.UNKNOWN, _UNDECLARED[fam.kind]
+
+
+# membership reasons by family kind: a group whose membership nothing
+# decides; an atom whose sheet declares none; a product of members (for
+# the kinds closed under products); a group with a piece outside, by
+# the kind of group (none for a finite family: its reason is "provably
+# infinite")
+_UNDECIDED = {FamilyKind.FINITE: "finiteness not derivable",
+              FamilyKind.AMENABLE: "amenability not derivable",
+              FamilyKind.CUSTOM: "membership not derivable"}
+_UNDECLARED = {FamilyKind.FINITE: "finiteness not declared",
+               FamilyKind.AMENABLE: "amenability not declared",
+               FamilyKind.CUSTOM: "membership not asserted"}
+_PRODUCT_OF_MEMBERS = {FamilyKind.FINITE: "direct product of finite members",
+                       FamilyKind.AMENABLE: "direct product of amenable groups"}
+_OUTSIDE = {
+    FamilyKind.FINITE: {},
+    FamilyKind.AMENABLE: {"product": "contains a non-amenable factor",
+                          "free": "contains a non-amenable free factor",
+                          "graph": "contains a non-amenable vertex group"},
+    FamilyKind.CUSTOM: {"product": "contains a non-member piece",
+                        "free": "contains a non-member piece",
+                        "graph": "contains a non-member vertex group"},
+}
 
 
 # The module-level questions, each over a fresh memo.

@@ -74,6 +74,17 @@ def test_bound_unknown_family_lists_known(capsys):
     assert "unknown family 'Huge'" in err and "Am" in err
 
 
+@pytest.mark.parametrize("fmt", ("text", "json"))
+def test_bound_ambiguous_family_names_its_matches(capsys, tmp_path, fmt):
+    model = tmp_path / "am.catb"
+    model.write_text("family AM = custom { amenable = yes; }\n", encoding="utf-8")
+    assert run(capsys, "bound", "--target", "Z", "--family", "am",
+               "--format", fmt, str(model)) == (
+        1, "", "error: family 'am' is ambiguous (matches AM, Am)\n")
+    code, out, _ = run(capsys, "bound", "--target", "Z", "--family", "AM", str(model))
+    assert code == 0 and out.startswith("cat[AM] <= ")
+
+
 def test_bound_unresolved_target(capsys):
     code, _, err = run(capsys, "bound", "--target", "Nope",
                        "--family", "Am", EXAMPLES)
@@ -674,12 +685,29 @@ def test_shared_parser_keeps_no_state(capsys):
 
     def first_in_process(argv):
         cli._build_parser.cache_clear()
+        cli._subcommand_parser.cache_clear()
         dsl._validated_prelude.cache_clear()
         return run(capsys, *argv)
 
     expected = [first_in_process(argv) for argv in calls]
     assert [code for code, _, _ in expected] == [0, 0, 0, 0, 1, 0]
     assert [run(capsys, *argv) for argv in calls] == expected
+
+
+@pytest.mark.parametrize("fmt", ("text", "json"))
+def test_a_gluing_with_no_pieces_is_refused(capsys, tmp_path, fmt):
+    model = tmp_path / "empty.catb"
+    model.write_text("gluing G { n = 4; connected = assert; }\n", encoding="utf-8")
+    message = "a gluing needs at least one piece"
+    code, out, err = run(capsys, "validate", "--format", fmt, str(model))
+    assert code == 1
+    if fmt == "json":
+        assert json.loads(out) == {"ok": False, "diagnostics": [
+            {"loc": "1:1", "message": message}]}
+    else:
+        assert (out, err) == ("", f"{model}:1:1: {message}\n")
+    assert run(capsys, "certify", "--target", "G", "--format", fmt, str(model)) == (
+        1, "", f"error: {model}:1:1: {message}\n")
 
 
 def test_certify_rejects_extra_words(capsys):
@@ -721,7 +749,7 @@ def run_recording_reads(capsys, monkeypatch, argv):
                 reads.add(name)
             return super().__getattribute__(name)
 
-    parser = cli._build_parser().commands[argv[0]]
+    parser = cli._subcommand_parser(argv[0])
     parse = parser.parse_known_args
 
     def parse_into_recorder(args):
@@ -737,9 +765,7 @@ def run_recording_reads(capsys, monkeypatch, argv):
 
 @pytest.mark.parametrize("command", sorted(OPTION_RUNS))
 def test_every_accepted_option_is_read(capsys, monkeypatch, command):
-    subparsers = next(a for a in cli._build_parser()._actions
-                      if isinstance(a, argparse._SubParsersAction))
-    actions = [a for a in subparsers.choices[command]._actions if a.dest != "help"]
+    actions = [a for a in cli._subcommand_parser(command)._actions if a.dest != "help"]
     base, options = OPTION_RUNS[command]
     given_somewhere = set()
     for extra in ((),) + options:

@@ -146,6 +146,18 @@ polygon PENT {
     return u
 
 
+def test_a_graph_with_no_vertex_gets_no_bound():
+    # hand-built: validation refuses such a graph, and it has no tree to act on
+    u = dsl.load_prelude()
+    u.graphs["E"] = GraphOfGroups("E", (), ())
+    ev = Evaluator(u)
+    assert ev.facts.complex_view(Ref("E")) is None
+    for fam in (TR, FIN, AM):
+        assert ev.bound_cat(Ref("E"), fam).value == INF
+    for invariant in ("gd", "cd", "tc"):
+        assert getattr(ev, f"bound_{invariant}")(Ref("E")).value == INF
+
+
 def test_polygon_rule_with_asserted_links():
     r = Evaluator(polygon_universe()).bound_cat(Ref("PENT"), AM)
     assert r.value == ExtNat(3)
