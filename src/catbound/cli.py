@@ -25,7 +25,10 @@ alone; the top-level parser, with every subcommand under it, is built
 only for any other argv (`catbound -h`, or a usage error, which it
 words).  The last few prelude texts are each parsed and validated once
 (dsl.load_prelude still reads the file on every call and hands each call
-a fresh overlay of the kept universe).
+a fresh overlay of the kept universe), and the last few model texts are
+each parsed once (dsl.load_text; the model file is read, and its
+universe built and validated, on every call), so an edit to either
+file shows in the next call.
 
 Exit codes: 0 result established, 2 inconclusive (no finite bound, or
 certificate hypotheses not established), 1 errors and diagnostics.  An

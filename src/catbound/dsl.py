@@ -1167,6 +1167,8 @@ def _build_hom(u: Universe, d: HomDecl, diags: List[Diagnostic]) -> None:
 
 # the most preludes kept, each with its validated universe, by last use
 KEPT_PRELUDES = 4
+# the most model texts kept, each with its parse, by last use
+KEPT_TEXTS = 16
 
 _PRELUDE_PATH = Path(__file__).parent / "prelude.catb"
 
@@ -1222,7 +1224,27 @@ def _validated_prelude(path: Path, text: str) -> Universe:
 def load_text(text: str,
               prelude: Optional[Universe] = None
               ) -> Tuple[Optional[Universe], List[Diagnostic]]:
-    model, diags = try_parse(text)
+    """The universe of .catb `text` built over `prelude` (see
+    build_universe), with its diagnostics; (None, the parse's
+    diagnostics) when the text does not parse.
+
+    A text is tokenized and parsed once per process: the parses of the
+    last KEPT_TEXTS texts are kept, keyed by the exact text, so a
+    process that loads a few models again and again parses each once.
+    A parse is frozen records only, about 10-25 bytes per byte of text
+    (2-4 KiB for each bundled fixture), and the text itself is kept as
+    its key.  Building and validating run on
+    every call: each returns a fresh universe and a fresh diagnostics
+    list.
+    """
+    model, diags = _parsed(text)
     if model is None:
-        return None, diags
+        return None, list(diags)
     return build_universe(model, base=prelude)
+
+
+@lru_cache(maxsize=KEPT_TEXTS)
+def _parsed(text: str) -> Tuple[Optional[SourceModel], Tuple[Diagnostic, ...]]:
+    'try_parse(text), its diagnostics as a tuple, so no caller changes them.'
+    model, diags = try_parse(text)
+    return model, tuple(diags)

@@ -345,7 +345,8 @@ class FactMemo:
         a cycle has a free quotient, a free product of two nontrivial
         groups is infinite, and a free product with one live factor is
         that factor.  Otherwise a graph or free product is nontrivial
-        when a piece is, and reaches 3 only when infinite.
+        when a piece is, and reaches 3 only when infinite.  A graph with
+        no vertex denotes no group and gets floor 1.
         """
         kind, payload = self.resolve(e)
         if kind == "atom":
@@ -365,7 +366,7 @@ class FactMemo:
             return max(floor, self._order_floor(live[0])) if len(live) == 1 else floor
         if kind == "graph":
             floors = [self._order_floor(g) for _, g in payload.vertices]
-            if len(payload.edges) >= len(payload.vertices) or inf in floors:
+            if inf in floors or len(payload.edges) >= len(payload.vertices) > 0:
                 return inf
             return min(max(floors, default=1), 2)
         return 1

@@ -745,7 +745,7 @@ def validate(u: Universe) -> List[Diagnostic]:
         if len(set(ids)) != len(ids):
             out.append(Diagnostic(loc, "duplicate vertex ids"))
         if not ids:
-            out.append(Diagnostic(loc, "graph needs at least one vertex"))
+            out.append(Diagnostic(g.loc or loc, "graph needs at least one vertex"))
         for _, ge in g.vertices:
             check_expr(ge, loc)
         for i, e in enumerate(g.edges):

@@ -709,7 +709,7 @@ def provably_nontrivial(u: Universe, e: GroupExpr,
     if kind in ("product", "free"):
         return any(provably_nontrivial(u, f, _seen) for f in payload.factors)
     if kind == "graph":
-        if len(payload.edges) >= len(payload.vertices):
+        if len(payload.edges) >= len(payload.vertices) > 0:
             return True  # a cycle in the underlying graph gives a free quotient
         return any(provably_nontrivial(u, g, _seen)
                    for _, g in payload.vertices)
@@ -734,7 +734,7 @@ def provably_infinite(u: Universe, e: GroupExpr,
         nontrivial = sum(1 for f in payload.factors if provably_nontrivial(u, f))
         return nontrivial >= 2
     if kind == "graph":
-        if len(payload.edges) >= len(payload.vertices):
+        if len(payload.edges) >= len(payload.vertices) > 0:
             return True
         return any(provably_infinite(u, g, _seen) for _, g in payload.vertices)
     return False

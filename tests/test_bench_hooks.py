@@ -37,6 +37,7 @@ def test_traced_names_resolve():
 
 def test_installed_tracer_sees_setup_checks(fixture_texts):
     dsl.load_prelude()      # the standard prelude is then built once per process
+    dsl._parsed.cache_clear()   # no earlier test's parse of the text is kept
     tracer = load_tracing().Tracer()
     tracer.install()
     try:

@@ -687,6 +687,7 @@ def test_shared_parser_keeps_no_state(capsys):
         cli._build_parser.cache_clear()
         cli._subcommand_parser.cache_clear()
         dsl._validated_prelude.cache_clear()
+        dsl._parsed.cache_clear()
         return run(capsys, *argv)
 
     expected = [first_in_process(argv) for argv in calls]
@@ -708,6 +709,35 @@ def test_a_gluing_with_no_pieces_is_refused(capsys, tmp_path, fmt):
         assert (out, err) == ("", f"{model}:1:1: {message}\n")
     assert run(capsys, "certify", "--target", "G", "--format", fmt, str(model)) == (
         1, "", f"error: {model}:1:1: {message}\n")
+
+
+def test_a_model_file_rewritten_between_calls_is_read_again(capsys, tmp_path):
+    model = tmp_path / "m.catb"
+    argv = ("bound", "--target", "G", "--invariant", "gd", str(model))
+    for text, first in (("group G = Z x Z;\n", "gd <= 2"),
+                        ("group G = Z x Z x Z;\n", "gd <= 3"),
+                        ("group G = Z x Z;\n", "gd <= 2"),
+                        ("group G = Z x Z\n", None)):
+        model.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, *argv)
+        if first is None:
+            assert (code, out) == (1, "") and err.startswith(f"error: {model}:2:1: ")
+        else:
+            assert (code, out.splitlines()[0], err) == (0, first, "")
+
+
+@pytest.mark.parametrize("fmt", ("text", "json"))
+def test_a_graph_with_no_vertex_is_refused_at_its_declaration(capsys, tmp_path, fmt):
+    model = tmp_path / "e.catb"
+    model.write_text("group A;\n\n  graph E { }\n", encoding="utf-8")
+    message = "graph needs at least one vertex"
+    code, out, err = run(capsys, "validate", "--format", fmt, str(model))
+    assert code == 1
+    if fmt == "json":
+        assert json.loads(out) == {"ok": False, "diagnostics": [
+            {"loc": "3:3", "message": message}]}
+    else:
+        assert (out, err) == ("", f"{model}:3:3: {message}\n")
 
 
 def test_certify_rejects_extra_words(capsys):

@@ -7,6 +7,10 @@ invocation in text and in JSON.  Whatever the model, the exit code is
 0, 1 or 2, no error is an internal one, and a JSON result has the
 layout of json.dumps(indent=2, ensure_ascii=False).
 
+Another loads the same mutated texts, without the bytes that are not
+UTF-8, twice through dsl.load_text: a load that finds the text's parse
+kept gives the diagnostics and tables of one that parses it afresh.
+
 A second test draws amalgams and polygons of cyclic groups whose maps
 often join the wrong groups: validate refuses such a model with a
 diagnostic, and develop and check-curvature work on any model it
@@ -41,6 +45,7 @@ from hypothesis import strategies as st
 
 from catbound import dsl
 from catbound.cli import main
+from catbound.model import TABLES
 
 HERE = Path(__file__).parent
 FIXTURES = HERE / "fixtures"
@@ -126,6 +131,28 @@ def test_mutated_fixtures_never_fail_internally(workdir, argv, ops):
         if fmt == "json" and code in (0, 2):
             assert out == json.dumps(json.loads(out), indent=2,
                                      ensure_ascii=False) + "\n"
+
+
+def loaded(text):
+    'What load_text(text) over the standard prelude gives, as comparable values.'
+    u, diags = dsl.load_text(text, dsl.load_prelude())
+    if u is None:
+        return [str(d) for d in diags], None
+    return [str(d) for d in diags], (
+        {attr: dict(getattr(u, attr)) for attr in TABLES}, u.validated is None)
+
+
+@seed(20261026)
+@settings(max_examples=300, deadline=None, database=None)
+@given(name=st.sampled_from(sorted(TOKENS)),
+       ops=st.lists(edits.filter(lambda op: op[0] != "bytes"), min_size=1, max_size=3))
+def test_a_kept_parse_loads_like_a_fresh_one(name, ops):
+    text = mutate(TOKENS[name], ops).decode("utf-8")
+    dsl._parsed.cache_clear()
+    cold = loaded(text)
+    hits = dsl._parsed.cache_info().hits
+    assert loaded(text) == cold, text
+    assert dsl._parsed.cache_info().hits == hits + 1
 
 
 # -- concrete maps --------------------------------------------------------

@@ -802,6 +802,81 @@ def test_a_load_that_only_adds_closes_only_its_own_sheets(
         assert tables(load_prelude(path)) == before
 
 
+# -- kept parses -----------------------------------------------------------
+
+
+def test_a_text_is_parsed_once_over_any_prelude(monkeypatch, fixture_texts, tmp_path):
+    custom = tmp_path / "prelude.catb"
+    custom.write_text(dsl.prelude_path().read_text(encoding="utf-8")
+                      + "group Extra;\n", encoding="utf-8")
+    parsed = []
+
+    def counted(text):
+        parsed.append(text)
+        return try_parse(text)
+
+    preludes = [load_prelude(path) for path in (None, custom) * 3]
+    dsl._parsed.cache_clear()
+    monkeypatch.setattr(dsl, "try_parse", counted)
+    text = fixture_texts["examples"]
+    loads = [load_text(text, prelude) for prelude in preludes]
+    assert parsed == [text]
+    assert all(not diags for _, diags in loads)
+    universes = [u for u, _ in loads]
+    assert len(set(map(id, universes))) == len(universes)
+    assert len({id(u.graphs) for u in universes}) == len(universes)
+    assert [("Extra" in u.sheets) for u in universes] == [False, True] * 3
+    # an edited text is a new text
+    edited = text.replace("group ZZ = Z * Z;", "group ZZ = Z x Z;")
+    assert edited != text
+    u, diags = load_text(edited, load_prelude())
+    assert not diags and parsed == [text, edited]
+    assert Evaluator(u).bound_gd(Ref("ZZ")).value == ExtNat(2)
+
+
+def test_each_load_hands_out_its_own_diagnostics():
+    dsl._parsed.cache_clear()
+    for text in ("group G = ;", "group G = Q;"):        # a parse, a check
+        _, diags = load_text(text, load_prelude())
+        want = [str(d) for d in diags]
+        assert want
+        diags.append(diags[0])
+        diags[0] = None
+        assert [str(d) for d in load_text(text, load_prelude())[1]] == want
+
+
+def test_loading_a_text_over_its_own_universe_ignores_kept_parses(fixture_texts):
+    # the second load re-registers the very objects the first one did,
+    # where a fresh parse registers equal copies; validate() tells the
+    # two apart by identity, and must find the same either way
+    rng = random.Random(26)
+    texts = list(fixture_texts.values()) + list(HAND_CASES)
+    texts += [nested_text(depth, 3) for depth in range(2, 5)]
+    texts += [random_setup_base(rng)[0] for _ in range(20)]
+    for i in range(60):
+        text = serialize(random_model(rng))
+        if i % 2:
+            for pattern, name in PRELUDE_NAMES:
+                text = re.sub(pattern, name, text)
+        texts.append(text)
+
+    def twice(text, keep):
+        dsl._parsed.cache_clear()
+        first, _ = load_text(text, load_prelude())
+        if not keep:
+            dsl._parsed.cache_clear()
+        second, diags = load_text(text, first)
+        return first, second, [str(d) for d in diags]
+
+    for text in texts:
+        warm, cold = twice(text, True), twice(text, False)
+        assert warm[2] == cold[2], text
+    first, second, _ = twice(fixture_texts["square_coxeter"], True)
+    assert second.polygons["SQ"] is first.polygons["SQ"]
+    first, second, _ = twice(fixture_texts["square_coxeter"], False)
+    assert second.polygons["SQ"] is not first.polygons["SQ"]
+
+
 def test_setup_declarations_build():
     text = """
 double D {

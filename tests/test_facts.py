@@ -296,6 +296,23 @@ def test_self_containing_universe_answers_conservatively():
     assert memo.membership_with_reason(Ref("G"), AM) == (Tri.UNKNOWN, "circular definition")
 
 
+def test_a_graph_with_no_vertex_has_no_order_floor():
+    # hand-built: validation refuses such a graph, which denotes no group
+    u = universe_with_z()
+    u.graphs["E"] = GraphOfGroups("E", (), ())
+    memo = FactMemo(u)
+    for ours, theirs in PROVABLY:
+        assert getattr(memo, ours)(Ref("E")) is False
+        assert getattr(oracles, theirs)(u, Ref("E")) is False
+    assert memo.membership_with_reason(Ref("E"), FIN) == (
+        Tri.UNKNOWN, "not derivable for this graph of groups")
+    assert memo.membership_with_reason(Ref("E"), TR) == (
+        Tri.UNKNOWN, "triviality not derivable")
+    for fam in (TR, FIN, AM):
+        assert memo.membership_with_reason(Ref("E"), fam) == \
+            oracles.membership_with_reason(u, Ref("E"), fam)
+
+
 def test_a_question_that_raised_raises_again():
     # a vertex group that names nothing: each ask fails, and leaves no
     # in-progress mark behind that the next ask would read as an answer
