@@ -23,12 +23,11 @@ query: each parser is built once, when first needed.  A call whose first
 argument names a subcommand is parsed by that subcommand's own parser
 alone; the top-level parser, with every subcommand under it, is built
 only for any other argv (`catbound -h`, or a usage error, which it
-words).  The last few prelude texts are each parsed and validated once
-(dsl.load_prelude still reads the file on every call and hands each call
-a fresh overlay of the kept universe), and the last few model texts are
-each parsed once (dsl.load_text; the model file is read, and its
-universe built and validated, on every call), so an edit to either
-file shows in the next call.
+words).  The prelude and the model file are read on every call, and
+the last few texts that loaded cleanly are each parsed, built and
+validated once per base (dsl.load_text, which dsl.load_prelude shares):
+each call gets a fresh overlay of the kept universe, and an edit to
+either file is a new text, which shows in the next call.
 
 Exit codes: 0 result established, 2 inconclusive (no finite bound, or
 certificate hypotheses not established), 1 errors and diagnostics.  An

@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import math
 import re
+from collections import OrderedDict
 from functools import lru_cache
 from pathlib import Path
 from typing import (Callable, Dict, Iterator, List, Optional, Tuple, TypeVar,
@@ -57,9 +58,9 @@ from .extnat import FINITE_MAX, INF, ExtNat, Record, _set
 from .facts import FactSheet, Family, FamilyKind, Tri, builtin_families
 from .model import (Diagnostic, DirectProduct, Edge, FreeProduct,
                     GcwDescription, GraphOfGroups, GroupExpr, PolygonOfGroups,
-                    Ref, TrivialGroup, Universe, cyclic_group, free_group_expr,
-                    hom_from_generator_images, product_group, table_group,
-                    validate)
+                    TABLES, Ref, TrivialGroup, Universe, _kept, cyclic_group,
+                    free_group_expr, hom_from_generator_images, product_group,
+                    table_group, validate)
 
 # -- tokens ---------------------------------------------------------------
 
@@ -1165,12 +1166,17 @@ def _build_hom(u: Universe, d: HomDecl, diags: List[Diagnostic]) -> None:
 
 # -- prelude and file loading ---------------------------------------------
 
-# the most preludes kept, each with its validated universe, by last use
-KEPT_PRELUDES = 4
-# the most model texts kept, each with its parse, by last use
+# the most texts kept, each with its parse and the universe of each
+# clean load, by last use
 KEPT_TEXTS = 16
+# the most multiplication-table entries the concrete groups of a kept
+# load may declare, so the kept loads pin about one maximal table
+_KEPT_ENTRIES = ORDER_LIMIT ** 2 // KEPT_TEXTS
 
 _PRELUDE_PATH = Path(__file__).parent / "prelude.catb"
+
+# (text, snapshot of the base or None) -> the validated universe it loaded to
+_kept_loads: OrderedDict[Tuple[str, Optional[Universe]], Universe] = OrderedDict()
 
 
 def prelude_path() -> Path:
@@ -1190,33 +1196,21 @@ def read_catb(path: Path) -> str:
 def load_prelude(path: Optional[Path] = None) -> Universe:
     """The prelude at `path` (the standard one by default) as a new universe.
 
-    The file is read with read_catb() on every call, so an edit or another path takes
-    effect at once.  A prelude text is parsed, built and validated once
-    per file: the last KEPT_PRELUDES (path, text) pairs that loaded
-    cleanly are kept, each with its universe, so a process that switches
-    between a few preludes builds each once.  Each call returns a fresh overlay of
-    the kept universe, so what a caller registers never reaches it.  The overlay counts as
-    validated up to what a caller registers into it, so a model loaded
-    over it that only adds is checked for its own declarations, and one
-    that shadows a prelude name is checked in full, on copies of the
-    prelude's fact sheets.  Raises
-    OSError when the file cannot be read and ValueError when the prelude
-    has problems; a prelude with problems is not kept.
+    The file is read with read_catb() on every call, so an edit or
+    another path takes effect at once.  Its text is loaded over no base
+    by load_text(), as a model is, so a prelude text is parsed,
+    built and validated once per process, and each call returns a fresh
+    overlay of the kept universe.  The overlay counts as validated up
+    to what a caller registers into it, so a model loaded over it that
+    only adds is checked for its own declarations, and one that shadows
+    a prelude name is checked in full, on copies of the prelude's fact
+    sheets.  Raises OSError when the file cannot be read and ValueError,
+    naming the path, when the prelude has problems.
     """
     p = path if path is not None else prelude_path()
-    return _validated_prelude(p, read_catb(p)).overlay()
-
-
-@lru_cache(maxsize=KEPT_PRELUDES)
-def _validated_prelude(path: Path, text: str) -> Universe:
-    """The universe of the prelude text read from `path`.  Raises
-    ValueError naming the path and every diagnostic; a raise is not
-    kept."""
-    model, diags = try_parse(text)
-    if model is not None:
-        u, diags = build_universe(model, base=None)
+    u, diags = load_text(read_catb(p))
     if diags:
-        raise ValueError(f"prelude {path} has problems: "
+        raise ValueError(f"prelude {p} has problems: "
                          + "; ".join(str(d) for d in diags))
     return u
 
@@ -1228,19 +1222,57 @@ def load_text(text: str,
     build_universe), with its diagnostics; (None, the parse's
     diagnostics) when the text does not parse.
 
-    A text is tokenized and parsed once per process: the parses of the
-    last KEPT_TEXTS texts are kept, keyed by the exact text, so a
-    process that loads a few models again and again parses each once.
-    A parse is frozen records only, about 10-25 bytes per byte of text
-    (2-4 KiB for each bundled fixture), and the text itself is kept as
-    its key.  Building and validating run on
-    every call: each returns a fresh universe and a fresh diagnostics
-    list.
+    A text is loaded once per process and base.  The last KEPT_TEXTS
+    clean loads are kept, each keyed by the exact text and the snapshot
+    (`validated`) of its base, or by the text alone over no base; a
+    load with the same key returns a fresh overlay of the kept
+    universe, with a fresh, empty diagnostics list, and builds and
+    validates nothing.  A base counts only while it is pristine: each
+    of its tables holds exactly the entries of its snapshot, as the
+    same objects, as every universe this module hands out does until a
+    caller registers into it or drops from it.  A load over any other
+    base, a load with diagnostics and a load whose declared concrete
+    groups hold more than ORDER_LIMIT ** 2 // KEPT_TEXTS multiplication-
+    table entries (any group of order up to 250 fits) are built and
+    validated on every call, and not kept.  Fact sheets are shared with
+    the kept universe; validate() closes copies of them, never the kept
+    ones.  The parses of the last KEPT_TEXTS texts are kept as well, so
+    a text that does not load cleanly, or is loaded over another base,
+    is tokenized and parsed once.
     """
+    keyed = prelude is None or _pristine(prelude)
+    key = (text, prelude.validated if prelude is not None else None)
+    if keyed:
+        kept = _kept_loads.get(key)
+        if kept is not None:
+            _kept_loads.move_to_end(key)
+            return kept.overlay(), []
     model, diags = _parsed(text)
     if model is None:
         return None, list(diags)
-    return build_universe(model, base=prelude)
+    u, diags = build_universe(model, prelude)
+    if diags or not keyed or _declared_entries(u, prelude) > _KEPT_ENTRIES:
+        return u, diags
+    _kept_loads[key] = u
+    if len(_kept_loads) > KEPT_TEXTS:
+        _kept_loads.popitem(last=False)
+    return u.overlay(), diags
+
+
+def _pristine(u: Universe) -> bool:
+    """Whether every table of `u` holds exactly the entries of its
+    snapshot `u.validated`, as the same objects."""
+    old = u.validated
+    return old is not None and all(
+        len(getattr(u, attr)) == len(getattr(old, attr))
+        and _kept(getattr(old, attr), getattr(u, attr)) for attr in TABLES)
+
+
+def _declared_entries(u: Universe, base: Optional[Universe]) -> int:
+    'The multiplication-table entries of the concrete groups `u` adds to `base`.'
+    held = base.concretes if base is not None else {}
+    return sum(g.order ** 2 for name, g in u.concretes.items()
+               if held.get(name) is not g)
 
 
 @lru_cache(maxsize=KEPT_TEXTS)

@@ -169,10 +169,10 @@ def sheet_diagnostics(u: Universe, name: str) -> List[Diagnostic]:
     reported at its declaration.
 
     A sheet that the snapshot `u.validated` also holds is shared with
-    the universe that passed, such as the kept prelude, which must not
-    see this universe's tables: it is replaced in `u` by a copy, and the
-    copy is closed.  So a full check of a universe over the kept prelude
-    leaves the prelude's sheets as they were."""
+    the universe that passed, such as a kept prelude or model, which
+    must not see this universe's tables: it is replaced in `u` by a
+    copy, and the copy is closed.  So a full check of a universe over a
+    kept one leaves the kept sheets as they were."""
     sheet = u.sheets[name]
     if u.validated is not None and u.validated.sheets.get(name) is sheet:
         sheet = u.sheets[name] = replace(sheet, cat_ub=dict(sheet.cat_ub),

@@ -14,6 +14,7 @@ its problems, and the developments read the homs and charts it returns.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from operator import is_
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
@@ -439,11 +440,11 @@ class Universe:
     application setups each get their own.  An atom may carry both a
     fact sheet and a concrete realization under the same name.
 
-    `validated` is a snapshot of the group, hom and setup tables of
-    this universe, or of the nearest one it was overlaid from, as they
-    stood when it passed validate(), or None if none has; validate()
-    checks only the names added since, when nothing else changed.  A
-    snapshot's own `validated` is None.
+    `validated` is a snapshot of every table of this universe, or of
+    the nearest one it was overlaid from, as they stood when it passed
+    validate(), or None if none has; validate() checks only the names
+    added since, when nothing else changed.  A snapshot's own
+    `validated` is None.
     """
 
     def __init__(self) -> None:
@@ -701,7 +702,7 @@ def validate(u: Universe) -> List[Diagnostic]:
     that of checking everything.  A table group or hom that passed
     verify() when it was built (see its `verified` or `verified_on`) is
     not verified again.  A universe that passes records a snapshot of
-    its checked tables in `u.validated`.
+    its tables, families included, in `u.validated`.
     """
     names, hom_names, setup_names = _unchecked(u)
     out: List[Diagnostic] = []
@@ -743,7 +744,8 @@ def validate(u: Universe) -> List[Diagnostic]:
         loc = f"graph {name}"
         ids = g.vertex_ids()
         if len(set(ids)) != len(ids):
-            out.append(Diagnostic(loc, "duplicate vertex ids"))
+            out.extend(Diagnostic(g.loc or loc, f"duplicate vertex id {vid!r}")
+                       for vid, n in Counter(ids).items() if n > 1)
         if not ids:
             out.append(Diagnostic(g.loc or loc, "graph needs at least one vertex"))
         for _, ge in g.vertices:
@@ -756,7 +758,7 @@ def validate(u: Universe) -> List[Diagnostic]:
             if e.maps is not None and not unknown:
                 out.extend(Diagnostic(eloc, m) for m in edge_injections(u, g, e)[1])
         if ids and not _connected(ids, g.edges):
-            out.append(Diagnostic(loc, "underlying graph is not connected"))
+            out.append(Diagnostic(g.loc or loc, "underlying graph is not connected"))
 
     for name in picked(u.polygons, names):
         p = u.polygons[name]
@@ -798,7 +800,7 @@ def validate(u: Universe) -> List[Diagnostic]:
 
     if not out:
         u.validated = Universe()
-        for attr in CHECKED_TABLES:
+        for attr in TABLES:
             getattr(u.validated, attr).update(getattr(u, attr))
     return out
 

@@ -12,3 +12,14 @@ def fixture_texts():
     from catbound.dsl import prelude_path
     texts["prelude"] = prelude_path().read_text(encoding="utf-8")
     return texts
+
+
+@pytest.fixture(autouse=True)
+def cold_process():
+    """Each test starts as a fresh process would: nothing an earlier
+    test loaded, parsed or built a parser for is kept."""
+    from catbound import cli, dsl
+    dsl._kept_loads.clear()
+    dsl._parsed.cache_clear()
+    cli._subcommand_parser.cache_clear()
+    cli._build_parser.cache_clear()

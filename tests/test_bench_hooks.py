@@ -37,14 +37,24 @@ def test_traced_names_resolve():
 
 def test_installed_tracer_sees_setup_checks(fixture_texts):
     dsl.load_prelude()      # the standard prelude is then built once per process
-    dsl._parsed.cache_clear()   # no earlier test's parse of the text is kept
-    tracer = load_tracing().Tracer()
-    tracer.install()
-    try:
-        _, diags = dsl.load_text(fixture_texts["double_max"], dsl.load_prelude())
-    finally:
-        tracer.uninstall()
-    assert not diags
+    tracing = load_tracing()
+
+    def traced_load():
+        tracer = tracing.Tracer()
+        tracer.install()
+        try:
+            _, diags = dsl.load_text(fixture_texts["double_max"], dsl.load_prelude())
+        finally:
+            tracer.uninstall()
+        assert not diags
+        return tracer
+
+    tracer = traced_load()
     assert tracer.calls["apps.build_setup"] == 1
     assert tracer.calls["dsl.build_universe"] == 1      # the file alone
     assert tracer.tokens > 0        # read off what dsl.tokenize returns
+    # a kept text is neither parsed, built nor checked again
+    tracer = traced_load()
+    assert tracer.calls["dsl.load_text"] == 2       # the prelude's and the file's
+    assert tracer.calls["apps.build_setup"] == tracer.calls["dsl.build_universe"] == 0
+    assert tracer.calls["model.validate"] == tracer.tokens == 0

@@ -686,7 +686,7 @@ def test_shared_parser_keeps_no_state(capsys):
     def first_in_process(argv):
         cli._build_parser.cache_clear()
         cli._subcommand_parser.cache_clear()
-        dsl._validated_prelude.cache_clear()
+        dsl._kept_loads.clear()
         dsl._parsed.cache_clear()
         return run(capsys, *argv)
 
@@ -726,6 +726,25 @@ def test_a_model_file_rewritten_between_calls_is_read_again(capsys, tmp_path):
             assert (code, out.splitlines()[0], err) == (0, first, "")
 
 
+def test_a_prelude_file_rewritten_between_calls_is_read_again(capsys, tmp_path):
+    # the model's load over one prelude is not served over another
+    prelude, model = tmp_path / "p.catb", tmp_path / "m.catb"
+    model.write_text("group H = G x G;\n", encoding="utf-8")
+    argv = ("bound", "--target", "H", "--invariant", "gd", "--prelude", str(prelude),
+            str(model))
+    for text, first in (("group G { gd <= 1; }\n", "gd <= 2"),
+                        ("group G { gd <= 2; }\n", "gd <= 4"),
+                        ("group G { gd <= 1; }\n", "gd <= 2"),
+                        ("group G = ;\n", None)):
+        prelude.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, *argv)
+        if first is None:
+            assert (code, out) == (1, "")
+            assert err.startswith(f"error: prelude: prelude {prelude} has problems: 1:")
+        else:
+            assert (code, out.splitlines()[0], err) == (0, first, "")
+
+
 @pytest.mark.parametrize("fmt", ("text", "json"))
 def test_a_graph_with_no_vertex_is_refused_at_its_declaration(capsys, tmp_path, fmt):
     model = tmp_path / "e.catb"
@@ -738,6 +757,23 @@ def test_a_graph_with_no_vertex_is_refused_at_its_declaration(capsys, tmp_path, 
             {"loc": "3:3", "message": message}]}
     else:
         assert (out, err) == ("", f"{model}:3:3: {message}\n")
+
+
+@pytest.mark.parametrize("fmt", ("text", "json"))
+def test_graph_shape_problems_are_positioned_at_the_declaration(capsys, tmp_path, fmt):
+    model = tmp_path / "g.catb"
+    model.write_text("group A;\n\n  graph G { vertex a = Z; vertex b = Z; }\n"
+                     "graph H { vertex a = Z; vertex a = Z; }\n", encoding="utf-8")
+    expected = [("3:3", "underlying graph is not connected"),
+                ("4:1", "duplicate vertex id 'a'")]
+    code, out, err = run(capsys, "validate", "--format", fmt, str(model))
+    assert code == 1
+    if fmt == "json":
+        assert json.loads(out) == {"ok": False, "diagnostics": [
+            {"loc": loc, "message": message} for loc, message in expected]}
+    else:
+        assert (out, err) == ("", "".join(f"{model}:{loc}: {message}\n"
+                                          for loc, message in expected))
 
 
 def test_certify_rejects_extra_words(capsys):

@@ -8,8 +8,12 @@ invocation in text and in JSON.  Whatever the model, the exit code is
 layout of json.dumps(indent=2, ensure_ascii=False).
 
 Another loads the same mutated texts, without the bytes that are not
-UTF-8, twice through dsl.load_text: a load that finds the text's parse
-kept gives the diagnostics and tables of one that parses it afresh.
+UTF-8, three times through dsl.load_text: a load served from the kept
+load of the text, and one that finds only its parse kept, give the
+diagnostics and tables of one that parses it afresh.  And `validate`
+and `bound` on a mutated fixture, run a second time in the same
+process, print what they printed from a cold start, with the same
+exit code.
 
 A second test draws amalgams and polygons of cyclic groups whose maps
 often join the wrong groups: validate refuses such a model with a
@@ -133,9 +137,9 @@ def test_mutated_fixtures_never_fail_internally(workdir, argv, ops):
                                      ensure_ascii=False) + "\n"
 
 
-def loaded(text):
-    'What load_text(text) over the standard prelude gives, as comparable values.'
-    u, diags = dsl.load_text(text, dsl.load_prelude())
+def loaded(text, base):
+    'What load_text(text) over `base` gives, as comparable values.'
+    u, diags = dsl.load_text(text, base)
     if u is None:
         return [str(d) for d in diags], None
     return [str(d) for d in diags], (
@@ -148,11 +152,37 @@ def loaded(text):
        ops=st.lists(edits.filter(lambda op: op[0] != "bytes"), min_size=1, max_size=3))
 def test_a_kept_parse_loads_like_a_fresh_one(name, ops):
     text = mutate(TOKENS[name], ops).decode("utf-8")
+    dsl._kept_loads.clear()
+    base = dsl.load_prelude()
     dsl._parsed.cache_clear()
-    cold = loaded(text)
+    cold = loaded(text, base)
+    # a clean load is kept, and the next one is an overlay of it
+    assert loaded(text, base) == cold, text
+    # with no kept load, the kept parse is built over the base again
+    dsl._kept_loads.clear()
     hits = dsl._parsed.cache_info().hits
-    assert loaded(text) == cold, text
+    assert loaded(text, base) == cold, text
     assert dsl._parsed.cache_info().hits == hits + 1
+
+
+BOUND_INVOCATIONS = [argv for argv in INVOCATIONS if argv[0] == "bound"]
+
+
+@seed(20261027)
+@settings(max_examples=150, deadline=None, database=None)
+@given(argv=st.sampled_from(BOUND_INVOCATIONS), ops=st.lists(edits, min_size=1, max_size=3),
+       fmt=st.sampled_from(("text", "json")))
+def test_a_kept_load_answers_like_a_cold_one(workdir, argv, ops, fmt):
+    name = next(a for a in argv if a.endswith(".catb"))
+    model = workdir / name
+    model.write_bytes(mutate(TOKENS[name], ops))
+    for call in (["validate", str(model)],
+                 [str(model) if a == name else a for a in argv]):
+        call += ["--format", fmt]
+        dsl._kept_loads.clear()
+        dsl._parsed.cache_clear()
+        cold = run(call)
+        assert run(call) == cold, call
 
 
 # -- concrete maps --------------------------------------------------------

@@ -203,10 +203,9 @@ def test_product_orders_are_bounded_before_building(monkeypatch, capsys, tmp_pat
     assert parse("group C = cyclic(1000);").decls[0].rhs.order == dsl.ORDER_LIMIT
 
 
-def test_alternating_preludes_are_each_built_once(monkeypatch, tmp_path):
-    custom = tmp_path / "prelude.catb"
-    custom.write_text(dsl.prelude_path().read_text(encoding="utf-8")
-                      + "group Extra;\n", encoding="utf-8")
+@pytest.fixture
+def counted_builds(monkeypatch):
+    'The base of each build_universe call the loader makes.'
     built = []
     build = dsl.build_universe
 
@@ -214,12 +213,18 @@ def test_alternating_preludes_are_each_built_once(monkeypatch, tmp_path):
         built.append(base)
         return build(model, base)
 
-    dsl._validated_prelude.cache_clear()
     monkeypatch.setattr(dsl, "build_universe", counted)
+    return built
+
+
+def test_alternating_preludes_are_each_built_once(counted_builds, tmp_path):
+    custom = tmp_path / "prelude.catb"
+    custom.write_text(dsl.prelude_path().read_text(encoding="utf-8")
+                      + "group Extra;\n", encoding="utf-8")
     for i in range(200):
         u = load_prelude(custom if i % 2 else None)
         assert ("Extra" in u.sheets) == bool(i % 2)
-    assert built == [None, None]
+    assert counted_builds == [None, None]
 
 
 def test_round_trip_holds_after_evaluation(fixture_texts):
@@ -619,7 +624,12 @@ HAND_CASES = {
         "graph G edge 0: edge group must name a concrete group when maps are given",
         *["graph G edge 0: vertex a must name a concrete group when maps are given"] * 2,
         "graph G edge 1: unknown endpoint 'c'",
-        "graph G: underlying graph is not connected"],
+        "1:1: underlying graph is not connected"],
+    # graph shapes are reported at the declaration
+    "group A;\n  graph G { vertex a = Z; vertex b = Z; }": [
+        "2:3: underlying graph is not connected"],
+    "graph G { vertex a = Z; vertex b = Z; vertex a = Z; vertex b = F2; edge a - b : Z; }": [
+        "1:1: duplicate vertex id 'a'", "1:1: duplicate vertex id 'b'"],
 }
 
 
@@ -656,8 +666,7 @@ def test_changed_homs_and_their_groups_are_checked(checked_loads, tmp_path):
 def test_changed_homs_and_groups_of_graph_edges_are_checked(checked_loads, tmp_path):
     # a prelude with an amalgam of concrete groups and maps; each model
     # changes a hom or a vertex group it relies on.  No prelude is kept
-    # yet, whatever earlier tests loaded, so its own load is counted.
-    dsl._validated_prelude.cache_clear()
+    # yet, so its own load is counted.
     prelude = tmp_path / "prelude.catb"
     prelude.write_text(dsl.prelude_path().read_text(encoding="utf-8")
                        + (FIXTURES / "examples.catb").read_text(encoding="utf-8"),
@@ -800,6 +809,12 @@ def test_a_load_that_only_adds_closes_only_its_own_sheets(
         # a kept sheet is closed on a copy, and the kept prelude is unchanged
         assert all(sheet is not base.sheets.get(name) for name, sheet in closed)
         assert tables(load_prelude(path)) == before
+        # a clean load is kept, and a kept load closes no sheet at all
+        if not diags:
+            closed.clear()
+            again, diags = load_text(text, load_prelude(path))
+            assert closed == [] and not diags
+            assert tables(again) == tables(u)
 
 
 # -- kept parses -----------------------------------------------------------
@@ -816,7 +831,6 @@ def test_a_text_is_parsed_once_over_any_prelude(monkeypatch, fixture_texts, tmp_
         return try_parse(text)
 
     preludes = [load_prelude(path) for path in (None, custom) * 3]
-    dsl._parsed.cache_clear()
     monkeypatch.setattr(dsl, "try_parse", counted)
     text = fixture_texts["examples"]
     loads = [load_text(text, prelude) for prelude in preludes]
@@ -835,7 +849,6 @@ def test_a_text_is_parsed_once_over_any_prelude(monkeypatch, fixture_texts, tmp_
 
 
 def test_each_load_hands_out_its_own_diagnostics():
-    dsl._parsed.cache_clear()
     for text in ("group G = ;", "group G = Q;"):        # a parse, a check
         _, diags = load_text(text, load_prelude())
         want = [str(d) for d in diags]
@@ -843,6 +856,11 @@ def test_each_load_hands_out_its_own_diagnostics():
         diags.append(diags[0])
         diags[0] = None
         assert [str(d) for d in load_text(text, load_prelude())[1]] == want
+    # a kept load hands out a new empty list each time
+    for _ in range(2):
+        _, diags = load_text("group G;", load_prelude())
+        assert diags == []
+        diags.append(None)
 
 
 def test_loading_a_text_over_its_own_universe_ignores_kept_parses(fixture_texts):
@@ -861,6 +879,8 @@ def test_loading_a_text_over_its_own_universe_ignores_kept_parses(fixture_texts)
         texts.append(text)
 
     def twice(text, keep):
+        # no kept load, so the second load is built over the first
+        dsl._kept_loads.clear()
         dsl._parsed.cache_clear()
         first, _ = load_text(text, load_prelude())
         if not keep:
@@ -875,6 +895,108 @@ def test_loading_a_text_over_its_own_universe_ignores_kept_parses(fixture_texts)
     assert second.polygons["SQ"] is first.polygons["SQ"]
     first, second, _ = twice(fixture_texts["square_coxeter"], False)
     assert second.polygons["SQ"] is not first.polygons["SQ"]
+
+
+# -- kept loads -----------------------------------------------------------
+
+KEPT_TEXT = ((FIXTURES / "examples.catb").read_text(encoding="utf-8")
+             + "group T = table [[0,1],[1,0]];\n"
+             + 'group G { gd <= 2 by "why"; cat[Am] <= 1; }\n')
+
+
+def answers(loaded):
+    'The diagnostics, tables and some bounds of a load, as comparable values.'
+    u, diags = loaded
+    ev = Evaluator(u)
+    bounds = [(ev.bound_cat(Ref(n), u.families["Am"]).value, ev.bound_gd(Ref(n)).value)
+              for n in ("ZZ", "Am46", "FC", "T", "G", "Z", "Z2")]
+    return [str(d) for d in diags], tables(u), bounds
+
+
+def registered_group(u):
+    u.concretes["C5"] = cyclic_group(5)
+    u.sheets["C5"] = FactSheet(name="C5")
+
+
+def registered_hom(u):
+    u.homs["i24b"] = u.homs["i24"]
+
+
+def registered_family(u):
+    u.families["Am2"] = u.families["Am"]
+
+
+def redeclared_and_validated(u):
+    # shadows the model's G and the prelude's Z2, which leaves the hom i24
+    # with no concrete source; validate closes copies of the kept sheets
+    u.drop_group("G")
+    u.sheets["G"] = FactSheet(name="G", gd_ub=ExtNat(0))
+    u.drop_group("Z2")
+    u.sheets["Z2"] = FactSheet(name="Z2", finite=Tri.NO)
+    assert validate(u)
+    Evaluator(u).bound_cat(Ref("Am46"), u.families["Am"])
+
+
+def dropped_group(u):
+    u.drop_group("Am46")
+    u.drop_group("T")
+
+
+@pytest.mark.parametrize("change", (registered_group, registered_hom, registered_family,
+                                    redeclared_and_validated, dropped_group))
+def test_what_a_caller_changes_never_reaches_a_kept_load(counted_builds, change):
+    cold = answers(load_text(KEPT_TEXT, load_prelude()))
+    assert not cold[0] and len(counted_builds) == 2     # the prelude, the text
+    u, _ = load_text(KEPT_TEXT, load_prelude())
+    change(u)
+    for _ in range(2):
+        assert answers(load_text(KEPT_TEXT, load_prelude())) == cold
+    assert len(counted_builds) == 2
+
+
+def added_family(base):
+    base.families["Extra"] = base.families["Am"]
+
+
+def added_group(base):
+    # a table under the sheet-only atom Z, which "group H;" is checked against
+    base.concretes["Z"] = cyclic_group(2)
+
+
+@pytest.mark.parametrize("change", (added_family, added_group))
+def test_a_base_changed_after_it_passed_is_built_over(counted_builds, change):
+    text = "group H;\n" + KEPT_TEXT
+    base = load_prelude()
+    change(base)
+    cold = answers(load_text(text, base))
+    if change is added_family:
+        assert not cold[0] and "Extra" in cold[1]["families"]
+    else:
+        assert any(d.endswith("declared infinite but carries a finite "
+                              "multiplication table") for d in cold[0])
+    # the text is kept over the prelude, and built over each changed copy
+    dsl._kept_loads.clear()
+    dsl._parsed.cache_clear()
+    assert not load_text(text, load_prelude())[1]
+    counted_builds.clear()
+    for i in range(2):
+        base = load_prelude()
+        change(base)
+        assert answers(load_text(text, base)) == cold
+        assert counted_builds[i] is base
+    assert len(counted_builds) == 2
+
+
+def test_loads_that_declare_large_tables_are_not_kept(counted_builds):
+    load_prelude()
+    counted_builds.clear()
+    for order, builds in ((1000, 2), (250, 1)):
+        text = f"group C = cyclic({order});"
+        for _ in range(2):
+            u, diags = load_text(text, load_prelude())
+            assert not diags and u.concretes["C"].order == order
+        assert len(counted_builds) == builds, order
+        counted_builds.clear()
 
 
 def test_setup_declarations_build():

@@ -1,7 +1,7 @@
 """Byte-for-byte stdout and exit codes of every scripts/run_fixtures.py
 invocation, in text and JSON, against transcripts in fixtures/golden/:
-the invocations run in turn from no kept parse, then all once more in
-the same process, with the parse of every fixture text kept.
+the invocations run in turn from no kept load, then all once more in
+the same process, with the load of every fixture text kept.
 
 Run this file as a script to rewrite the transcripts after a deliberate
 output change; it first prints, per format, each invocation whose stdout
@@ -88,14 +88,18 @@ def changes(fmt: str, old: str, ran: List[Tuple[str, str, int]]) -> List[str]:
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
-def test_fixture_invocations_match_golden(fmt):
+def test_fixture_invocations_match_golden(fmt, monkeypatch):
     expected = (GOLDEN / f"run_fixtures.{fmt}.txt").read_text(encoding="utf-8")
-    dsl._parsed.cache_clear()
     assert transcript(fmt) == expected
-    # again in the same process, with the parse of every fixture text kept
+    # again in the same process, with the load of every fixture text kept
     misses = dsl._parsed.cache_info().misses
+    built = []
+    build = dsl.build_universe
+    monkeypatch.setattr(dsl, "build_universe",
+                        lambda model, base=None: built.append(model) or build(model, base))
     assert transcript(fmt) == expected
     assert dsl._parsed.cache_info().misses == misses
+    assert built == []
 
 
 def test_transcripts_read_back():
