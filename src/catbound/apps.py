@@ -162,8 +162,7 @@ Setup = Union[GluingSetup, DoubleSetup, BranchedSetup]
 def build_setup(u: Universe, setup: Setup) -> List[Diagnostic]:
     """The problems of a registered setup: the preconditions of its
     kind, its embeddings and its unresolved group names.  model.validate
-    runs it on each setup a load adds, or on every setup when the load
-    replaces or drops anything.
+    runs it on every setup of the universe.
     """
     if isinstance(setup, GluingSetup):
         diags = _gluing_diagnostics(setup)

@@ -23,9 +23,9 @@ query: each parser is built once, when first needed.  A call whose first
 argument names a subcommand is parsed by that subcommand's own parser
 alone; the top-level parser, with every subcommand under it, is built
 only for any other argv (`catbound -h`, or a usage error, which it
-words).  The prelude and the model file are read on every call, and
-the last few texts that loaded cleanly are each parsed, built and
-validated once per base (dsl.load_text, which dsl.load_prelude shares):
+words).  The prelude and the model file are read on every call.  Each
+of the last few texts that loaded cleanly is parsed, built and checked
+in full once per base (dsl.load_text, which dsl.load_prelude shares):
 each call gets a fresh overlay of the kept universe, and an edit to
 either file is a new text, which shows in the next call.
 

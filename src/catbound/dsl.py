@@ -47,7 +47,7 @@ from __future__ import annotations
 import math
 import re
 from collections import OrderedDict
-from functools import lru_cache
+from operator import is_
 from pathlib import Path
 from typing import (Callable, Dict, Iterator, List, Optional, Tuple, TypeVar,
                     Union)
@@ -58,7 +58,7 @@ from .extnat import FINITE_MAX, INF, ExtNat, Record, _set
 from .facts import FactSheet, Family, FamilyKind, Tri, builtin_families
 from .model import (Diagnostic, DirectProduct, Edge, FreeProduct,
                     GcwDescription, GraphOfGroups, GroupExpr, PolygonOfGroups,
-                    TABLES, Ref, TrivialGroup, Universe, _kept, cyclic_group,
+                    TABLES, Ref, TrivialGroup, Universe, cyclic_group,
                     free_group_expr, hom_from_generator_images, product_group,
                     table_group, validate)
 
@@ -1074,11 +1074,10 @@ def build_universe(model: SourceModel,
     only what cannot be registered without building (a bad table, a
     product factor or hom group that is not concrete, a product whose
     order exceeds ORDER_LIMIT, cyclic(0), a hom whose images do not
-    extend); setups and all else are registered as parsed.  The copy
-    keeps `base`'s snapshot of its nearest validated ancestor, so
-    validate checks only the declared names when they add to `base`,
-    and everything when one replaces or drops a name of it.
-    A universe with diagnostics should not be evaluated.
+    extend); setups and all else are registered as parsed.  validate
+    then checks every declaration, `base`'s included, closing copies of
+    the fact sheets `base` holds.  A universe with diagnostics should
+    not be evaluated.
     """
     u = base.overlay() if base is not None else Universe()
     if not u.families:
@@ -1166,8 +1165,7 @@ def _build_hom(u: Universe, d: HomDecl, diags: List[Diagnostic]) -> None:
 
 # -- prelude and file loading ---------------------------------------------
 
-# the most texts kept, each with its parse and the universe of each
-# clean load, by last use
+# the most clean loads kept, by last use
 KEPT_TEXTS = 16
 # the most multiplication-table entries the concrete groups of a kept
 # load may declare, so the kept loads pin about one maximal table
@@ -1200,11 +1198,9 @@ def load_prelude(path: Optional[Path] = None) -> Universe:
     another path takes effect at once.  Its text is loaded over no base
     by load_text(), as a model is, so a prelude text is parsed,
     built and validated once per process, and each call returns a fresh
-    overlay of the kept universe.  The overlay counts as validated up
-    to what a caller registers into it, so a model loaded over it that
-    only adds is checked for its own declarations, and one that shadows
-    a prelude name is checked in full, on copies of the prelude's fact
-    sheets.  Raises OSError when the file cannot be read and ValueError,
+    overlay of the kept universe.  A model loaded over the overlay is
+    checked in full, on copies of the prelude's fact sheets, once per
+    text.  Raises OSError when the file cannot be read and ValueError,
     naming the path, when the prelude has problems.
     """
     p = path if path is not None else prelude_path()
@@ -1236,9 +1232,7 @@ def load_text(text: str,
     table entries (any group of order up to 250 fits) are built and
     validated on every call, and not kept.  Fact sheets are shared with
     the kept universe; validate() closes copies of them, never the kept
-    ones.  The parses of the last KEPT_TEXTS texts are kept as well, so
-    a text that does not load cleanly, or is loaded over another base,
-    is tokenized and parsed once.
+    ones.
     """
     keyed = prelude is None or _pristine(prelude)
     key = (text, prelude.validated if prelude is not None else None)
@@ -1247,9 +1241,9 @@ def load_text(text: str,
         if kept is not None:
             _kept_loads.move_to_end(key)
             return kept.overlay(), []
-    model, diags = _parsed(text)
+    model, diags = try_parse(text)
     if model is None:
-        return None, list(diags)
+        return None, diags
     u, diags = build_universe(model, prelude)
     if diags or not keyed or _declared_entries(u, prelude) > _KEPT_ENTRIES:
         return u, diags
@@ -1268,15 +1262,13 @@ def _pristine(u: Universe) -> bool:
         and _kept(getattr(old, attr), getattr(u, attr)) for attr in TABLES)
 
 
+def _kept(old: Dict[str, object], new: Dict[str, object]) -> bool:
+    'Whether every entry of `old` is in `new`, as the same object.'
+    return all(map(is_, map(new.get, old), old.values()))
+
+
 def _declared_entries(u: Universe, base: Optional[Universe]) -> int:
     'The multiplication-table entries of the concrete groups `u` adds to `base`.'
     held = base.concretes if base is not None else {}
     return sum(g.order ** 2 for name, g in u.concretes.items()
                if held.get(name) is not g)
-
-
-@lru_cache(maxsize=KEPT_TEXTS)
-def _parsed(text: str) -> Tuple[Optional[SourceModel], Tuple[Diagnostic, ...]]:
-    'try_parse(text), its diagnostics as a tuple, so no caller changes them.'
-    model, diags = try_parse(text)
-    return model, tuple(diags)

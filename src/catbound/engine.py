@@ -473,15 +473,12 @@ class Evaluator:
 
     bound_tc = _memoized_bound("tc", _tc_candidates)
 
-    def _pair(self, a: GroupExpr, b: GroupExpr) -> GroupExpr:
-        return DirectProduct((a, b))
-
     def _tc_gcw(self, x: GcwDescription, assumptions: Tuple[str, ...]) -> DerivationNode:
         'Complexity of the square of the complex, term by term.'
         cells = x.cells()
         zero = [(i, g) for i, (d, g) in enumerate(cells) if d == 0]
         tc_nodes = [self.bound_tc(g).trace for _, g in zero]
-        pair_nodes = [self.bound_cd(self._pair(zero[a][1], zero[b][1])).trace
+        pair_nodes = [self.bound_cd(DirectProduct((zero[a][1], zero[b][1]))).trace
                       for a in range(len(zero))
                       for b in range(a + 1, len(zero))]
         mixed = []
@@ -490,7 +487,7 @@ class Evaluator:
                 db, gb = cells[b]
                 if max(da, db) < 1:
                     continue
-                mixed.append(_shift(self.bound_gd(self._pair(ga, gb)).trace,
+                mixed.append(_shift(self.bound_gd(DirectProduct((ga, gb))).trace,
                                     da + db, f"cells of dimension {da} and {db}"))
         terms = [
             _node("sup", "complexity over 0-cell stabilizers", tc_nodes),

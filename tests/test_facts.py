@@ -187,7 +187,7 @@ def test_memo_table_round_trip():
     e = Ref("Z")
     r = BoundResult("cat", "Am", ZERO, _leaf("member-zero", "reason", ZERO))
     assert memo.get("cat", e, "Am") is None
-    memo.put("cat", e, "Am", r)
+    memo.results["cat", e.key, "Am"] = r
     assert memo.get("cat", e, "Am") is r
     assert memo.get("cat", e, "Tr") is None
     assert memo.get("gd", e, "Am") is None
