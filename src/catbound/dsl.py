@@ -1229,8 +1229,8 @@ def load_text(text: str,
     caller registers into it or drops from it.  A load over any other
     base, a load with diagnostics and a load whose declared concrete
     groups hold more than ORDER_LIMIT ** 2 // KEPT_TEXTS multiplication-
-    table entries (any group of order up to 250 fits) are built and
-    validated on every call, and not kept.  Fact sheets are shared with
+    table entries (any group of order up to 250 fits) are parsed,
+    built and validated on every call, and not kept.  Fact sheets are shared with
     the kept universe; validate() closes copies of them, never the kept
     ones.
     """
