@@ -7,8 +7,7 @@ traces (engine), finite pieces of dual developments (develop),
 vanishing-certificate pipelines (apps), and the command line (cli).
 """
 
-from .extnat import (INF, ZERO, ExtNat, FrozenInstanceError, ext_max, replace,
-                     supremum)
+from .extnat import INF, ZERO, ExtNat, FrozenInstanceError, replace, supremum
 from .model import (ConcreteFiniteGroup, Diagnostic, DirectProduct, Edge,
                     FreeProduct, GcwDescription, GraphOfGroups, Homomorphism,
                     PolygonOfGroups, Ref, TrivialGroup, Universe,
@@ -29,8 +28,7 @@ from .apps import (BranchedSetup, Certificate, DoubleSetup, GluingSetup,
 __version__ = "0.1.0"
 
 __all__ = [
-    "INF", "ZERO", "ExtNat", "FrozenInstanceError", "ext_max", "replace",
-    "supremum",
+    "INF", "ZERO", "ExtNat", "FrozenInstanceError", "replace", "supremum",
     "ConcreteFiniteGroup", "Diagnostic", "DirectProduct", "Edge",
     "FreeProduct", "GcwDescription", "GraphOfGroups", "Homomorphism",
     "PolygonOfGroups", "Ref", "TrivialGroup", "Universe",

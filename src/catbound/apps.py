@@ -128,9 +128,6 @@ class Certificate(MutableRecord):
         self.ledger = [] if ledger is None else ledger
         self.trace = trace
 
-    def failed_items(self) -> List[LedgerItem]:
-        return [x for x in self.ledger if x.status == "failed"]
-
     def to_json(self) -> dict:
         return {
             "conclusion": self.conclusion,

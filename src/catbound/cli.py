@@ -26,7 +26,7 @@ only for any other argv (`catbound -h`, or a usage error, which it
 words).  The prelude and the model file are read on every call.  Each
 of the last few texts that loaded cleanly is parsed, built and checked
 in full once per base (dsl.load_text, which dsl.load_prelude shares):
-each call gets a fresh overlay of the kept universe, and an edit to
+each call gets the kept universe itself, read-only, and an edit to
 either file is a new text, which shows in the next call.
 
 Exit codes: 0 result established, 2 inconclusive (no finite bound, or

@@ -84,7 +84,6 @@ class AmalgamContext:
         self._images = tuple(emb.images for emb in embeddings)
         self._inverse = tuple(tuple(row.index(g.identity) for row in g.table)
                               for g in sides)
-        self._edge_inverse = tuple(row.index(edge.identity) for row in edge.table)
         # factor y = t·i(c) with t the representative of the coset y·im(C),
         # stored as (c, (side, t)); the image coset itself, represented
         # by the identity, stores (c, None)
@@ -117,22 +116,10 @@ class AmalgamContext:
         c, syllable = self._factor[side][x]
         return _new(AmalgamElement, (c, word + (syllable,) if syllable else word))
 
-    def embed_side(self, side: int, a: int) -> AmalgamElement:
-        return self.step(self.identity, side, a)
-
-    def embed_edge(self, c: int) -> AmalgamElement:
-        return AmalgamElement(c, ())
-
     def mul(self, a: AmalgamElement, b: AmalgamElement) -> AmalgamElement:
         for side, t in b.word:
             a = self.step(a, side, t)
         return self.step(a, 0, self._images[0][b.c])
-
-    def inv(self, a: AmalgamElement) -> AmalgamElement:
-        g = self.embed_edge(self._edge_inverse[a.c])
-        for side, t in reversed(a.word):
-            g = self.step(g, side, self._inverse[side][t])
-        return g
 
     def conjugates(self, word: Tuple[Syllable, ...], side: int,
                    members: Sequence[int]) -> FrozenSet[AmalgamElement]:

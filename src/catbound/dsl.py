@@ -47,10 +47,9 @@ from __future__ import annotations
 import math
 import re
 from collections import OrderedDict
-from operator import is_
 from pathlib import Path
-from typing import (Callable, Dict, Iterator, List, Optional, Tuple, TypeVar,
-                    Union)
+from types import MappingProxyType
+from typing import Callable, Dict, List, Optional, Tuple, TypeVar, Union
 
 from .apps import (BoundaryComponent, BranchedSetup, DoubleSetup, GluingSetup,
                    Pairing, Piece)
@@ -94,29 +93,14 @@ _SHAPES = (None, "name", "op", "op", "op", "comment", "int", "string",
 _ESCAPE = re.compile(r'\\(["\\])')
 
 
-class Token:
-    'kind is name | int | string | op | error | eof.'
-
-    __slots__ = ("kind", "value", "line", "col")
-
-    def __init__(self, kind: str, value: str, line: int, col: int) -> None:
-        self.kind = kind
-        self.value = value
-        self.line = line
-        self.col = col
-
-    @property
-    def loc(self) -> str:
-        return f"{self.line}:{self.col}"
-
-
 class Tokens:
-    """The tokens of a text, as parallel lists of kinds, values and text
-    offsets, ending with the eof token.
+    """The tokens of a text, as parallel lists of kinds (name | int |
+    string | op | error | eof), values and text offsets, ending with the
+    eof token.
 
-    Token i is `tokens[i]`, a Token made on request; loc(i) is its
-    `line:col`.  Positions are counted from the text only when asked
-    for, from the last one asked for when it lies before.
+    loc(i) is the `line:col` of token i.  Positions are counted from the
+    text only when asked for, from the last one asked for when it lies
+    before.
     """
 
     __slots__ = ("text", "kinds", "values", "offsets", "_mark")
@@ -131,12 +115,6 @@ class Tokens:
 
     def __len__(self) -> int:
         return len(self.kinds)
-
-    def __getitem__(self, i: int) -> Token:
-        return Token(self.kinds[i], self.values[i], *self.line_col(self.offsets[i]))
-
-    def __iter__(self) -> Iterator[Token]:
-        return map(self.__getitem__, range(len(self.kinds)))
 
     def line_col(self, offset: int) -> Tuple[int, int]:
         'Line and column of a text offset, from 1, in characters.'
@@ -1067,8 +1045,9 @@ def _piece_body_lines(p: Piece, pad: str) -> List[str]:
 def build_universe(model: SourceModel,
                    base: Optional[Universe] = None
                    ) -> Tuple[Universe, List[Diagnostic]]:
-    """Register declarations over a copy of `base` (usually the prelude),
-    then check them with model.validate.
+    """Register declarations over an overlay of `base` (usually the
+    prelude), then check them with model.validate.  The universe built
+    is new and changeable, and `base`, frozen or not, is unchanged.
 
     Declarations shadow same-named prelude groups.  Building reports
     only what cannot be registered without building (a bad table, a
@@ -1173,7 +1152,7 @@ _KEPT_ENTRIES = ORDER_LIMIT ** 2 // KEPT_TEXTS
 
 _PRELUDE_PATH = Path(__file__).parent / "prelude.catb"
 
-# (text, snapshot of the base or None) -> the validated universe it loaded to
+# (text, frozen base or None) -> the frozen universe it loaded to
 _kept_loads: OrderedDict[Tuple[str, Optional[Universe]], Universe] = OrderedDict()
 
 
@@ -1192,16 +1171,16 @@ def read_catb(path: Path) -> str:
 
 
 def load_prelude(path: Optional[Path] = None) -> Universe:
-    """The prelude at `path` (the standard one by default) as a new universe.
+    """The prelude at `path` (the standard one by default) as a universe.
 
     The file is read with read_catb() on every call, so an edit or
     another path takes effect at once.  Its text is loaded over no base
-    by load_text(), as a model is, so a prelude text is parsed,
-    built and validated once per process, and each call returns a fresh
-    overlay of the kept universe.  A model loaded over the overlay is
-    checked in full, on copies of the prelude's fact sheets, once per
-    text.  Raises OSError when the file cannot be read and ValueError,
-    naming the path, when the prelude has problems.
+    by load_text(), as a model is, so a prelude text is parsed, built
+    and validated once per process, and each call returns the same
+    frozen universe, read-only; overlay() it to change it.  A model
+    loaded over it is checked in full, on copies of the prelude's fact
+    sheets, once per text.  Raises OSError when the file cannot be read
+    and ValueError, naming the path, when the prelude has problems.
     """
     p = path if path is not None else prelude_path()
     u, diags = load_text(read_catb(p))
@@ -1219,52 +1198,39 @@ def load_text(text: str,
     diagnostics) when the text does not parse.
 
     A text is loaded once per process and base.  The last KEPT_TEXTS
-    clean loads are kept, each keyed by the exact text and the snapshot
-    (`validated`) of its base, or by the text alone over no base; a
-    load with the same key returns a fresh overlay of the kept
-    universe, with a fresh, empty diagnostics list, and builds and
-    validates nothing.  A base counts only while it is pristine: each
-    of its tables holds exactly the entries of its snapshot, as the
-    same objects, as every universe this module hands out does until a
-    caller registers into it or drops from it.  A load over any other
-    base, a load with diagnostics and a load whose declared concrete
-    groups hold more than ORDER_LIMIT ** 2 // KEPT_TEXTS multiplication-
-    table entries (any group of order up to 250 fits) are parsed,
-    built and validated on every call, and not kept.  Fact sheets are shared with
-    the kept universe; validate() closes copies of them, never the kept
-    ones.
+    clean loads are kept, each keyed by the exact text and its base, a
+    frozen universe compared by identity, or None.  A kept load is
+    frozen: its tables are read-only views, and a caller who wants to
+    change it overlays it (Universe.overlay).  A load with the same key
+    returns the kept universe itself, with a fresh, empty diagnostics
+    list, and parses, builds and validates nothing.  A load over a base
+    that is not frozen, a load with diagnostics and a load whose
+    declared concrete groups hold more than ORDER_LIMIT ** 2 //
+    KEPT_TEXTS multiplication-table entries (any group of order up to
+    250 fits) are parsed, built and validated on every call, and not
+    kept.  Fact sheets are shared with the base; validate() closes
+    copies of them, never the base's.
     """
-    keyed = prelude is None or _pristine(prelude)
-    key = (text, prelude.validated if prelude is not None else None)
+    keyed = prelude is None or prelude.frozen
+    key = (text, prelude)
     if keyed:
         kept = _kept_loads.get(key)
         if kept is not None:
             _kept_loads.move_to_end(key)
-            return kept.overlay(), []
+            return kept, []
     model, diags = try_parse(text)
     if model is None:
         return None, diags
     u, diags = build_universe(model, prelude)
     if diags or not keyed or _declared_entries(u, prelude) > _KEPT_ENTRIES:
         return u, diags
+    for attr in TABLES:
+        setattr(u, attr, MappingProxyType(getattr(u, attr)))
+    u.frozen = True
     _kept_loads[key] = u
     if len(_kept_loads) > KEPT_TEXTS:
         _kept_loads.popitem(last=False)
-    return u.overlay(), diags
-
-
-def _pristine(u: Universe) -> bool:
-    """Whether every table of `u` holds exactly the entries of its
-    snapshot `u.validated`, as the same objects."""
-    old = u.validated
-    return old is not None and all(
-        len(getattr(u, attr)) == len(getattr(old, attr))
-        and _kept(getattr(old, attr), getattr(u, attr)) for attr in TABLES)
-
-
-def _kept(old: Dict[str, object], new: Dict[str, object]) -> bool:
-    'Whether every entry of `old` is in `new`, as the same object.'
-    return all(map(is_, map(new.get, old), old.values()))
+    return u, diags
 
 
 def _declared_entries(u: Universe, base: Optional[Universe]) -> int:

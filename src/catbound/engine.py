@@ -18,7 +18,9 @@ its facts.FactMemo, membership and the provably_* questions per
 (question, family, expression), and the resolution and complex view of
 each expression.  Both last as long as the evaluator and neither sees
 later changes to the universe, so the universe must not change while
-an evaluator uses it.  Both follow one in-progress rule: a key being
+an evaluator uses it; a kept load (dsl.load_text) is frozen and cannot,
+and a caller who wants a changed one evaluates an overlay of it with a
+new evaluator.  Both follow one in-progress rule: a key being
 computed reads as its conservative answer, which for a bound is the
 no-rule leaf at infinity citing "circular definition", and a
 computation that raises leaves its key unanswered.  So a hand-built
@@ -316,9 +318,10 @@ class Evaluator:
     questions it asks, and the resolution of each expression, are
     answered once per key.  Neither memo notices a change to the
     universe, so the universe must not change while an evaluator uses
-    it.  Evaluation is deterministic: rules are tried in a fixed order
-    and the first rule attaining the minimum supplies the reported
-    derivation.  A bound that needs itself reads infinity where it
+    it (a frozen one cannot; change an overlay and use a new
+    evaluator).  Evaluation is deterministic: rules are tried in a
+    fixed order and the first rule attaining the minimum supplies the
+    reported derivation.  A bound that needs itself reads infinity where it
     does (see _memoized_bound).
     """
 

@@ -196,14 +196,6 @@ class ExtNat(_Frozen):
         'JSON form: plain integer, or the string "inf".'
         return "inf" if self.v is None else self.v
 
-    @staticmethod
-    def from_json(raw: Union[int, str]) -> "ExtNat":
-        if raw == "inf":
-            return INF
-        if isinstance(raw, int) and not isinstance(raw, bool):
-            return ExtNat(raw)
-        raise ValueError(f"not an extended natural: {raw!r}")
-
 
 INF = ExtNat(None)
 ZERO = ExtNat(0)
@@ -217,21 +209,8 @@ def _coerce(x: Union[ExtNat, int]) -> ExtNat:
     raise TypeError(f"cannot treat {x!r} as an extended natural")
 
 
-def ext_max(a: Union[ExtNat, int], b: Union[ExtNat, int]) -> ExtNat:
-    'The larger of the two; b on a tie.'
-    if a.__class__ is not ExtNat:
-        a = _coerce(a)
-    if b.__class__ is not ExtNat:
-        b = _coerce(b)
-    if b.v is None:
-        return b
-    if a.v is None:
-        return a
-    return b if a.v <= b.v else a
-
-
 def supremum(values: Iterable[Union[ExtNat, int]]) -> ExtNat:
-    'Largest value of the collection; 0 when it is empty.  ext_max, folded.'
+    'Largest value of the collection; 0 when it is empty.'
     best = ZERO
     for x in values:
         if x.__class__ is not ExtNat:

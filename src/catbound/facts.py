@@ -27,8 +27,8 @@ A FactMemo answers membership and the provably_* questions once per
 (question, family, expression key), and resolves each expression and
 builds its complex view once, for as long as it lives; each Evaluator
 owns one for its own lifetime, and the universe must not change
-meanwhile.  The module functions
-membership(u, e, fam), membership_with_reason(u, e, fam) and
+meanwhile (a frozen one, such as a kept load, cannot).  The module
+functions membership(u, e, fam), membership_with_reason(u, e, fam) and
 provably_*(u, e) ask a fresh memo, so each call stands alone.
 """
 
@@ -168,21 +168,34 @@ def sheet_diagnostics(u: Universe, name: str) -> List[Diagnostic]:
     """Check the families one sheet names, and close it; each problem is
     reported at its declaration.
 
-    A sheet that the snapshot `u.validated` also holds is shared with
-    the universe that passed, such as a kept prelude or model, which
-    must not see this universe's tables: it is replaced in `u` by a
-    copy, and the copy is closed.  So checking a universe over a kept
-    one leaves the kept sheets as they were."""
-    sheet = u.sheets[name]
-    if u.validated is not None and u.validated.sheets.get(name) is sheet:
-        sheet = u.sheets[name] = replace(sheet, cat_ub=dict(sheet.cat_ub),
-                                         member=dict(sheet.member),
-                                         provenance=dict(sheet.provenance))
+    The sheet is closed on a copy, which replaces it in `u`, so the
+    FactSheet `u` held, which a frozen universe such as a kept prelude
+    may share, is never changed.  A pin `in[F] = yes|no` for a family F
+    of kind finite or amenable is that flag; one that contradicts the
+    declared flag is a problem."""
+    given = u.sheets[name]
+    sheet = u.sheets[name] = replace(given, cat_ub=dict(given.cat_ub),
+                                     member=dict(given.member),
+                                     provenance=dict(given.provenance))
     order = u.concretes[name].order if name in u.concretes else None
     loc = sheet.loc or f"group {name}"
     unknown = [f"unknown family {fam!r}" for fam in (*sheet.cat_ub, *sheet.member)
                if fam not in u.families]
-    return [Diagnostic(loc, msg) for msg in unknown + close_sheet(sheet, order)]
+    pinned = []
+    for fam, tri in sheet.member.items():
+        flag = _PINNED_FLAG.get(u.families[fam].kind) if fam in u.families else None
+        if flag is None or tri is Tri.UNKNOWN:
+            continue
+        declared = getattr(sheet, flag)
+        if declared is Tri.UNKNOWN:
+            setattr(sheet, flag, tri)
+        elif declared is not tri:
+            pinned.append(f"in[{fam}] = {tri.value} contradicts {flag} = {declared.value}")
+    return [Diagnostic(loc, msg) for msg in unknown + pinned + close_sheet(sheet, order)]
+
+
+# the flag that a pin in[F] sets, by the kind of F
+_PINNED_FLAG = {FamilyKind.FINITE: "finite", FamilyKind.AMENABLE: "amenable"}
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +274,8 @@ class FactMemo:
     (chaser, family, expr_key), and resolve_chain() and complex_view()
     once per expr_key, for as long as the memo lives; an Evaluator
     keeps one for its own lifetime.  The universe must not change while
-    a memo over it is in use.
+    a memo over it is in use; a frozen one cannot, and a changed
+    overlay of it needs a new memo.
 
     A key whose answer is being computed reads as the conservative one
     (not provable; order floor 1; membership UNKNOWN by "circular

@@ -438,11 +438,9 @@ class Universe:
     application setups each get their own.  An atom may carry both a
     fact sheet and a concrete realization under the same name.
 
-    `validated` is a snapshot of every table of this universe, or of
-    the nearest one it was overlaid from, as they stood when it passed
-    validate(), or None if none has; dsl.load_text keys its kept loads
-    by it, and validate() closes copies of the fact sheets it holds.  A
-    snapshot's own `validated` is None.
+    A `frozen` universe, such as each load dsl.load_text keeps, holds
+    its tables as read-only views and never changes; overlay() is the
+    way to a changeable universe over the same declarations.
     """
 
     def __init__(self) -> None:
@@ -455,7 +453,7 @@ class Universe:
         self.homs: Dict[str, Homomorphism] = {}
         self.families: Dict[str, object] = {}      # name -> facts.Family
         self.setups: Dict[str, object] = {}        # name -> apps setup
-        self.validated: Optional[Universe] = None
+        self.frozen = False
 
     # -- declaration ------------------------------------------------------
 
@@ -476,7 +474,6 @@ class Universe:
         u = Universe()
         for attr in TABLES:
             getattr(u, attr).update(getattr(self, attr))
-        u.validated = self.validated
         return u
 
     def drop_group(self, name: str) -> None:
@@ -690,10 +687,10 @@ def validate(u: Universe) -> List[Diagnostic]:
     dsl.build_universe only builds.
 
     A table group or hom that passed verify() when it was built (see
-    its `verified` or `verified_on`) is not verified again, and a fact
-    sheet shared with `u.validated` is closed on a copy (see
-    facts.sheet_diagnostics).  A universe that passes records a
-    snapshot of its tables, families included, in `u.validated`.
+    its `verified` or `verified_on`) is not verified again.  Each fact
+    sheet is closed on a copy that replaces it in `u` (see
+    facts.sheet_diagnostics), so `u` must not be frozen, and no
+    FactSheet that `u` held before the call is changed.
     """
     out: List[Diagnostic] = []
 
@@ -785,12 +782,7 @@ def validate(u: Universe) -> List[Diagnostic]:
     for name in sorted(u.setups):
         out.extend(build_setup(u, u.setups[name]))
 
-    out = list(dict.fromkeys(out))
-    if not out:
-        u.validated = Universe()
-        for attr in TABLES:
-            getattr(u.validated, attr).update(getattr(u, attr))
-    return out
+    return list(dict.fromkeys(out))
 
 
 def _cycle_diagnostics(u: Universe) -> List[Diagnostic]:

@@ -8,10 +8,12 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
-from catbound.apps import DoubleSetup, GluingSetup, Piece
-from catbound.develop import BallCell, CurvatureReport, DevelopmentBall
+from catbound.apps import Certificate, DoubleSetup, GluingSetup, LedgerItem, Piece
+from catbound.develop import (AmalgamContext, AmalgamElement, BallCell,
+                              CurvatureReport, DevelopmentBall)
+from catbound.dsl import Tokens
 from catbound.engine import BoundResult, DerivationNode, Evaluator
-from catbound.extnat import ExtNat, ext_max, supremum
+from catbound.extnat import INF, ExtNat, supremum
 from catbound.facts import AM, FactSheet, Family, FamilyKind, Tri
 from catbound.model import (ConcreteFiniteGroup, Diagnostic, DirectProduct, Edge,
                             FreeProduct, GcwDescription, GraphOfGroups, GroupExpr,
@@ -187,6 +189,9 @@ class LeftCarryAmalgam:
     def mul(self, a: LeftCarryElement, b: LeftCarryElement) -> LeftCarryElement:
         return self._canonical(self._syllables(a) + self._syllables(b))
 
+    def step(self, g: LeftCarryElement, side: int, a: int) -> LeftCarryElement:
+        return self.mul(g, self.embed_side(side, a))
+
     def inv(self, a: LeftCarryElement) -> LeftCarryElement:
         raw: List[Tuple[int, int]] = []
         for side, t in reversed(a.word):
@@ -261,6 +266,40 @@ def coset_set_ball(u: Universe, graph: GraphOfGroups,
                                   incident=(cid, wid)))
             queue.append((ga, other, wid, level + 1))
     return ball
+
+
+def side_element(ctx, side: int, a: int):
+    'Element a of side group `side` in an amalgam that steps (either arithmetic).'
+    return ctx.step(ctx.identity, side, a)
+
+
+def edge_element(c: int) -> AmalgamElement:
+    'Element c of the edge group in a develop.AmalgamContext.'
+    return AmalgamElement(c, ())
+
+
+def amalgam_inverse(ctx: AmalgamContext, g: AmalgamElement) -> AmalgamElement:
+    """g⁻¹ in a develop.AmalgamContext: the inverse of each syllable of
+    g, last first, stepped onto the inverse of its edge part."""
+    out = edge_element(inv(ctx.edge, g.c))
+    for side, t in reversed(g.word):
+        out = ctx.step(out, side, inv(ctx.sides[side], t))
+    return out
+
+
+def ext_max(a, b) -> ExtNat:
+    'The larger of two extended naturals, an int read as finite; b on a tie.'
+    a, b = (x if isinstance(x, ExtNat) else ExtNat(x) for x in (a, b))
+    return a if b < a else b
+
+
+def extnat_from_json(raw) -> ExtNat:
+    'The extended natural whose ExtNat.to_json() is `raw`.'
+    if raw == "inf":
+        return INF
+    if isinstance(raw, int) and not isinstance(raw, bool):
+        return ExtNat(raw)
+    raise ValueError(f"not an extended natural: {raw!r}")
 
 
 # -- the combination rules that the complex rule replaced ----------------
@@ -489,6 +528,11 @@ def best_old_route(u: Universe, s) -> Tuple[str, Optional[ExtNat]]:
     return graph
 
 
+def failed_items(cert: Certificate) -> List[LedgerItem]:
+    'The ledger items of a certificate that failed.'
+    return [x for x in cert.ledger if x.status == "failed"]
+
+
 # -- concrete group arithmetic the package does not need ------------------
 
 
@@ -572,6 +616,12 @@ class Token:
     @property
     def loc(self) -> str:
         return f"{self.line}:{self.col}"
+
+
+def token_list(tokens: Tokens) -> List[Token]:
+    'What dsl.tokenize returned, as Tokens, read off its arrays.'
+    return [Token(kind, value, *tokens.line_col(offset))
+            for kind, value, offset in zip(tokens.kinds, tokens.values, tokens.offsets)]
 
 
 def tokenize(text: str) -> List[Token]:

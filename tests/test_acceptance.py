@@ -5,7 +5,10 @@ the same pass/fail per test name.
 """
 
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -24,8 +27,9 @@ from catbound.model import FreeProduct, Ref
 
 from gencw import oracle_exhaustive, oracle_recursion, random_instance
 from genmodels import random_model
-from oracles import (brute_force_curvature, ladder_value, max_arm_dims,
-                     max_combination, sum_combination, tc_gog, tree_defect)
+from oracles import (brute_force_curvature, failed_items, ladder_value,
+                     max_arm_dims, max_combination, sum_combination, tc_gog,
+                     tree_defect)
 from test_develop import (biregular_level_counts, cyclic_chain_polygon,
                           expected_link_holds)
 
@@ -91,6 +95,20 @@ def test_criterion_3_selection_optimality():
     assert elapsed < 30.0, f"took {elapsed:.1f}s"
     print(f"criterion 3: PASS  (1000 greedy arm choices, read off the "
           f"traces, optimal against exhaustive scan, {elapsed:.1f}s)")
+
+
+def test_the_selection_experiment_script_runs():
+    # scripts/selection_experiment.py reads tests/oracles.py, which
+    # nothing else runs it against
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "selection_experiment.py"),
+         "--instances", "30"], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "engine/scan disagreements  0\n" in proc.stdout
 
 
 def test_criterion_4_tree_ball_closed_form(fixture_texts):
@@ -182,12 +200,12 @@ def test_criterion_7_certificates_and_mutations(fixture_texts, capsys):
         cert = certify(load(text), name)
         assert cert.conclusion == "volume_vanishes", name
         assert cert.ledger, name
-        assert not cert.failed_items(), name
+        assert not failed_items(cert), name
         for old, new, marker in mutations:
             assert old in text, (stem, old)
             broken = certify(load(text.replace(old, new)), name)
             assert broken.conclusion == "inconclusive", (stem, old)
-            failed = [x.item for x in broken.failed_items()]
+            failed = [x.item for x in failed_items(broken)]
             assert any(marker in item for item in failed), (stem, old, failed)
 
     u = load(fixture_texts["branched_five"])

@@ -673,6 +673,33 @@ polygon P { d = 4; vertex = V4; edge = Z2; face = C1;
         {"loc": loc, "message": message} for loc, message in problems]
 
 
+@pytest.mark.parametrize("fmt", ("text", "json"))
+def test_a_pin_in_a_finite_or_amenable_family_is_that_flag(capsys, tmp_path, fmt):
+    # in[Fin] = yes reads as finite = yes, which makes A amenable too;
+    # a pin that contradicts a declared flag is a load error
+    model = tmp_path / "model.catb"
+    model.write_text("group A { in[Fin] = yes; }\n", encoding="utf-8")
+    for fam, cite in (("Fin", "declared"), ("Am", "finite groups are amenable")):
+        code, out, err = run(capsys, "bound", "--target", "A", "--family", fam,
+                             "--format", fmt, str(model))
+        assert (code, err) == (0, "")
+        if fmt == "text":
+            assert out == f"cat[{fam}] <= 0\ntrace:\n  member-zero = 0  ({cite})\n"
+        else:
+            assert json.loads(out)["trace"]["nodes"] == [
+                {"rule": "member-zero", "cite": cite, "value": 0,
+                 "assumptions": [], "premises": []}]
+    model.write_text("group B { in[Am] = no; amenable = yes; }\n", encoding="utf-8")
+    code, out, err = run(capsys, "validate", "--format", fmt, str(model))
+    assert code == 1
+    if fmt == "text":
+        assert (out, err) == ("", f"{model}:1:1: in[Am] = no contradicts amenable = yes\n")
+    else:
+        assert err == ""
+        assert json.loads(out) == {"ok": False, "diagnostics": [
+            {"loc": "1:1", "message": "in[Am] = no contradicts amenable = yes"}]}
+
+
 # -- argument handling ----------------------------------------------------
 
 

@@ -143,7 +143,7 @@ def loaded(text, base):
     if u is None:
         return [str(d) for d in diags], None
     return [str(d) for d in diags], (
-        {attr: dict(getattr(u, attr)) for attr in TABLES}, u.validated is None)
+        {attr: dict(getattr(u, attr)) for attr in TABLES}, u.frozen)
 
 
 @seed(20261026)
@@ -157,7 +157,7 @@ def test_a_kept_load_loads_like_a_fresh_one(name, ops):
     cold = loaded(text, base)
     # each problem is reported once
     assert len(set(cold[0])) == len(cold[0]), text
-    # a clean load is kept, and the next one is an overlay of it
+    # a clean load is kept frozen, and the next one is the kept universe
     assert loaded(text, base) == cold, text
 
 

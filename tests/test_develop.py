@@ -14,8 +14,9 @@ from catbound.model import (ConcreteFiniteGroup, Edge, GraphOfGroups,
                             cyclic_group, product_group)
 
 from conftest import FIXTURES
-from oracles import (brute_force_curvature, coset_set_ball, generated_subgroup,
-                     inv, left_carry_context, tree_defect)
+from oracles import (amalgam_inverse, brute_force_curvature, coset_set_ball,
+                     edge_element, generated_subgroup, inv, left_carry_context,
+                     side_element, tree_defect)
 
 
 # -- oracles, written before the tests that lean on them ------------------
@@ -89,7 +90,7 @@ def random_elements(ctx, rng, count):
         for _ in range(rng.randint(0, 6)):
             side = rng.randint(0, 1)
             a = rng.randrange(ctx.sides[side].order)
-            g = ctx.mul(g, ctx.embed_side(side, a))
+            g = ctx.mul(g, side_element(ctx, side, a))
         out.append(g)
     return out
 
@@ -102,8 +103,8 @@ def test_amalgam_group_laws():
     for g in elems:
         assert ctx.mul(g, e) == g
         assert ctx.mul(e, g) == g
-        assert ctx.mul(g, ctx.inv(g)) == e
-        assert ctx.mul(ctx.inv(g), g) == e
+        assert ctx.mul(g, amalgam_inverse(ctx, g)) == e
+        assert ctx.mul(amalgam_inverse(ctx, g), g) == e
     for _ in range(120):
         a, b, c = (rng.choice(elems) for _ in range(3))
         assert ctx.mul(ctx.mul(a, b), c) == ctx.mul(a, ctx.mul(b, c))
@@ -114,13 +115,13 @@ def test_amalgam_embeddings_are_homomorphisms():
     for side, g in enumerate(ctx.sides):
         for x in range(g.order):
             for y in range(g.order):
-                assert ctx.mul(ctx.embed_side(side, x),
-                               ctx.embed_side(side, y)) == \
-                    ctx.embed_side(side, g.mul(x, y))
+                assert ctx.mul(side_element(ctx, side, x),
+                               side_element(ctx, side, y)) == \
+                    side_element(ctx, side, g.mul(x, y))
     # the two routes for an edge element agree
     for c in range(ctx.edge.order):
-        assert ctx.embed_edge(c) == ctx.embed_side(0, 2 * c)
-        assert ctx.embed_edge(c) == ctx.embed_side(1, 3 * c)
+        assert edge_element(c) == side_element(ctx, 0, 2 * c)
+        assert edge_element(c) == side_element(ctx, 1, 3 * c)
 
 
 def test_amalgam_normal_forms_alternate():
@@ -380,7 +381,7 @@ def test_normal_forms_agree_with_oracle_on_equality(name):
     def value(arith, word):
         g = arith.identity
         for s, a in word:
-            g = arith.mul(g, arith.embed_side(s, a))
+            g = arith.mul(g, side_element(arith, s, a))
         return g
 
     words = []
@@ -395,7 +396,7 @@ def test_normal_forms_agree_with_oracle_on_equality(name):
         equal_pairs += new[i] == new[j]
     assert equal_pairs >= len(words)
     for g in new:
-        assert ctx.mul(g, ctx.inv(g)) == ctx.identity
+        assert ctx.mul(g, amalgam_inverse(ctx, g)) == ctx.identity
     for _ in range(100):
         a, b, c = (rng.choice(new) for _ in range(3))
         assert ctx.mul(ctx.mul(a, b), c) == ctx.mul(a, ctx.mul(b, c))

@@ -25,8 +25,13 @@ FIXTURES = Path(__file__).parent / "fixtures"
 # -- tokenizer ------------------------------------------------------------
 
 
+def tokens(text):
+    'The tokens of a text, read off the arrays dsl.tokenize returns.'
+    return oracles.token_list(tokenize(text))
+
+
 def kinds(text):
-    return [(t.kind, t.value) for t in tokenize(text) if t.kind != "eof"]
+    return [(t.kind, t.value) for t in tokens(text) if t.kind != "eof"]
 
 
 def test_tokenizer_basics():
@@ -41,7 +46,7 @@ def test_tokenizer_two_char_ops():
 
 
 def test_tokenizer_comments_and_positions():
-    toks = tokenize("// nothing\ngroup G;")
+    toks = tokens("// nothing\ngroup G;")
     assert toks[0].value == "group"
     assert toks[0].line == 2
     assert toks[0].col == 1
@@ -49,25 +54,25 @@ def test_tokenizer_comments_and_positions():
 
 
 def test_tokenizer_strings():
-    toks = tokenize('by "a \\"quoted\\" reason"')
+    toks = tokens('by "a \\"quoted\\" reason"')
     assert toks[1].kind == "string"
     assert toks[1].value == 'a "quoted" reason'
 
 
 def test_tokenizer_error_tokens():
-    toks = tokenize("group G @ ;")
+    toks = tokens("group G @ ;")
     assert any(t.kind == "error" for t in toks)
-    toks = tokenize('x = "unfinished')
+    toks = tokens('x = "unfinished')
     assert any(t.kind == "error" for t in toks)
 
 
-def fields(tokens):
-    return [(t.kind, t.value, t.line, t.col) for t in tokens]
+def fields(toks):
+    return [(t.kind, t.value, t.line, t.col) for t in toks]
 
 
 def test_tokenizer_matches_the_oracle_on_fixtures(fixture_texts):
     for name, text in fixture_texts.items():
-        assert fields(tokenize(text)) == fields(oracles.tokenize(text)), name
+        assert fields(tokens(text)) == fields(oracles.tokenize(text)), name
 
 
 # pieces that each take a different path through the tokenizer: comment
@@ -82,17 +87,17 @@ PIECES = ("//", "<=", "->", "<", "-", '"', '\\"', "\\\\", "\\", "\r\n",
 @settings(max_examples=400, deadline=None)
 @given(st.lists(st.sampled_from(PIECES), max_size=30).map("".join))
 def test_tokenizer_matches_the_oracle_on_random_text(text):
-    assert fields(tokenize(text)) == fields(oracles.tokenize(text))
+    assert fields(tokens(text)) == fields(oracles.tokenize(text))
 
 
 def test_tokenizer_eof_after_a_trailing_comment():
     for text in ("group G; // no newline", "// only a comment",
                  'group G;\n  by "s" // "quoted" \\', "x\r\n\t//"):
-        toks = tokenize(text)
-        assert fields(toks) == fields(oracles.tokenize(text)), text
+        assert fields(tokens(text)) == fields(oracles.tokenize(text)), text
     # the eof token sits where the comment starts
-    assert tokenize("group G; // no newline")[-1].loc == "1:10"
-    assert tokenize("x\r\n\t//")[-1].loc == "2:2"
+    for text, loc in (("group G; // no newline", "1:10"), ("x\r\n\t//", "2:2")):
+        toks = tokenize(text)
+        assert toks.loc(len(toks) - 1) == loc
 
 
 # -- parsing --------------------------------------------------------------
@@ -445,14 +450,16 @@ def test_kept_prelude_stays_isolated(fixture_texts, capsys):
     assert ev.bound_gd(Ref("Z")).value == ExtNat(4)
     assert ev.bound_cat(Ref("Z2"), u.families["Fin"]).value == INF
     assert tables(load_prelude()) == before
-    # each call hands out its own universe, and what is registered in
-    # or dropped from one never reaches the next
-    first, second = load_prelude(), load_prelude()
-    assert first is not second
-    assert all(getattr(first, attr) is not getattr(second, attr)
+    # each call hands out the same frozen universe, and what is
+    # registered in or dropped from an overlay of it never reaches it
+    first = load_prelude()
+    assert first is load_prelude() and first.frozen
+    changed = first.overlay()
+    assert not changed.frozen
+    assert all(getattr(changed, attr) is not getattr(first, attr)
                for attr in TABLES)
-    first.sheets["W"] = FactSheet(name="W")
-    first.drop_group("Z4")
+    changed.sheets["W"] = FactSheet(name="W")
+    changed.drop_group("Z4")
     fresh = load_prelude()
     assert "W" not in fresh.sheets and "Z4" in fresh.concretes
     assert tables(fresh) == before
@@ -556,7 +563,7 @@ def test_changed_homs_and_groups_of_graph_edges_are_checked(tmp_path):
 
 
 def test_a_table_registered_over_a_validated_universe_is_checked():
-    base = load_prelude()
+    base = load_prelude().overlay()
     base.concretes["Bad"] = ConcreteFiniteGroup(((0, 1), (0, 1)), 0)
     base.sheets["Bad"] = FactSheet(name="Bad")
     _, diags = load_text("group G = Bad x Z;", base)
@@ -564,7 +571,8 @@ def test_a_table_registered_over_a_validated_universe_is_checked():
     assert [str(d) for d in diags] == bad
     # also when registered into a model's universe after it passed
     u, diags = load_text("group G = Z x Z;", load_prelude())
-    assert not diags and u.validated is not None
+    assert not diags and u.frozen
+    u = u.overlay()
     u.concretes["Bad"] = base.concretes["Bad"]
     u.sheets["Bad"] = FactSheet(name="Bad")
     _, diags = load_text("group H = G;", u)
@@ -613,7 +621,7 @@ def test_closing_sheets_leaves_the_kept_prelude_alone():
     # a table registered under a prelude atom's name: the load reports
     # the clash, and closing Z's sheet under that table must not reach
     # the sheet the kept prelude holds
-    u = load_prelude()
+    u = load_prelude().overlay()
     u.concretes["Z"] = cyclic_group(2)
     _, diags = load_text("group H;", u)
     assert "declared infinite but carries a finite multiplication table" in [
@@ -690,9 +698,11 @@ def test_a_text_is_parsed_once_over_any_prelude(monkeypatch, fixture_texts, tmp_
     loads = [load_text(text, prelude) for prelude in preludes]
     assert parsed == [text] * 2     # once over each prelude
     assert all(not diags for _, diags in loads)
+    # the loads over one prelude are one kept universe
     universes = [u for u, _ in loads]
-    assert len(set(map(id, universes))) == len(universes)
-    assert len({id(u.graphs) for u in universes}) == len(universes)
+    assert len(set(map(id, universes))) == 2
+    assert all(u is v for u, v in zip(universes, universes[2:]))
+    assert universes[0].graphs is not universes[1].graphs
     assert [("Extra" in u.sheets) for u in universes] == [False, True] * 3
     # an edited text is a new text
     edited = text.replace("group ZZ = Z * Z;", "group ZZ = Z x Z;")
@@ -768,7 +778,7 @@ def test_what_a_caller_changes_never_reaches_a_kept_load(counted_builds, change)
     cold = answers(load_text(KEPT_TEXT, load_prelude()))
     assert not cold[0] and len(counted_builds) == 2     # the prelude, the text
     u, _ = load_text(KEPT_TEXT, load_prelude())
-    change(u)
+    change(u.overlay())
     for _ in range(2):
         assert answers(load_text(KEPT_TEXT, load_prelude())) == cold
     assert len(counted_builds) == 2
@@ -786,7 +796,7 @@ def added_group(base):
 @pytest.mark.parametrize("change", (added_family, added_group))
 def test_a_base_changed_after_it_passed_is_built_over(counted_builds, change):
     text = "group H;\n" + KEPT_TEXT
-    base = load_prelude()
+    base = load_prelude().overlay()
     change(base)
     cold = answers(load_text(text, base))
     if change is added_family:
@@ -799,11 +809,38 @@ def test_a_base_changed_after_it_passed_is_built_over(counted_builds, change):
     assert not load_text(text, load_prelude())[1]
     counted_builds.clear()
     for i in range(2):
-        base = load_prelude()
+        base = load_prelude().overlay()
         change(base)
         assert answers(load_text(text, base)) == cold
         assert counted_builds[i] is base
     assert len(counted_builds) == 2
+
+
+def test_a_kept_load_is_read_only():
+    u, diags = load_text(KEPT_TEXT, load_prelude())
+    assert not diags and u.frozen
+    assert load_text(KEPT_TEXT, load_prelude())[0] is u
+    for kept in (u, load_prelude()):
+        for attr in TABLES:
+            with pytest.raises(TypeError):
+                getattr(kept, attr)["X"] = None
+        with pytest.raises(AttributeError):
+            kept.drop_group("Z2")
+        assert "Z2" in kept.concretes and "X" not in kept.defs
+
+
+def test_a_load_over_a_changed_overlay_is_built_and_not_kept(counted_builds):
+    prelude = load_prelude()
+    counted_builds.clear()
+    base = prelude.overlay()
+    registered_group(base)
+    for _ in range(2):
+        u, diags = load_text("group G = C5 x Z;", base)
+        assert not diags and not u.frozen
+        assert u is not base and "C5" in u.concretes
+    assert counted_builds == [base, base]
+    assert all(b is not base for _, b in dsl._kept_loads)
+    assert "C5" not in load_prelude().concretes
 
 
 def test_loads_that_declare_large_tables_are_not_kept(counted_builds):

